@@ -194,7 +194,6 @@ def cmd_tors(args) -> int:
         enumerate_torsion_classes,
         find_cover,
         finite_universe,
-        hasse_edges,
         lattice_check,
         two_vertex_check,
     )
@@ -207,7 +206,7 @@ def cmd_tors(args) -> int:
         u = finite_universe(q, args.prime, rng)
         classes = enumerate_torsion_classes(u)
         report = lattice_check(u, classes)
-        edges = hasse_edges(classes)
+        edges = report.edges
         if args.format == "dot":
             _emit(_hasse_dot(classes, edges), "text", args.out)
             return EXIT_OK if report.is_lattice else EXIT_FAILED
@@ -246,6 +245,8 @@ def cmd_tors(args) -> int:
         return EXIT_OK if report.is_lattice else EXIT_FAILED
 
     if q.n == 2:
+        if args.format == "dot":
+            raise CliError(EXIT_BAD_INPUT, "dot output needs the exact finite mode")
         report = two_vertex_check(q, args.prime, args.dim_bound, rng)
         data = {
             "mode": "bounded",
@@ -260,14 +261,12 @@ def cmd_tors(args) -> int:
         }
         if args.format == "json":
             _emit(data, "json", args.out)
-        elif args.format == "text":
+        else:
             lines = [f"type {qt.display()}  verdict {report.verdict}",
                      f"universe {report.universe_size}  classes {report.class_count}  "
                      f"covered {report.covered_count}  pairs {report.pair_count}",
                      f"notes: {report.notes}"]
             _emit("\n".join(lines) + "\n", "text", args.out)
-        else:
-            raise CliError(EXIT_BAD_INPUT, "dot output needs the exact finite mode")
         if report.verdict == "inconclusive":
             return EXIT_INCONCLUSIVE
         return EXIT_OK if report.verdict in ("lattice", "consistent") else EXIT_FAILED
@@ -384,9 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prime", type=int, default=5, help="field size (default 5)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--dim-bound", type=int, default=12,
-                       help="total dimension bound for bounded checks (default 12)")
+                       help="total dimension bound for bounded checks, at least 1 "
+                            "(default 12)")
         p.add_argument("--loewy-bound", type=int, default=4,
-                       help="layer bound for no-cover evidence (default 4)")
+                       help="layer bound for no-cover evidence, at least 2 (default 4)")
         p.add_argument("--format", choices=("text", "json", "dot"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
 
@@ -410,9 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.prime < 2:
-        print("error: --prime must be at least 2", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    for flag, value, least in (("--prime", args.prime, 2),
+                               ("--dim-bound", args.dim_bound, 1),
+                               ("--loewy-bound", args.loewy_bound, 2)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except CliError as exc:

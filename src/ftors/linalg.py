@@ -8,8 +8,6 @@ inside the int64 range.  No floats are ever involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MAX_PRIME = 1 << 15
@@ -157,39 +155,3 @@ def random_matrix(rows: int, cols: int, p: int, rng: np.random.Generator) -> np.
     check_prime(p)
     return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
 
-
-@dataclass
-class FpMatrix:
-    """Thin typed wrapper pairing an entries array with its modulus."""
-
-    entries: np.ndarray
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        self.entries = fparray(self.entries, self.p)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise ValueError("moduli differ")
-        return FpMatrix(matmul(self.entries, other.entries, self.p), self.p)
-
-    def rref_rank(self):
-        r, rk, pivots = rref(self.entries, self.p)
-        return FpMatrix(r, self.p), rk, pivots
-
-    def solve_linear(self, b):
-        part, ker = solve(self.entries, b, self.p)
-        return part, FpMatrix(ker, self.p)
-
-    @classmethod
-    def random(cls, rows: int, cols: int, p: int, rng: np.random.Generator) -> "FpMatrix":
-        return cls(random_matrix(rows, cols, p, rng), p)

@@ -59,9 +59,6 @@ class Representation:
     def total(self) -> int:
         return sum(self.dims)
 
-    def is_zero(self) -> bool:
-        return self.total == 0
-
     def __repr__(self):
         return f"Representation(dims={self.dims}, p={self.p})"
 
@@ -359,22 +356,20 @@ class Subquotient:
     quot: Representation
     proj: tuple[np.ndarray, ...]
 
-    def validate(self) -> None:
-        p = self.ambient.p
-        q = self.ambient.quiver
-        for k, ar in enumerate(q.arrows):
-            s, t = ar.source, ar.target
-            assert np.array_equal(
-                la.matmul(self.incl[t], self.sub.mats[k], p),
-                la.matmul(self.ambient.mats[k], self.incl[s], p))
-            assert np.array_equal(
-                la.matmul(self.proj[t], self.ambient.mats[k], p),
-                la.matmul(self.quot.mats[k], self.proj[s], p))
-        for v in range(q.n):
-            assert la.rank(self.incl[v], p) == self.sub.dims[v]
-            assert la.rank(self.proj[v], p) == self.quot.dims[v]
-            assert not np.any(la.matmul(self.proj[v], self.incl[v], p))
-            assert self.sub.dims[v] + self.quot.dims[v] == self.ambient.dims[v]
+
+def _complement(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Section and projection of the complement of independent columns.
+
+    The complement is spanned by standard basis vectors; the section c embeds
+    it and proj is the matching projection, so proj @ basis = 0 and
+    proj @ c = 1.
+    """
+    d, k = basis.shape
+    c = la.zeros(d, d - k)
+    for j, idx in enumerate(la.complement_indices(basis, p)):
+        c[idx, j] = 1
+    inv, _ = la.solve(np.hstack([basis, c]), la.identity(d), p)
+    return c, inv[k:, :]
 
 
 def carve(M: Representation, spaces) -> Subquotient:
@@ -399,14 +394,8 @@ def carve(M: Representation, spaces) -> Subquotient:
     projs = []
     sections = []
     for v in range(q.n):
-        d, k = M.dims[v], sub_dims[v]
-        comp = la.complement_indices(bases[v], p)
-        c = la.zeros(d, d - k)
-        for j, idx in enumerate(comp):
-            c[idx, j] = 1
-        full = np.hstack([bases[v], c])
-        inv, _ = la.solve(full, la.identity(d), p)
-        projs.append(inv[k:, :])
+        c, proj = _complement(bases[v], p)
+        projs.append(proj)
         sections.append(c)
     quot_mats = []
     for k, ar in enumerate(q.arrows):
@@ -414,18 +403,6 @@ def carve(M: Representation, spaces) -> Subquotient:
         quot_mats.append(la.matmul(projs[t], la.matmul(M.mats[k], sections[s], p), p))
     quot = make_rep(q, p, [M.dims[v] - sub_dims[v] for v in range(q.n)], quot_mats)
     return Subquotient(M, sub, incl, quot, tuple(projs))
-
-
-def image_subquotient(f, X: Representation, Y: Representation) -> Subquotient:
-    """Carve the image of a morphism f: X -> Y inside Y."""
-    spaces = [f[v] for v in range(Y.quiver.n)]
-    return carve(Y, spaces)
-
-
-def kernel_subquotient(f, X: Representation) -> Subquotient:
-    """Carve the kernel of a morphism f: X -> ? inside X."""
-    spaces = [la.kernel_basis(f[v], X.p) for v in range(X.quiver.n)]
-    return carve(X, spaces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,46 +558,59 @@ def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator
         return False
     remaining = list(py)
     for part in px:
-        for idx, cand in enumerate(remaining):
-            if part.dims == cand.dims and is_isomorphic(part, cand, rng, tries):
-                remaining.pop(idx)
-                break
-        else:
+        idx = _iso_index(part, remaining, rng, tries)
+        if idx is None:
             return False
+        remaining.pop(idx)
     return True
 
 
-def group_summands(pieces: list[Representation], rng) -> list[tuple[Representation, int]]:
-    """Collect indecomposable pieces into isomorphism classes with counts."""
-    pieces = sorted(pieces, key=lambda r: (r.total, r.dims))
-    groups: list[tuple[Representation, int]] = []
-    for piece in pieces:
-        for idx, (rep, count) in enumerate(groups):
-            if rep.dims == piece.dims and is_isomorphic(rep, piece, rng):
-                groups[idx] = (rep, count + 1)
+def _iso_index(M: Representation, candidates, rng: np.random.Generator,
+               tries: int = ISO_TRIES) -> int | None:
+    """Position of the first candidate isomorphic to M, or None.
+
+    Candidates are tried in list order, and only those with the dimension
+    vector of M reach the isomorphism test.  The test always gets M first,
+    because its random draws depend on the order of its arguments.
+    """
+    for idx, cand in enumerate(candidates):
+        if cand.dims == M.dims and is_isomorphic(M, cand, rng, tries):
+            return idx
+    return None
+
+
+def _drop_generated(mods: list[Representation]) -> list[int]:
+    """Positions, in list order, of the modules left after greedily dropping
+    the first module generated by the others until none is.
+
+    The kept modules generate every listed module and none of them is
+    redundant.
+    """
+    kept = list(range(len(mods)))
+    changed = True
+    while changed and len(kept) > 1:
+        changed = False
+        for idx in range(len(kept)):
+            others = [mods[k] for j, k in enumerate(kept) if j != idx]
+            if generates(others, mods[kept[idx]]):
+                kept.pop(idx)
+                changed = True
                 break
-        else:
-            groups.append((piece, 1))
-    return groups
+    return kept
 
 
 def normalize_summands(M: Representation, rng) -> list[Representation]:
     """Multiplicity-one summand list of the normalization.
 
-    Greedy removal of any summand generated by the rest; the result generates
-    the original module and no remaining summand is redundant.
+    One summand per isomorphism class, smallest first, then greedy removal of
+    any summand generated by the rest; the result generates the original
+    module and no remaining summand is redundant.
     """
-    kept = [rep for rep, _ in group_summands(decompose(M, rng), rng)]
-    changed = True
-    while changed and len(kept) > 1:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1:]
-            if generates(others, kept[idx]):
-                kept.pop(idx)
-                changed = True
-                break
-    return kept
+    kept: list[Representation] = []
+    for piece in sorted(decompose(M, rng), key=lambda r: (r.total, r.dims)):
+        if _iso_index(piece, kept, rng) is None:
+            kept.append(piece)
+    return [kept[k] for k in _drop_generated(kept)]
 
 
 def normalize(M: Representation, rng) -> Representation:
@@ -628,23 +618,6 @@ def normalize(M: Representation, rng) -> Representation:
     if not kept:
         return zero_rep(M.quiver, M.p)
     return direct_sum(kept)
-
-
-def module_predicates(X: Representation, Y: Representation | None, rng) -> dict:
-    """Brick/exceptional predicates for X and Hom-orthogonality with Y."""
-    end = hom_dim(X, X)
-    brick = end == 1 and X.total > 0
-    if brick:
-        indec = True
-    else:
-        indec = X.total > 0 and len(decompose(X, rng)) == 1
-    out = {
-        "is_brick": brick,
-        "is_exceptional": indec and ext_dim(X, X) == 0,
-    }
-    if Y is not None:
-        out["orthogonal"] = hom_dim(X, Y) == 0 and hom_dim(Y, X) == 0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -675,16 +648,8 @@ def reflection_functor_apply(M: Representation, v: int) -> Representation:
         outs = arrows_out(q, v)
         blocks = [M.mats[k] for k, _ in outs]
         assembled = np.vstack(blocks) if blocks else la.zeros(0, M.dims[v])
-        img = la.column_space_basis(assembled, p)
-        total = assembled.shape[0]
-        comp = la.complement_indices(img, p)
-        c = la.zeros(total, total - img.shape[1])
-        for j, idx in enumerate(comp):
-            c[idx, j] = 1
-        full = np.hstack([img, c])
-        inv, _ = la.solve(full, la.identity(total), p)
-        proj = inv[img.shape[1]:, :]
-        new_dims[v] = total - img.shape[1]
+        _, proj = _complement(la.column_space_basis(assembled, p), p)
+        new_dims[v] = proj.shape[0]
         off = 0
         for k, ar in outs:
             d = M.dims[ar.target]
@@ -758,6 +723,26 @@ def _nu_path_block(q: ValuedQuiver, x: tuple[int, ...], j: int, i: int, w: int) 
     return m
 
 
+def _minimal_presentation(M: Representation):
+    """Minimal projective presentation P1 -> P0 -> M -> 0 of a nonprojective M.
+
+    Returns (P0, its component vertices, P1, its component vertices, f) with
+    f: P1 -> P0 the presentation map.  P1 is the projective cover of the
+    kernel of P0 -> M; over a path algebra that kernel is projective, so the
+    cover is an isomorphism and f is injective.
+    """
+    q, p = M.quiver, M.p
+    p0, comps0, g = projective_cover(M)
+    ker = carve(p0, [la.kernel_basis(g[v], p) for v in range(q.n)])
+    if ker.sub.total == 0:
+        raise ValueError("the translate DTr is undefined on projective modules")
+    p1, comps1, h = projective_cover(ker.sub)
+    # h surjects and the inclusion of the kernel is injective, so f is
+    # injective exactly when P1 and the kernel have the same dimensions
+    assert p1.dims == ker.sub.dims, "presentation map must be injective"
+    return p0, comps0, p1, comps1, compose(ker.incl, h, p)
+
+
 def ar_translate(M: Representation) -> Representation:
     """The translate DTr M from a minimal projective presentation.
 
@@ -769,17 +754,12 @@ def ar_translate(M: Representation) -> Representation:
     input are annihilated; projective input is rejected.
     """
     q, p = M.quiver, M.p
-    p0, comps0, g = projective_cover(M)
-    ker = carve(p0, [la.kernel_basis(g[v], p) for v in range(q.n)])
-    if ker.sub.total == 0:
-        raise ValueError("the translate DTr is undefined on projective modules")
-    p1, comps1, h = projective_cover(ker.sub)
-    f = compose(ker.incl, h, p)    # P1 -> P0, injective by minimality
+    p0, comps0, p1, comps1, f = _minimal_presentation(M)
 
-    nu_p1 = direct_sum([injective(q, p, v) for v in comps1])
-    nu_p0 = direct_sum([injective(q, p, v) for v in comps0])
     parts1 = [injective(q, p, v) for v in comps1]
     parts0 = [injective(q, p, v) for v in comps0]
+    nu_p1 = direct_sum(parts1)
+    nu_p0 = direct_sum(parts0)
     proj_parts0 = [projective(q, p, v) for v in comps0]
     proj_parts1 = [projective(q, p, v) for v in comps1]
 
@@ -897,12 +877,7 @@ def middle_terms(B: Representation, A: Representation, rng,
         return [split]
     if p ** e > cap:
         raise ExtensionCapError(f"p^e = {p}^{e} exceeds the cap {cap}")
-    p0, comps0, g = projective_cover(B)
-    ker = carve(p0, [la.kernel_basis(g[v], p) for v in range(q.n)])
-    p1, comps1, h = projective_cover(ker.sub)
-    f = compose(ker.incl, h, p)
-    for v in range(q.n):
-        assert la.rank(f[v], p) == p1.dims[v], "presentation map must be injective"
+    p0, _, p1, _, f = _minimal_presentation(B)
 
     h1 = hom_basis(p1, A)
     h0 = hom_basis(p0, A)
@@ -921,19 +896,16 @@ def middle_terms(B: Representation, A: Representation, rng,
 
     out = [split]
     kept: list[Representation] = []
+    target = direct_sum([A, p0])
     for line in _projective_class_lines(p, e):
         coeffs = np.zeros(h1.dim, dtype=np.int64)
         for c, idx in zip(line, reps_idx):
             coeffs[idx] = c
         xi = h1.element(coeffs)
-        target = direct_sum([A, p0])
-        jmap = tuple(
-            np.vstack([xi[v], (-f[v]) % p]) % p
-            for v in range(q.n)
-        )
-        img_sq = image_subquotient(jmap, p1, target)
-        E = img_sq.quot
+        # E is the cokernel of P1 -> A + P0, the pushout along xi
+        jmap = [np.vstack([xi[v], (-f[v]) % p]) % p for v in range(q.n)]
+        E = carve(target, jmap).quot
         assert E.total == A.total + B.total
-        if not any(E.dims == k.dims and is_isomorphic(E, k, rng) for k in kept):
+        if _iso_index(E, kept, rng) is None:
             kept.append(E)
     return out + kept

@@ -279,18 +279,6 @@ def projective_dimvec(q: ValuedQuiver, i: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@cache
-def injective_dimvec(q: ValuedQuiver, i: int) -> tuple[int, ...]:
-    """Path counts v -> i for a path algebra; the dimension vector of I(i)."""
-    counts = [0] * q.n
-    counts[i] = 1
-    for v in reversed(topological_order(q)):
-        if counts[v]:
-            for _, ar in arrows_in(q, v):
-                counts[ar.source] += counts[v]
-    return tuple(counts)
-
-
 # ---------------------------------------------------------------------------
 # classification
 

@@ -26,6 +26,8 @@ import numpy as np
 from .modules import (
     DecompositionInconclusive,
     Representation,
+    _drop_generated,
+    _iso_index,
     ar_translate,
     ar_translate_inverse,
     carve,
@@ -36,7 +38,6 @@ from .modules import (
     hom_basis,
     hom_dim,
     injective,
-    is_isomorphic,
     middle_terms,
     projective,
     random_rep,
@@ -94,10 +95,10 @@ class ModuleUniverse:
         return len(self.modules)
 
     def match(self, M: Representation) -> int:
-        for idx, cand in enumerate(self.modules):
-            if cand.dims == M.dims and is_isomorphic(cand, M, self.rng):
-                return idx
-        raise KeyError(f"module with dims {M.dims} is not in the universe")
+        idx = _iso_index(M, self.modules, self.rng)
+        if idx is None:
+            raise KeyError(f"module with dims {M.dims} is not in the universe")
+        return idx
 
     def middle_summands(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
         """Universe indices of the summands of each middle term of
@@ -197,16 +198,8 @@ def find_cover(u: ModuleUniverse, t: frozenset) -> Representation | None:
     when the candidate fails the generation test; over a complete finite
     universe it never does.
     """
-    kept = sorted(t)
-    changed = True
-    while changed and len(kept) > 1:
-        changed = False
-        for idx in range(len(kept)):
-            others = [u.modules[k] for j, k in enumerate(kept) if j != idx]
-            if generates(others, u.modules[kept[idx]]):
-                kept.pop(idx)
-                changed = True
-                break
+    members = sorted(t)
+    kept = [members[k] for k in _drop_generated([u.modules[m] for m in members])]
     if gen_closure(u, frozenset(kept)) != t:
         return None
     if not kept:
@@ -246,9 +239,13 @@ def hasse_edges(classes: list[frozenset]) -> list[tuple[int, int]]:
 class LatticeReport:
     quiver: ValuedQuiver
     class_count: int
-    edge_count: int
+    edges: tuple                      # Hasse diagram, see hasse_edges
     meet_failures: tuple
     join_failures: tuple
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
 
     @property
     def is_lattice(self) -> bool:
@@ -281,8 +278,7 @@ def lattice_check(u: ModuleUniverse, classes: list[frozenset] | None = None) -> 
                 if t <= c and s <= c and not union_closure <= c:
                     join_failures.append((sorted(t), sorted(s)))
                     break
-    edges = hasse_edges(classes)
-    return LatticeReport(u.quiver, len(classes), len(edges),
+    return LatticeReport(u.quiver, len(classes), tuple(hasse_edges(classes)),
                          tuple(meet_failures), tuple(join_failures))
 
 
@@ -312,12 +308,8 @@ def _kronecker_universe(q: ValuedQuiver, p: int, bound: int,
     mods: list[Representation] = []
 
     def push(M: Representation) -> None:
-        if M.total == 0 or M.total > bound:
-            return
-        for known in mods:
-            if known.dims == M.dims and is_isomorphic(known, M, rng):
-                return
-        mods.append(M)
+        if 0 < M.total <= bound and _iso_index(M, mods, rng) is None:
+            mods.append(M)
 
     for v in range(q.n):
         M = projective(q, p, v)
@@ -361,8 +353,8 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
     qt = classify_type(q)
     if qt.representation_finite:
         u = finite_universe(q, p, rng)
-        report = lattice_check(u)
         classes = enumerate_torsion_classes(u)
+        report = lattice_check(u, classes)
         covered = sum(find_cover(u, t) is not None for t in classes)
         return TwoVertexReport(
             "lattice" if report.is_lattice else "failed",
@@ -407,16 +399,8 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
         """Generator indices of a normal module generating exactly cls, if
         one exists inside the bound."""
         if cls not in covers:
-            kept = sorted(prune(cls))
-            changed = True
-            while changed and len(kept) > 1:
-                changed = False
-                for idx in range(len(kept)):
-                    others = [mods[k] for j, k in enumerate(kept) if j != idx]
-                    if in_gen_closure(others, mods[kept[idx]]):
-                        kept.pop(idx)
-                        changed = True
-                        break
+            pruned = sorted(prune(cls))
+            kept = [pruned[k] for k in _drop_generated([mods[g] for g in pruned])]
             covers[cls] = frozenset(kept) if generated_set(frozenset(kept)) == cls else None
         return covers[cls]
 
@@ -520,9 +504,8 @@ def relative_loewy_length(M: Representation, cycle, rng,
             "relative radical failed to shrink; module is not filtered by the cycle")
         if certify and layer.total:
             for part in decompose(layer, rng):
-                assert any(
-                    part.dims == X.dims and is_isomorphic(part, X, rng)
-                    for X in cycle), f"layer summand {part.dims} is not a cycle member"
+                assert _iso_index(part, cycle, rng) is not None, (
+                    f"layer summand {part.dims} is not a cycle member")
         current = carved.sub
         steps += 1
     return steps
@@ -559,10 +542,6 @@ def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> Filtrati
     validate_ext_cycle(cycle)
     levels: list[list[Representation]] = [[], list(cycle)]
     found: list[tuple[Representation, int]] = [(X, 1) for X in cycle]
-
-    def known(M: Representation) -> bool:
-        return any(M.dims == N.dims and is_isomorphic(M, N, rng) for N, _ in found)
-
     for total in range(2, bound + 1):
         fresh: list[Representation] = []
         for a in range(1, total):
@@ -573,9 +552,8 @@ def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> Filtrati
                         parts = decompose(E, rng)
                         if len(parts) != 1:
                             continue
-                        if not known(E) and not any(
-                                E.dims == F.dims and is_isomorphic(E, F, rng)
-                                for F in fresh):
+                        seen = [N for N, _ in found] + fresh
+                        if _iso_index(E, seen, rng) is None:
                             fresh.append(E)
         levels.append(fresh)
         found.extend((M, total) for M in fresh)

@@ -5,6 +5,7 @@ one PASSED/FAILED line per criterion.  Budgets are wall-clock seconds and
 are asserted, not just observed.
 """
 
+import hashlib
 import itertools
 import time
 from functools import lru_cache
@@ -252,7 +253,24 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         ("run", "nocover", str(QDIR / "a2tilde.txt"),
          "--loewy-bound", "3", "--format", "json"),
     ]
-    for n, argv in enumerate(runs):
+    # SHA-256 of each report, one per run above: a refactor keeps every report
+    # byte for byte, and a change to a report updates its digest on purpose
+    digests = [
+        "a9aa7302984952406567602c08d0d4b4eb10945bf1d1e7bb649a91919df4604d",
+        "053c67c374c8b71001a66d5992c95a445cd8a135f346aa62d902e018de9d142d",
+        "04575dea5a64b122f7a5607b9c9390fdd96ca036b092e68efe68cb51d983a118",
+        "9a07cf923499b0a9baa3945ff32722fe94581826c993f28968f40e3d244d5055",
+        "1870fc6f91cf89605c6ece0850afbc8a67260f5645da3a646e4a2c4b2a22edf6",
+        "7531ecdb82905a7023f96173aaf533fcef85978d42b616b00ed7e16529f6d539",
+        "36e8499cd4f8c686dd42bb062be434b0d6d0c87a8421028ae3caffda620864e6",
+        "d91383e18dda72a0abd90b614bdcb35237e6071cd7d815285691f005f3c48246",
+        "4f0d7c20f8ca2bc4453094c607b62da3557163aefdf60f8136e13b7025a5a651",
+        "abaa284a08746b870d6f706b1b7f3205318aa45918f5e9bf0d4ea005f3ede53d",
+        "9655f5b1fb36aeced76e5ba63c9261d4632001ec96dc9cd718da406b4c783cff",
+        "b40264a1750e42db0fb8894959d8fb0f8d93d3a0dc759a3a7f8aa353d211159d",
+    ]
+    assert len(digests) == len(runs)
+    for n, (argv, digest) in enumerate(zip(runs, digests)):
         first = tmp_path / f"{n}a.out"
         second = tmp_path / f"{n}b.out"
         code1 = main([*argv, "--out", str(first)])
@@ -260,5 +278,6 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         capsys.readouterr()
         assert code1 == code2 == 0, argv
         assert first.read_bytes() == second.read_bytes(), argv
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == digest, argv
     print(f"criterion 9 PASS: {len(runs)} report kinds byte-identical "
-          "across repeated runs")
+          "across repeated runs and equal to their pinned digests")

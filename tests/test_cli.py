@@ -115,10 +115,33 @@ def test_tors_bounded_kronecker(capsys):
     assert 0 < data["covered_classes"] <= data["class_count"]
 
 
-def test_tors_bounded_rejects_dot(capsys):
+def _never_called(*args, **kwargs):
+    raise AssertionError("the flags should be rejected before any computation")
+
+
+def test_tors_bounded_rejects_dot(capsys, monkeypatch):
+    monkeypatch.setattr("ftors.tors.two_vertex_check", _never_called)
     code, _, err = run(capsys, "run", "tors", KRONECKER, "--format", "dot")
     assert code == 2
     assert "exact finite mode" in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_tors_rejects_dim_bound_below_one(capsys, monkeypatch, bound):
+    monkeypatch.setattr("ftors.tors.two_vertex_check", _never_called)
+    code, out, err = run(capsys, "run", "tors", KRONECKER, "--dim-bound", bound)
+    assert code == 2
+    assert out == ""
+    assert "--dim-bound must be at least 1" in err
+
+
+@pytest.mark.parametrize("bound", ["1", "0"])
+def test_nocover_rejects_loewy_bound_below_two(capsys, monkeypatch, bound):
+    monkeypatch.setattr("ftors.tors.no_cover_evidence", _never_called)
+    code, out, err = run(capsys, "run", "nocover", A2TILDE, "--loewy-bound", bound)
+    assert code == 2
+    assert out == ""
+    assert "--loewy-bound must be at least 2" in err
 
 
 def test_tors_inconclusive_beyond_scope(capsys):

@@ -169,6 +169,27 @@ def test_isotypic_socle():
     assert sq.quot.dims == (1, 2, 0)
 
 
+def test_carve_is_a_short_exact_sequence():
+    """incl and proj are module maps, incl is injective, proj surjective, and
+    proj after incl vanishes with matching dimensions."""
+    rng = np.random.default_rng(53)
+    for q, dims in ((A3, (2, 3, 2)), (KRONECKER, (3, 3)), (TWO_ONE, (1, 2, 2))):
+        M = random_rep(q, 5, dims, rng)
+        for G in [simple(q, 5, v) for v in range(q.n)] + [random_rep(q, 5, (1,) * q.n, rng)]:
+            sq = trace_submodule(G, M).carved
+            for k, a in enumerate(q.arrows):
+                s, t = a.source, a.target
+                assert np.array_equal(la.matmul(sq.incl[t], sq.sub.mats[k], 5),
+                                      la.matmul(M.mats[k], sq.incl[s], 5))
+                assert np.array_equal(la.matmul(sq.proj[t], M.mats[k], 5),
+                                      la.matmul(sq.quot.mats[k], sq.proj[s], 5))
+            for v in range(q.n):
+                assert la.rank(sq.incl[v], 5) == sq.sub.dims[v]
+                assert la.rank(sq.proj[v], 5) == sq.quot.dims[v]
+                assert not np.any(la.matmul(sq.proj[v], sq.incl[v], 5))
+                assert sq.sub.dims[v] + sq.quot.dims[v] == M.dims[v]
+
+
 def test_decompose_direct_sum_recovers_parts():
     rng = np.random.default_rng(53)
     S2, P1 = simple(A2, 5, 1), projective(A2, 5, 0)
