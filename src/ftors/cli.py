@@ -70,10 +70,17 @@ def _load(path: str) -> ValuedQuiver:
         raise CliError(EXIT_BAD_INPUT, f"bad quiver file {path}: {exc}") from exc
 
 
+def _text_or_json(command: str, args) -> None:
+    """Reject --format dot before any work, for commands without a graph."""
+    if args.format not in ("text", "json"):
+        raise CliError(EXIT_BAD_INPUT, f"{command} supports text and json only")
+
+
 # ---------------------------------------------------------------------------
 # classify
 
 def cmd_classify(args) -> int:
+    _text_or_json("classify", args)
     q = _load(args.quiver)
     qt = classify_type(q)
     lattice = qt.representation_finite or q.n <= 2
@@ -104,7 +111,7 @@ def cmd_classify(args) -> int:
         data["radical_vector"] = list(radical_vector(q))
     if args.format == "json":
         _emit(data, "json", args.out)
-    elif args.format == "text":
+    else:
         lines = [f"{k}: {data[k]}" for k in
                  ("vertices", "arrows", "simples", "family", "type",
                   "representation_finite", "tame")]
@@ -115,8 +122,6 @@ def cmd_classify(args) -> int:
         lines.append(
             f"ftors {'is a lattice' if lattice else 'is NOT a lattice'} ({reason})")
         _emit("\n".join(lines) + "\n", "text", args.out)
-    else:
-        raise CliError(EXIT_BAD_INPUT, "classify supports text and json only")
     return EXIT_OK
 
 
@@ -281,6 +286,7 @@ def cmd_tors(args) -> int:
 # run extpair
 
 def cmd_extpair(args) -> int:
+    _text_or_json("extpair", args)
     q = _load(args.quiver)
     qt = classify_type(q)
     if qt.representation_finite or q.n <= 2:
@@ -325,6 +331,7 @@ def cmd_nocover(args) -> int:
     from .tors import no_cover_evidence
     from .tubes import find_regular_simples
 
+    _text_or_json("nocover", args)
     q = _load(args.quiver)
     qt = classify_type(q)
     rng = np.random.default_rng(args.seed)

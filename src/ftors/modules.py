@@ -16,7 +16,7 @@ accepted here; valued arrows live purely at the numerical level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -319,9 +319,13 @@ def hom_dim(X, Y) -> int:
     return hom_basis(X, Y).dim
 
 
-def ext_dim(X: Representation, Y: Representation) -> int:
-    """dim Ext^1 via the hereditary identity hom - ext = <dim X, dim Y>."""
-    e = hom_dim(X, Y) - euler_form(X.quiver, X.dims, Y.dims)
+def ext_dim(X: Representation, Y: Representation, hom=None) -> int:
+    """dim Ext^1 via the hereditary identity hom - ext = <dim X, dim Y>.
+
+    hom supplies Hom(X, Y), as in trace_submodule.
+    """
+    h = hom_dim(X, Y) if hom is None else hom(X, Y).dim
+    e = h - euler_form(X.quiver, X.dims, Y.dims)
     assert e >= 0, "hereditary identity violated"
     return e
 
@@ -348,13 +352,36 @@ def is_invertible_morphism(f, p: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Subquotient:
-    """A short exact sequence sub -> ambient -> quot with explicit witnesses."""
+    """A short exact sequence sub -> ambient -> quot with explicit witnesses.
+
+    The quotient and its projections are built on first read: generation
+    tests, Fitting splittings and kernels only need the sub.
+    """
 
     ambient: Representation
     sub: Representation
     incl: tuple[np.ndarray, ...]
-    quot: Representation
-    proj: tuple[np.ndarray, ...]
+
+    @cached_property
+    def _quotient(self) -> tuple[Representation, tuple[np.ndarray, ...]]:
+        """The quotient, built on the complementary standard coordinates,
+        and the projections onto it."""
+        M, q, p = self.ambient, self.ambient.quiver, self.ambient.p
+        splits = [_complement(b, p) for b in self.incl]
+        sections = [c for c, _ in splits]
+        projs = tuple(proj for _, proj in splits)
+        quot_mats = [la.matmul(projs[ar.target], la.matmul(M.mats[k], sections[ar.source], p), p)
+                     for k, ar in enumerate(q.arrows)]
+        quot = make_rep(q, p, [M.dims[v] - self.sub.dims[v] for v in range(q.n)], quot_mats)
+        return quot, projs
+
+    @property
+    def quot(self) -> Representation:
+        return self._quotient[0]
+
+    @property
+    def proj(self) -> tuple[np.ndarray, ...]:
+        return self._quotient[1]
 
 
 def _complement(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -389,20 +416,7 @@ def carve(M: Representation, spaces) -> Subquotient:
         if x is None:
             raise ValueError("vertex spaces are not arrow-invariant")
         sub_mats.append(x)
-    sub = make_rep(q, p, sub_dims, sub_mats)
-    incl = tuple(bases)
-    projs = []
-    sections = []
-    for v in range(q.n):
-        c, proj = _complement(bases[v], p)
-        projs.append(proj)
-        sections.append(c)
-    quot_mats = []
-    for k, ar in enumerate(q.arrows):
-        s, t = ar.source, ar.target
-        quot_mats.append(la.matmul(projs[t], la.matmul(M.mats[k], sections[s], p), p))
-    quot = make_rep(q, p, [M.dims[v] - sub_dims[v] for v in range(q.n)], quot_mats)
-    return Subquotient(M, sub, incl, quot, tuple(projs))
+    return Subquotient(M, make_rep(q, p, sub_dims, sub_mats), tuple(bases))
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,19 +428,21 @@ class TraceResult:
     def sub(self):
         return self.carved.sub
 
-    @property
-    def quot(self):
-        return self.carved.quot
 
+def trace_submodule(gens, M: Representation, hom=None) -> TraceResult:
+    """Sum of all images of maps from the generators into M.
 
-def trace_submodule(gens, M: Representation) -> TraceResult:
-    """Sum of all images of maps from the generators into M."""
+    hom(G, M) supplies the Hom spaces, for instance from the table of a
+    module universe; without it they are computed by hom_basis.
+    """
     if isinstance(gens, Representation):
         gens = [gens]
-    q, p = M.quiver, M.p
+    if hom is None:
+        hom = hom_basis
+    q = M.quiver
     blocks: list[list[np.ndarray]] = [[] for _ in range(q.n)]
     for G in gens:
-        for f in hom_basis(G, M).basis:
+        for f in hom(G, M).basis:
             for v in range(q.n):
                 blocks[v].append(f[v])
     spaces = []
@@ -439,8 +455,8 @@ def trace_submodule(gens, M: Representation) -> TraceResult:
     return TraceResult(carved, carved.sub.dims == M.dims)
 
 
-def generates(gens, M: Representation) -> bool:
-    return trace_submodule(gens, M).full
+def generates(gens, M: Representation, hom=None) -> bool:
+    return trace_submodule(gens, M, hom).full
 
 
 def isotypic_socle(M: Representation, i: int) -> Subquotient:
@@ -579,12 +595,12 @@ def _iso_index(M: Representation, candidates, rng: np.random.Generator,
     return None
 
 
-def _drop_generated(mods: list[Representation]) -> list[int]:
+def _drop_generated(mods: list[Representation], hom=None) -> list[int]:
     """Positions, in list order, of the modules left after greedily dropping
     the first module generated by the others until none is.
 
     The kept modules generate every listed module and none of them is
-    redundant.
+    redundant.  hom is passed on to the generation tests.
     """
     kept = list(range(len(mods)))
     changed = True
@@ -592,7 +608,7 @@ def _drop_generated(mods: list[Representation]) -> list[int]:
         changed = False
         for idx in range(len(kept)):
             others = [mods[k] for j, k in enumerate(kept) if j != idx]
-            if generates(others, mods[kept[idx]]):
+            if generates(others, mods[kept[idx]], hom):
                 kept.pop(idx)
                 changed = True
                 break
@@ -862,16 +878,17 @@ def _projective_class_lines(p: int, e: int):
 
 
 def middle_terms(B: Representation, A: Representation, rng,
-                 cap: int = MIDDLE_CAP) -> list[Representation]:
+                 cap: int = MIDDLE_CAP, hom=None) -> list[Representation]:
     """All middle terms of extensions of B by A (0 -> A -> E -> B -> 0).
 
     Classes are enumerated up to scalar; each middle term arises as the
     pushout of the projective presentation of B along a representative.  The
     list starts with the split extension, followed by the iso-deduplicated
-    nonsplit middles.
+    nonsplit middles.  hom supplies Hom(B, A) for the Ext dimension, as in
+    trace_submodule.
     """
     q, p = B.quiver, B.p
-    e = ext_dim(B, A)
+    e = ext_dim(B, A, hom)
     split = direct_sum([A, B]) if A.total and B.total else (A if B.total == 0 else B)
     if e == 0:
         return [split]

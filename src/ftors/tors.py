@@ -15,6 +15,14 @@ the quotient.  A candidate lies in the closure exactly when the peeling
 reaches zero, because traces are generated quotients and torsion classes are
 closed under extensions upward along the peeled chain.  The bounded
 two-vertex check and the filtration evidence are built on that test.
+
+Each ModuleUniverse keeps a table of the Hom spaces between its members,
+filled on first use, so the generation tests and the first peeling step
+compute each member pair once; only peeled quotients and outside modules
+reach hom_basis again.  The sampled Kronecker universe of the bounded check
+is not closed under extensions, so its membership test stays the peeling
+test, which needs no universe; the fixpoint torsion_closure needs every
+middle term of two members to be a sum of members.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import numpy as np
 
 from .modules import (
     DecompositionInconclusive,
+    HomSpace,
     Representation,
     _drop_generated,
     _iso_index,
@@ -51,29 +60,30 @@ from . import linalg as la
 # ---------------------------------------------------------------------------
 # exact membership for arbitrary generators
 
-def in_torsion_closure(gens: list[Representation], N: Representation) -> bool:
+def in_torsion_closure(gens: list[Representation], N: Representation, hom=None) -> bool:
     """Does N lie in the smallest torsion class containing the generators?
 
     Peel the trace of the generators off N and recurse on the quotient.  The
     trace is a generated quotient, so peeling builds the required filtration
     from below; conversely torsion classes are quotient closed, so a member
-    must keep a nonzero trace at every stage.
+    must keep a nonzero trace at every stage.  hom supplies the Hom spaces,
+    as in trace_submodule.
     """
     if N.total == 0:
         return True
-    tr = trace_submodule(gens, N)
+    tr = trace_submodule(gens, N, hom)
     if tr.full:
         return True
     if tr.sub.total == 0:
         return False
-    return in_torsion_closure(gens, tr.carved.quot)
+    return in_torsion_closure(gens, tr.carved.quot, hom)
 
 
-def in_gen_closure(gens: list[Representation], N: Representation) -> bool:
+def in_gen_closure(gens: list[Representation], N: Representation, hom=None) -> bool:
     """Is N a quotient of a finite sum of the generators?"""
     if N.total == 0:
         return True
-    return trace_submodule(gens, N).full
+    return trace_submodule(gens, N, hom).full
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +91,11 @@ def in_gen_closure(gens: list[Representation], N: Representation) -> bool:
 
 @dataclass(eq=False)
 class ModuleUniverse:
-    """A finite list of pairwise nonisomorphic indecomposables with caches."""
+    """A finite list of pairwise nonisomorphic indecomposables with caches.
+
+    The caches live and die with the universe; the Hom table holds the Hom
+    space of each ordered pair of members once it has been asked for.
+    """
 
     quiver: ValuedQuiver
     p: int
@@ -90,9 +104,23 @@ class ModuleUniverse:
     _middles: dict = field(default_factory=dict)
     _closure: dict = field(default_factory=dict)
     _gen: dict = field(default_factory=dict)
+    _homs: dict = field(default_factory=dict)
+    _index: dict = field(init=False)
+
+    def __post_init__(self):
+        self._index = {id(M): i for i, M in enumerate(self.modules)}
 
     def __len__(self) -> int:
         return len(self.modules)
+
+    def hom(self, X: Representation, Y: Representation) -> HomSpace:
+        """Hom(X, Y): from the table when both are members, else computed."""
+        key = (self._index.get(id(X)), self._index.get(id(Y)))
+        if None in key:
+            return hom_basis(X, Y)
+        if key not in self._homs:
+            self._homs[key] = hom_basis(X, Y)
+        return self._homs[key]
 
     def match(self, M: Representation) -> int:
         idx = _iso_index(M, self.modules, self.rng)
@@ -105,7 +133,8 @@ class ModuleUniverse:
         extensions of module i by module j."""
         if (i, j) not in self._middles:
             out = []
-            for E in middle_terms(self.modules[i], self.modules[j], self.rng):
+            for E in middle_terms(self.modules[i], self.modules[j], self.rng,
+                                  hom=self.hom):
                 parts = decompose(E, self.rng)
                 out.append(tuple(sorted(self.match(part) for part in parts)))
             self._middles[(i, j)] = tuple(out)
@@ -115,7 +144,7 @@ class ModuleUniverse:
         key = (gens, member)
         if key not in self._gen:
             self._gen[key] = in_gen_closure(
-                [self.modules[g] for g in sorted(gens)], self.modules[member])
+                [self.modules[g] for g in sorted(gens)], self.modules[member], self.hom)
         return self._gen[key]
 
 
@@ -163,7 +192,7 @@ def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
     # the membership engine must agree with the fixpoint
     for m in range(len(u)):
         assert (m in result) == in_torsion_closure(
-            [u.modules[g] for g in sorted(gens)], u.modules[m]), (
+            [u.modules[g] for g in sorted(gens)], u.modules[m], u.hom), (
             f"closure engines disagree at member {m}")
     return result
 
@@ -199,7 +228,7 @@ def find_cover(u: ModuleUniverse, t: frozenset) -> Representation | None:
     universe it never does.
     """
     members = sorted(t)
-    kept = [members[k] for k in _drop_generated([u.modules[m] for m in members])]
+    kept = [members[k] for k in _drop_generated([u.modules[m] for m in members], u.hom)]
     if gen_closure(u, frozenset(kept)) != t:
         return None
     if not kept:
@@ -366,24 +395,19 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
             "inconclusive", 0, 0, 0, 0, (),
             "no bounded certificate is attempted for a wild two-vertex algebra")
 
-    mods = _kronecker_universe(q, p, bound, rng)
+    u = ModuleUniverse(q, p, tuple(_kronecker_universe(q, p, bound, rng)), rng)
+    mods = u.modules
     member_sets: dict[frozenset, frozenset] = {}
-    gen_sets: dict[frozenset, frozenset] = {}
     covers: dict[frozenset, frozenset | None] = {}
 
     def closure_set(gens: frozenset) -> frozenset:
+        # the sampled universe is not extension closed, so membership is the
+        # peeling test, never the fixpoint torsion_closure
         if gens not in member_sets:
             glist = [mods[g] for g in sorted(gens)]
             member_sets[gens] = frozenset(
-                m for m in range(len(mods)) if in_torsion_closure(glist, mods[m]))
+                m for m in range(len(u)) if in_torsion_closure(glist, mods[m], u.hom))
         return member_sets[gens]
-
-    def generated_set(gens: frozenset) -> frozenset:
-        if gens not in gen_sets:
-            glist = [mods[g] for g in sorted(gens)]
-            gen_sets[gens] = frozenset(
-                m for m in range(len(mods)) if in_gen_closure(glist, mods[m]))
-        return gen_sets[gens]
 
     def prune(gens: frozenset) -> frozenset:
         """Drop generators generated by the others; same closure, far fewer
@@ -391,7 +415,7 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
         order = sorted(gens, key=lambda g: (-mods[g].total, mods[g].dims))
         kept: list[int] = []
         for g in order:
-            if not kept or not in_gen_closure([mods[k] for k in kept], mods[g]):
+            if not kept or not u.generated(frozenset(kept), g):
                 kept.append(g)
         return frozenset(kept)
 
@@ -400,20 +424,20 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
         one exists inside the bound."""
         if cls not in covers:
             pruned = sorted(prune(cls))
-            kept = [pruned[k] for k in _drop_generated([mods[g] for g in pruned])]
-            covers[cls] = frozenset(kept) if generated_set(frozenset(kept)) == cls else None
+            kept = [pruned[k] for k in _drop_generated([mods[g] for g in pruned], u.hom)]
+            covers[cls] = frozenset(kept) if gen_closure(u, frozenset(kept)) == cls else None
         return covers[cls]
 
-    single = {i: closure_set(frozenset([i])) for i in range(len(mods))}
+    single = {i: closure_set(frozenset([i])) for i in range(len(u))}
     classes = sorted(
-        set(single.values()) | {frozenset(), frozenset(range(len(mods)))},
+        set(single.values()) | {frozenset(), frozenset(range(len(u)))},
         key=lambda s: (len(s), sorted(s)))
     class_set = set(classes)
     gens_of = {}
     for i, cls in single.items():
         gens_of.setdefault(cls, frozenset([i]))
     gens_of.setdefault(frozenset(), frozenset())
-    gens_of.setdefault(frozenset(range(len(mods))), frozenset(range(len(mods))))
+    gens_of.setdefault(frozenset(range(len(u))), frozenset(range(len(u))))
 
     covered_classes = [t for t in classes if bounded_cover(t) is not None]
     failures = []
@@ -439,7 +463,7 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
             if bounded_cover(join) is None:
                 failures.append(("join-cover", sorted(t), sorted(s)))
     verdict = "consistent" if not failures else "failed"
-    return TwoVertexReport(verdict, len(mods), len(classes), len(covered_classes),
+    return TwoVertexReport(verdict, len(u), len(classes), len(covered_classes),
                            pairs, tuple(failures),
                            f"sampled universe, total dimension bound {bound}")
 

@@ -126,6 +126,23 @@ def test_tors_bounded_rejects_dot(capsys, monkeypatch):
     assert "exact finite mode" in err
 
 
+def test_extpair_rejects_dot(capsys, monkeypatch):
+    monkeypatch.setattr("ftors.cli.find_ext_pair", _never_called)
+    code, out, err = run(capsys, "run", "extpair", A2TILDE, "--format", "dot")
+    assert code == 2
+    assert out == ""
+    assert err == "error: extpair supports text and json only\n"
+
+
+def test_nocover_rejects_dot(capsys, monkeypatch):
+    monkeypatch.setattr("ftors.tors.no_cover_evidence", _never_called)
+    monkeypatch.setattr("ftors.tubes.find_regular_simples", _never_called)
+    code, out, err = run(capsys, "run", "nocover", A2TILDE, "--format", "dot")
+    assert code == 2
+    assert out == ""
+    assert err == "error: nocover supports text and json only\n"
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_tors_rejects_dim_bound_below_one(capsys, monkeypatch, bound):
     monkeypatch.setattr("ftors.tors.two_vertex_check", _never_called)

@@ -16,6 +16,7 @@ from ftors.modules import (
     ExtensionCapError,
     ar_translate,
     ar_translate_inverse,
+    carve,
     decompose,
     direct_sum,
     dual,
@@ -43,6 +44,7 @@ from ftors.modules import (
 )
 from ftors.quiver import parse_quiver, reflect_at
 from ftors.roots import coxeter_transform, euler_form
+from ftors.tors import in_gen_closure
 
 A2 = parse_quiver("vertices 2\narrow 1 2\n")
 A3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\n")
@@ -188,6 +190,28 @@ def test_carve_is_a_short_exact_sequence():
                 assert la.rank(sq.proj[v], 5) == sq.quot.dims[v]
                 assert not np.any(la.matmul(sq.proj[v], sq.incl[v], 5))
                 assert sq.sub.dims[v] + sq.quot.dims[v] == M.dims[v]
+
+
+def _no_quotient(*args, **kwargs):
+    raise AssertionError("the quotient of a carve was built")
+
+
+def test_generation_tests_build_no_quotient(monkeypatch):
+    S1, S2, P1 = simple(A2, 5, 0), simple(A2, 5, 1), projective(A2, 5, 0)
+    monkeypatch.setattr("ftors.modules._complement", _no_quotient)
+    partial = direct_sum([S1, S2])                  # the trace of P1 is S1
+    assert trace_submodule(P1, partial).sub.dims == (1, 0)
+    assert generates(P1, direct_sum([S1, S1]))      # full trace
+    assert not generates(P1, partial)
+    assert in_gen_closure([P1], S1)
+    assert not in_gen_closure([P1], partial)
+
+
+def test_carve_checks_invariance_without_a_quotient(monkeypatch):
+    P1 = projective(A2, 5, 0)                       # arrow 1 -> 2 is the identity
+    monkeypatch.setattr("ftors.modules._complement", _no_quotient)
+    with pytest.raises(ValueError, match="arrow-invariant"):
+        carve(P1, [la.identity(1), la.zeros(1, 0)])
 
 
 def test_decompose_direct_sum_recovers_parts():

@@ -5,12 +5,16 @@ closure conditions directly, one subset at a time, instead of growing
 classes breadth-first the way the library does.
 """
 
+import gc
 import itertools
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ftors.modules import direct_sum, ext_dim, hom_dim, is_isomorphic, simple
+from ftors import modules, tors
+from ftors.modules import direct_sum, ext_dim, hom_basis, hom_dim, is_isomorphic, simple
 from ftors.quiver import parse_quiver
 from ftors.tors import (
     enumerate_torsion_classes,
@@ -204,3 +208,71 @@ def test_two_vertex_check_wild_is_inconclusive():
 def test_two_vertex_check_needs_two_vertices():
     with pytest.raises(ValueError):
         two_vertex_check(A3_LINE, 5, 6, np.random.default_rng(0))
+
+
+def count_member_homs(monkeypatch, members: dict) -> Counter:
+    """Count every Hom space computed between two modules of `members`, a
+    dict from id to position that the caller fills once the members exist."""
+    counts: Counter = Counter()
+
+    def counting(X, Y):
+        key = (members.get(id(X)), members.get(id(Y)))
+        if None not in key:
+            counts[key] += 1
+        return hom_basis(X, Y)
+
+    monkeypatch.setattr(modules, "hom_basis", counting)
+    monkeypatch.setattr(tors, "hom_basis", counting)
+    return counts
+
+
+def assert_table_is_hom_basis(u):
+    assert u._homs
+    for (i, j), h in u._homs.items():
+        fresh = hom_basis(u.modules[i], u.modules[j])
+        assert len(h.basis) == len(fresh.basis)
+        for f, g in zip(h.basis, fresh.basis):
+            assert all(np.array_equal(a, b) for a, b in zip(f, g))
+
+
+def test_hom_table_computes_each_member_pair_once_a3(monkeypatch):
+    u = universe(A3_LINE)
+    counts = count_member_homs(monkeypatch, {id(M): i for i, M in enumerate(u.modules)})
+    classes = enumerate_torsion_classes(u)
+    lattice_check(u, classes)
+    for t in classes:
+        assert find_cover(u, t) is not None
+    assert max(counts.values()) == 1
+    assert set(counts) == set(u._homs)
+    assert_table_is_hom_basis(u)
+    member = weakref.ref(u.modules[0])
+    del u
+    gc.collect()
+    assert member() is None
+
+
+def test_hom_table_computes_each_member_pair_once_kronecker(monkeypatch):
+    """The sampled universe counts from the moment it is built; building it
+    tests isomorphisms between would-be members outside the table."""
+    members: dict = {}
+    built = []
+
+    class Recorded(tors.ModuleUniverse):
+        def __post_init__(self):
+            super().__post_init__()
+            members.update(self._index)
+            built.append(self)
+
+    counts = count_member_homs(monkeypatch, members)
+    monkeypatch.setattr(tors, "ModuleUniverse", Recorded)
+    report = two_vertex_check(KRONECKER, 5, 6, np.random.default_rng(0))
+    assert report.verdict == "consistent"
+    [u] = built
+    assert report.universe_size == len(u)
+    assert max(counts.values()) == 1
+    assert set(counts) == set(u._homs)
+    assert_table_is_hom_basis(u)
+    member = weakref.ref(u.modules[0])
+    del u, built[:]
+    gc.collect()
+    assert member() is None
