@@ -52,6 +52,7 @@ class ARQuiver:
     translate: dict[int, int]                   # node -> node of its translate
     projectives: list[int]
     injectives: list[int]
+    homs: dict[tuple[int, int], HomSpace]       # (src node, dst node) -> Hom space
 
     def node_for_dims(self, dims) -> ARNode:
         dims = tuple(dims)
@@ -59,6 +60,10 @@ class ARQuiver:
             if node.dims == dims:
                 return node
         raise KeyError(f"no indecomposable with dimension vector {dims}")
+
+    def sorted_modules(self) -> list[Representation]:
+        """Every knitted module, sorted by (total dimension, dims)."""
+        return sorted((node.module for node in self.nodes), key=lambda m: (m.total, m.dims))
 
 
 def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuiver:
@@ -113,12 +118,12 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
     assert len(injectives_found) == q.n
     injectives = [injectives_found[v] for v in range(q.n)]
 
-    hom_cache: dict[tuple[int, int], HomSpace] = {}
+    hom_table: dict[tuple[int, int], HomSpace] = {}
 
     def homs(i: int, j: int) -> HomSpace:
-        if (i, j) not in hom_cache:
-            hom_cache[(i, j)] = hom_basis(nodes[i].module, nodes[j].module)
-        return hom_cache[(i, j)]
+        if (i, j) not in hom_table:
+            hom_table[(i, j)] = hom_basis(nodes[i].module, nodes[j].module)
+        return hom_table[(i, j)]
 
     for i in range(len(nodes)):
         assert homs(i, i).dim == 1, "indecomposables must be bricks here"
@@ -150,7 +155,7 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
             if mult > 0:
                 arrows[(i, j)] = mult
 
-    ar = ARQuiver(q, p, nodes, arrows, translate, projectives, injectives)
+    ar = ARQuiver(q, p, nodes, arrows, translate, projectives, injectives, hom_table)
     _check_meshes(ar)
     return ar
 
@@ -174,9 +179,7 @@ def indecomposable_for_root(ar: ARQuiver, root) -> Representation:
 
 def all_indecomposables(q: ValuedQuiver, p: int, rng: np.random.Generator) -> list[Representation]:
     """Every indecomposable module, sorted by (total dimension, dims)."""
-    ar = knit_ar_quiver(q, p, rng)
-    mods = [node.module for node in ar.nodes]
-    return sorted(mods, key=lambda m: (m.total, m.dims))
+    return knit_ar_quiver(q, p, rng).sorted_modules()
 
 
 def ar_quiver_dot(ar: ARQuiver) -> str:

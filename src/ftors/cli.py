@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from . import linalg as la
 from .quiver import (
     QuiverError,
     ValuedQuiver,
@@ -417,8 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, value, least in (("--prime", args.prime, 2),
-                               ("--dim-bound", args.dim_bound, 1),
+    try:
+        la.check_prime(args.prime)
+    except ValueError as exc:
+        print(f"error: --prime: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    for flag, value, least in (("--dim-bound", args.dim_bound, 1),
                                ("--loewy-bound", args.loewy_bound, 2)):
         if value < least:
             print(f"error: {flag} must be at least {least}", file=sys.stderr)

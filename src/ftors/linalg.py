@@ -8,13 +8,18 @@ inside the int64 range.  No floats are ever involved.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 MAX_PRIME = 1 << 15
 
 
+@cache
 def check_prime(p: int) -> None:
-    """Reject moduli that are out of range or composite."""
+    """Reject moduli that are out of range or composite.
+
+    Memoized: every constructed representation checks its modulus."""
     if not 1 < p < MAX_PRIME:
         raise ValueError(f"modulus {p} out of range (need a prime below 2^15)")
     d = 2

@@ -286,7 +286,15 @@ class HomSpace:
 
 
 def hom_basis(X: Representation, Y: Representation) -> HomSpace:
-    """Canonical echelonized basis of the intertwiner space Hom(X, Y)."""
+    """Canonical echelonized basis of the intertwiner space Hom(X, Y).
+
+    The unknowns are the entries of f_v, row by row.  Arrow k: s -> t gives
+    the block of equations f_t X_k - Y_k f_s = 0, indexed by the entries
+    (i, a) of a Y_t x X_s matrix: f_t X_k contributes X_k[b, a] at unknown
+    f_t[i, b], and Y_k f_s contributes Y_k[i, j] at unknown f_s[j, a].  Both
+    are written through 4-D views of the row block, (i, a, i, b) and
+    (i, a, j, a), so no Kronecker product is formed.
+    """
     if X.quiver != Y.quiver or X.p != Y.p:
         raise ValueError("modules live over different quivers or moduli")
     q, p = X.quiver, X.p
@@ -298,10 +306,15 @@ def hom_basis(X: Representation, Y: Representation) -> HomSpace:
     r0 = 0
     for k, ar in enumerate(q.arrows):
         s, t = ar.source, ar.target
-        nr = Y.dims[t] * X.dims[s]
+        yt, xs = Y.dims[t], X.dims[s]
+        nr = yt * xs
         if nr:
-            a[r0:r0 + nr, offs[t]:offs[t + 1]] = np.kron(la.identity(Y.dims[t]), X.mats[k].T)
-            a[r0:r0 + nr, offs[s]:offs[s + 1]] -= np.kron(Y.mats[k], la.identity(X.dims[s]))
+            block = a[r0:r0 + nr, offs[t]:offs[t + 1]].reshape(yt, xs, yt, X.dims[t])
+            diag = np.arange(yt)
+            block[diag, :, diag, :] = X.mats[k].T
+            block = a[r0:r0 + nr, offs[s]:offs[s + 1]].reshape(yt, xs, Y.dims[s], xs)
+            diag = np.arange(xs)
+            block[:, diag, :, diag] -= Y.mats[k]
         r0 += nr
     a %= p
     ker = la.kernel_basis(a, p)
@@ -546,12 +559,15 @@ def decompose(M: Representation, rng: np.random.Generator,
 
 def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator,
                   tries: int = ISO_TRIES) -> bool:
-    """Exact-negative randomized isomorphism test.
+    """Isomorphism test, exact when Hom(X, Y) has dimension at most one.
 
-    A found invertible intertwiner is a proof; a miss after the retry budget
-    falls back to decomposing both sides and matching summands, and only for
-    a pair of indecomposables does the randomized miss decide (the failure
-    probability decays like p^-tries).
+    With no maps the answer is no.  With a one-dimensional Hom every map is a
+    scalar multiple of the basis map, so X and Y are isomorphic exactly when
+    that map is invertible; no random draw is made.  Otherwise the test is
+    randomized and exact-negative: a found invertible intertwiner is a proof;
+    a miss after the retry budget falls back to decomposing both sides and
+    matching summands, and only for a pair of indecomposables does the
+    randomized miss decide (the failure probability decays like p^-tries).
     """
     if X.quiver != Y.quiver or X.p != Y.p:
         return False
@@ -562,6 +578,8 @@ def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator
     h = hom_basis(X, Y)
     if h.dim == 0:
         return False
+    if h.dim == 1:
+        return is_invertible_morphism(h.basis[0], X.p)
     for _ in range(tries):
         f = h.random_element(rng)
         if is_invertible_morphism(f, X.p):
@@ -884,16 +902,30 @@ def middle_terms(B: Representation, A: Representation, rng,
     Classes are enumerated up to scalar; each middle term arises as the
     pushout of the projective presentation of B along a representative.  The
     list starts with the split extension, followed by the iso-deduplicated
-    nonsplit middles.  hom supplies Hom(B, A) for the Ext dimension, as in
+    nonsplit middles.  hom supplies the Hom spaces between A and B, as in
     trace_submodule.
+
+    When A and B are distinct bricks with Hom(A, B) = Hom(B, A) = 0, no
+    deduplication is needed: an isomorphism E -> E' of middle terms sends A
+    into the kernel of E' -> B, because Hom(A, B) = 0, so it is a morphism
+    of extensions whose ends are nonzero scalars on the bricks A and B, and
+    its two classes lie on one line of P(Ext(B, A)).  So distinct lines give
+    nonisomorphic middle terms, and every line is kept.
     """
     q, p = B.quiver, B.p
+    if hom is None:
+        hom = hom_basis
     e = ext_dim(B, A, hom)
     split = direct_sum([A, B]) if A.total and B.total else (A if B.total == 0 else B)
     if e == 0:
         return [split]
     if p ** e > cap:
         raise ExtensionCapError(f"p^e = {p}^{e} exceeds the cap {cap}")
+    # a single line needs no deduplication; by the hereditary identity,
+    # Hom(B, A) = 0 exactly when e = -<dim B, dim A>
+    dedup = e >= 2 and not (
+        A is not B and e == -euler_form(q, B.dims, A.dims) and hom(A, B).dim == 0
+        and hom(A, A).dim == 1 and hom(B, B).dim == 1)
     p0, _, p1, _, f = _minimal_presentation(B)
 
     h1 = hom_basis(p1, A)
@@ -923,6 +955,6 @@ def middle_terms(B: Representation, A: Representation, rng,
         jmap = [np.vstack([xi[v], (-f[v]) % p]) % p for v in range(q.n)]
         E = carve(target, jmap).quot
         assert E.total == A.total + B.total
-        if _iso_index(E, kept, rng) is None:
+        if not dedup or _iso_index(E, kept, rng) is None:
             kept.append(E)
     return out + kept

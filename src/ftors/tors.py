@@ -17,12 +17,13 @@ closed under extensions upward along the peeled chain.  The bounded
 two-vertex check and the filtration evidence are built on that test.
 
 Each ModuleUniverse keeps a table of the Hom spaces between its members,
-filled on first use, so the generation tests and the first peeling step
-compute each member pair once; only peeled quotients and outside modules
-reach hom_basis again.  The sampled Kronecker universe of the bounded check
-is not closed under extensions, so its membership test stays the peeling
-test, which needs no universe; the fixpoint torsion_closure needs every
-middle term of two members to be a sum of members.
+filled on first use (a finite universe starts with the table its knitting
+computed), so the generation tests and the first peeling step compute each
+member pair once; only peeled quotients and outside modules reach hom_basis
+again.  The sampled Kronecker universe of the bounded check is not closed
+under extensions, so its membership test stays the peeling test, which
+needs no universe; the fixpoint torsion_closure needs every middle term of
+two members to be a sum of members.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class ModuleUniverse:
     """A finite list of pairwise nonisomorphic indecomposables with caches.
 
     The caches live and die with the universe; the Hom table holds the Hom
-    space of each ordered pair of members once it has been asked for.
+    space of each ordered pair of members once it has been asked for or
+    handed over at construction.
     """
 
     quiver: ValuedQuiver
@@ -149,10 +151,15 @@ class ModuleUniverse:
 
 
 def finite_universe(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ModuleUniverse:
-    from .ar_quiver import all_indecomposables
+    """Every indecomposable, sorted by (total dimension, dims), with the Hom
+    table the knitting computed between all of them."""
+    from .ar_quiver import knit_ar_quiver
 
-    mods = all_indecomposables(q, p, rng)
-    return ModuleUniverse(q, p, tuple(mods), rng)
+    ar = knit_ar_quiver(q, p, rng)
+    u = ModuleUniverse(q, p, tuple(ar.sorted_modules()), rng)
+    for h in ar.homs.values():
+        u._homs[u._index[id(h.source)], u._index[id(h.target)]] = h
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +568,17 @@ def validate_ext_cycle(cycle) -> None:
 
 def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> FiltrationUniverse:
     """Indecomposable iterated extensions of the cycle members, up to the
-    given number of factors."""
+    given number of factors.
+
+    Two factors from distinct members A and B need no isomorphism scan.  A
+    middle E of 0 -> A -> E -> B -> 0 has Hom(A, E) != 0 and Hom(E, B) != 0.
+    The members are Hom-orthogonal bricks, so every member and every other
+    object of level 2 fails one of the two, except the middles with the same
+    ends, which middle_terms lists as pairwise nonisomorphic, and those with
+    sub B and quotient A, where a nonzero map A -> E -> A would split the
+    extension.  Self-extensions and longer filtrations are scanned against
+    everything found so far.
+    """
     cycle = tuple(cycle)
     validate_ext_cycle(cycle)
     levels: list[list[Representation]] = [[], list(cycle)]
@@ -572,12 +589,13 @@ def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> Filtrati
             b = total - a
             for A in levels[a]:
                 for B in levels[b]:
+                    distinct_members = total == 2 and A is not B
                     for E in middle_terms(B, A, rng)[1:]:
                         parts = decompose(E, rng)
                         if len(parts) != 1:
                             continue
-                        seen = [N for N, _ in found] + fresh
-                        if _iso_index(E, seen, rng) is None:
+                        if distinct_members or _iso_index(
+                                E, [N for N, _ in found] + fresh, rng) is None:
                             fresh.append(E)
         levels.append(fresh)
         found.extend((M, total) for M in fresh)

@@ -262,7 +262,7 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         "9a07cf923499b0a9baa3945ff32722fe94581826c993f28968f40e3d244d5055",
         "1870fc6f91cf89605c6ece0850afbc8a67260f5645da3a646e4a2c4b2a22edf6",
         "7531ecdb82905a7023f96173aaf533fcef85978d42b616b00ed7e16529f6d539",
-        "36e8499cd4f8c686dd42bb062be434b0d6d0c87a8421028ae3caffda620864e6",
+        "14c9a09566ef230e579e8796f1d0e55e3e79196c08f37d03b6135134de36026d",
         "d91383e18dda72a0abd90b614bdcb35237e6071cd7d815285691f005f3c48246",
         "4f0d7c20f8ca2bc4453094c607b62da3557163aefdf60f8136e13b7025a5a651",
         "abaa284a08746b870d6f706b1b7f3205318aa45918f5e9bf0d4ea005f3ede53d",

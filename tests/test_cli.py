@@ -161,6 +161,17 @@ def test_nocover_rejects_loewy_bound_below_two(capsys, monkeypatch, bound):
     assert "--loewy-bound must be at least 2" in err
 
 
+@pytest.mark.parametrize("prime", ["4", "25", "32768"])
+@pytest.mark.parametrize("command", [("classify",), ("run", "knit"), ("run", "tors"),
+                                     ("run", "extpair"), ("run", "nocover")])
+def test_every_command_rejects_a_bad_prime(capsys, monkeypatch, command, prime):
+    monkeypatch.setattr("ftors.cli._load", _never_called)
+    code, out, err = run(capsys, *command, A2TILDE, "--prime", prime)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --prime: modulus {prime} ")
+
+
 def test_tors_inconclusive_beyond_scope(capsys):
     code, _, err = run(capsys, "run", "tors", TWO_ONE)
     assert code == 3
@@ -212,6 +223,22 @@ def test_nocover_json(capsys):
     assert [w["level"] for w in data["witnesses"]] == [1, 2]
     assert all(w["generated_below"] is False for w in data["witnesses"])
     assert data["generation_preserves_level"] is True
+
+
+def test_nocover_twoone_level_two(capsys):
+    """Every line of both Ext spaces of the case-4 pair is a distinct
+    level-2 object: 2 + 1 + 121 = 124 over F_3 (784 over F_5)."""
+    code, out, _ = run(capsys, "run", "extpair", TWO_ONE, "--prime", "3", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    code, out, _ = run(capsys, "run", "nocover", TWO_ONE, "--loewy-bound", "2",
+                       "--prime", "3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verified"] is True
+    lines = [(3 ** checks[key] - 1) // 2 for key in ("ext_xy", "ext_yx")]
+    assert lines == [1, 121]
+    assert data["universe_size"] == 2 + sum(lines) == 124
 
 
 def test_nocover_gate(capsys):

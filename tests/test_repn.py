@@ -150,6 +150,46 @@ def test_hom_basis_members_intertwine():
             assert np.array_equal(lhs, rhs)
 
 
+def hom_basis_by_kron(X, Y):
+    """hom_basis as built from Kronecker products of the arrow matrices."""
+    q, p = X.quiver, X.p
+    offs = np.concatenate([[0], np.cumsum([Y.dims[v] * X.dims[v] for v in range(q.n)])])
+    rows = sum(Y.dims[a.target] * X.dims[a.source] for a in q.arrows)
+    m = la.zeros(rows, int(offs[-1]))
+    r0 = 0
+    for k, a in enumerate(q.arrows):
+        s, t = a.source, a.target
+        nr = Y.dims[t] * X.dims[s]
+        if nr:
+            m[r0:r0 + nr, offs[t]:offs[t + 1]] = np.kron(la.identity(Y.dims[t]), X.mats[k].T)
+            m[r0:r0 + nr, offs[s]:offs[s + 1]] -= np.kron(Y.mats[k], la.identity(X.dims[s]))
+        r0 += nr
+    ker = la.kernel_basis(m % p, p)
+    return [[ker[offs[v]:offs[v + 1], j].reshape(Y.dims[v], X.dims[v]) for v in range(q.n)]
+            for j in range(ker.shape[1])]
+
+
+def test_hom_basis_matches_kronecker_system():
+    """The same system, so the same canonical basis, array for array, over
+    parallel arrows and with zero-dimensional vertices."""
+    rng = np.random.default_rng(53)
+    three_arrows = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n")
+    for q in (KRONECKER, three_arrows, TWO_ONE, D4):
+        for _ in range(30):
+            dx, dy = rng.integers(0, 4, q.n), rng.integers(0, 4, q.n)
+            dx[rng.integers(q.n)] = 0
+            X, Y = random_rep(q, 3, dx, rng), random_rep(q, 3, dy, rng)
+            # mostly zero maps, so that the Hom spaces are not all zero
+            X = make_rep(q, 3, X.dims, [m * (rng.random(m.shape) < 0.3) for m in X.mats])
+            want = hom_basis_by_kron(X, Y)
+            got = hom_basis(X, Y).basis
+            assert len(got) == len(want)
+            for f, g in zip(got, want):
+                assert len(f) == q.n
+                for a, b in zip(f, g):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_trace_submodule_a2():
     S1, S2, P1 = simple(A2, 5, 0), simple(A2, 5, 1), projective(A2, 5, 0)
     assert trace_submodule(S1, P1).sub.dims == (0, 0)
@@ -245,6 +285,34 @@ def test_is_isomorphic_detects_base_change_and_rejects_fakes():
     fake = direct_sum([simple(A2, 5, 0), simple(A2, 5, 1)])
     assert fake.dims == P1.dims
     assert not is_isomorphic(P1, fake, rng)
+
+
+def base_changed(X, rng):
+    """X transported along random invertible matrices at every vertex."""
+    q, p = X.quiver, X.p
+    g = []
+    for d in X.dims:
+        while not la.is_invertible(m := la.random_matrix(d, d, p, rng), p):
+            pass
+        g.append(m)
+    inv = [la.solve(m, la.identity(m.shape[0]), p)[0] for m in g]
+    return make_rep(q, p, X.dims, [la.matmul(g[a.target], la.matmul(X.mats[k], inv[a.source], p), p)
+                                   for k, a in enumerate(q.arrows)])
+
+
+def test_is_isomorphic_is_exact_on_one_dimensional_hom():
+    """With a one-dimensional Hom the basis map decides, and no random draw
+    is made, both when the answer is no and when it is yes."""
+    rng = np.random.default_rng(59)
+    fake, P1 = direct_sum([simple(A2, 5, 0), simple(A2, 5, 1)]), projective(A2, 5, 0)
+    X = projective(TWO_ONE, 5, 0)
+    Y = base_changed(X, np.random.default_rng(60))
+    assert X.dims == (1, 2, 2) and not any(np.array_equal(a, b) for a, b in zip(X.mats, Y.mats))
+    for first, second, iso in ((fake, P1, False), (P1, fake, False), (X, Y, True), (Y, X, True)):
+        assert hom_dim(first, second) == 1
+        state = rng.bit_generator.state
+        assert is_isomorphic(first, second, rng) is iso
+        assert rng.bit_generator.state == state
 
 
 def test_middle_terms_a2():

@@ -9,13 +9,24 @@ import gc
 import itertools
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ftors import modules, tors
-from ftors.modules import direct_sum, ext_dim, hom_basis, hom_dim, is_isomorphic, simple
-from ftors.quiver import parse_quiver
+from ftors import ar_quiver, modules, tors
+from ftors.ext_pairs import find_ext_pair
+from ftors.modules import (
+    direct_sum,
+    ext_dim,
+    hom_basis,
+    hom_dim,
+    is_isomorphic,
+    make_rep,
+    middle_terms,
+    simple,
+)
+from ftors.quiver import load_quiver, parse_quiver
 from ftors.tors import (
     enumerate_torsion_classes,
     filtration_universe,
@@ -43,6 +54,7 @@ A3_OUT = parse_quiver("vertices 3\narrow 2 1\narrow 2 3\n")
 CYCLE3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\narrow 1 3\n")
 KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\n")
 WILD2 = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n")
+QDIR = Path(__file__).resolve().parent.parent / "quivers"
 
 
 def powerset_classes(u):
@@ -210,20 +222,30 @@ def test_two_vertex_check_needs_two_vertices():
         two_vertex_check(A3_LINE, 5, 6, np.random.default_rng(0))
 
 
-def count_member_homs(monkeypatch, members: dict) -> Counter:
-    """Count every Hom space computed between two modules of `members`, a
-    dict from id to position that the caller fills once the members exist."""
+def count_homs(monkeypatch) -> tuple[Counter, list]:
+    """Count every Hom space computed, by the identities of its two modules.
+
+    The second value keeps every counted module alive, so that no identity
+    is reused; clear it to let the modules go.
+    """
     counts: Counter = Counter()
+    alive: list = []
 
     def counting(X, Y):
-        key = (members.get(id(X)), members.get(id(Y)))
-        if None not in key:
-            counts[key] += 1
+        alive.append((X, Y))
+        counts[id(X), id(Y)] += 1
         return hom_basis(X, Y)
 
-    monkeypatch.setattr(modules, "hom_basis", counting)
-    monkeypatch.setattr(tors, "hom_basis", counting)
-    return counts
+    for module in (modules, tors, ar_quiver):
+        monkeypatch.setattr(module, "hom_basis", counting)
+    return counts, alive
+
+
+def member_pairs(counts: Counter, members) -> Counter:
+    """The counts between two members, keyed by their positions."""
+    pos = {id(M): i for i, M in enumerate(members)}
+    return Counter({(pos[x], pos[y]): n for (x, y), n in counts.items()
+                    if x in pos and y in pos})
 
 
 def assert_table_is_hom_basis(u):
@@ -236,17 +258,22 @@ def assert_table_is_hom_basis(u):
 
 
 def test_hom_table_computes_each_member_pair_once_a3(monkeypatch):
+    """Counting starts before the knitting, which computes every ordered
+    member pair; the universe takes that table over, so knitting,
+    enumeration, the lattice check and the covers compute each pair once."""
+    counts, alive = count_homs(monkeypatch)
     u = universe(A3_LINE)
-    counts = count_member_homs(monkeypatch, {id(M): i for i, M in enumerate(u.modules)})
     classes = enumerate_torsion_classes(u)
     lattice_check(u, classes)
     for t in classes:
         assert find_cover(u, t) is not None
-    assert max(counts.values()) == 1
-    assert set(counts) == set(u._homs)
+    every = {(i, j): 1 for i in range(len(u)) for j in range(len(u))}
+    assert member_pairs(counts, u.modules) == every
+    assert set(u._homs) == set(every)
     assert_table_is_hom_basis(u)
     member = weakref.ref(u.modules[0])
     del u
+    alive.clear()
     gc.collect()
     assert member() is None
 
@@ -254,25 +281,102 @@ def test_hom_table_computes_each_member_pair_once_a3(monkeypatch):
 def test_hom_table_computes_each_member_pair_once_kronecker(monkeypatch):
     """The sampled universe counts from the moment it is built; building it
     tests isomorphisms between would-be members outside the table."""
-    members: dict = {}
     built = []
+    counts, alive = count_homs(monkeypatch)
 
     class Recorded(tors.ModuleUniverse):
         def __post_init__(self):
             super().__post_init__()
-            members.update(self._index)
+            counts.clear()
             built.append(self)
 
-    counts = count_member_homs(monkeypatch, members)
     monkeypatch.setattr(tors, "ModuleUniverse", Recorded)
     report = two_vertex_check(KRONECKER, 5, 6, np.random.default_rng(0))
     assert report.verdict == "consistent"
     [u] = built
     assert report.universe_size == len(u)
-    assert max(counts.values()) == 1
-    assert set(counts) == set(u._homs)
+    pairs = member_pairs(counts, u.modules)
+    assert max(pairs.values()) == 1
+    assert set(pairs) == set(u._homs)
     assert_table_is_hom_basis(u)
     member = weakref.ref(u.modules[0])
     del u, built[:]
+    alive.clear()
     gc.collect()
     assert member() is None
+
+
+# ---------------------------------------------------------------------------
+# audit of the isomorphism scans that the orthogonal-brick argument skips
+
+def lines(p: int, e: int) -> int:
+    """Points of the projective space P(F_p^e)."""
+    return (p ** e - 1) // (p - 1)
+
+
+def pairwise_nonisomorphic(mods, rng) -> bool:
+    """The pairwise scan: no module is isomorphic to an earlier one."""
+    return all(modules._iso_index(M, mods[:k], rng) is None for k, M in enumerate(mods))
+
+
+def audited_cycles():
+    """The twothree ext pair over F_3 and the a2tilde tube simples over F_5."""
+    rng = np.random.default_rng(0)
+    cert = find_ext_pair(load_quiver(QDIR / "twothree.txt"), 3, rng)
+    assert (cert.report.numbers["ext_xy"], cert.report.numbers["ext_yx"]) == (3, 3)
+    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5, rng)[0]
+    return [(3, (cert.X, cert.Y)), (5, tube.simples)]
+
+
+def test_orthogonal_brick_middles_are_pairwise_nonisomorphic():
+    rng = np.random.default_rng(1)
+    for p, cycle in audited_cycles():
+        middles = []
+        for A in cycle:
+            for B in cycle:
+                if A is not B:
+                    mids = middle_terms(B, A, rng)[1:]
+                    assert len(mids) == lines(p, ext_dim(B, A))
+                    middles += mids
+        assert middles
+        assert pairwise_nonisomorphic(middles, rng)
+
+
+def test_filtration_level_two_is_pairwise_nonisomorphic():
+    rng = np.random.default_rng(2)
+    for p, cycle in audited_cycles():
+        fu = filtration_universe(cycle, 2, rng)
+        expected = len(cycle) + sum(lines(p, ext_dim(B, A)) for A in cycle for B in cycle
+                                    if A is not B)
+        assert len(fu.objects) == expected
+        assert pairwise_nonisomorphic([o.module for o in fu.objects], rng)
+
+
+def test_middle_terms_scans_pairs_that_are_not_orthogonal_bricks(monkeypatch):
+    scanned = []
+    real = modules._iso_index
+
+    def spy(M, candidates, rng, tries=modules.ISO_TRIES):
+        scanned.append(M)
+        return real(M, candidates, rng, tries)
+
+    monkeypatch.setattr(modules, "_iso_index", spy)
+    rng = np.random.default_rng(3)
+    S1, S2 = simple(A2, 3, 0), simple(A2, 3, 1)
+    # End(S2 + S2) is not a field: all four lines give P1 + S2
+    assert len(middle_terms(S1, direct_sum([S2, S2]), rng)) == 2
+    assert len(scanned) == lines(3, 2)
+    q = WILD2
+    X = make_rep(q, 3, (1, 1), [np.array([[1]]), np.array([[0]]), np.array([[0]])])
+    T1, T2 = simple(q, 3, 0), simple(q, 3, 1)
+    assert hom_dim(X, X) == 1 and hom_dim(X, T1) == 1
+    for B, A in ((X, X), (T1, X)):            # A is B; Hom(A, B) != 0
+        assert ext_dim(B, A) == 2
+        scanned.clear()
+        middle_terms(B, A, rng)
+        assert len(scanned) == lines(3, 2)
+    scanned.clear()
+    mids = middle_terms(T1, T2, rng)          # orthogonal bricks: no scan
+    assert scanned == []
+    assert len(mids) == 1 + lines(3, 3)
+    assert pairwise_nonisomorphic(mids[1:], rng)
