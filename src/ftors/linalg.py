@@ -1,9 +1,13 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  The modulus
-is passed explicitly everywhere; p must be a prime below 2**15 so that products
-of entries, summed over any inner dimension we meet in practice, stay far
-inside the int64 range.  No floats are ever involved.
+Matrices at the interface are numpy int64 arrays with entries reduced into
+[0, p).  The modulus is passed explicitly everywhere.  Row reduction, the one
+elimination every routine here is built on, runs on Python int lists: the
+matrices met in practice are so small (most have no side longer than 4) that
+numpy's per-call overhead would outweigh the arithmetic.  matmul stays in
+numpy, so p must still be a prime below 2**15: products of entries, summed
+over any inner dimension we meet in practice, then stay far inside the int64
+range.  No floats are ever involved.
 """
 
 from __future__ import annotations
@@ -52,56 +56,76 @@ def inv_scalar(x: int, p: int) -> int:
 def rref(a, p: int):
     """Reduced row echelon form.
 
-    Returns (r, rank, pivots) where r is the echelon matrix, rank the number
-    of pivots and pivots the list of pivot column indices.  The result is a
-    canonical representative of the row space, so every routine built on it
-    (kernels, column bases, solutions) is deterministic.
+    Returns (r, rank, pivots) where r is the echelon matrix, an int64 array of
+    the input's shape, rank the number of pivots and pivots the list of pivot
+    column indices.  The result is a canonical representative of the row
+    space, so every routine built on it (kernels, column bases, solutions) is
+    deterministic.  The input is reduced mod p once; Gauss-Jordan elimination
+    then runs on its rows as lists, and each row operation touches only the
+    nonzero entries of the pivot row.
     """
-    r = fparray(a, p).copy()
+    r = fparray(a, p)
     nrows, ncols = r.shape
+    if not nrows or not ncols:
+        return r, 0, []
+    rows = r.tolist()
     pivots = []
-    row = 0
     for col in range(ncols):
-        if row == nrows:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
+        row = len(pivots)
+        for i in range(row, nrows):
+            if rows[i][col]:
+                break
+        else:
             continue
-        pr = row + int(nz[0])
-        if pr != row:
-            r[[row, pr]] = r[[pr, row]]
-        r[row] = (r[row] * inv_scalar(r[row, col], p)) % p
-        other = np.nonzero(r[:, col])[0]
-        other = other[other != row]
-        if other.size:
-            r[other] = (r[other] - np.outer(r[other, col], r[row])) % p
+        prow = rows[i]
+        rows[i] = rows[row]
+        rows[row] = prow
+        c = prow[col]
+        if c != 1:
+            c = inv_scalar(c, p)
+            prow[col:] = [x * c % p for x in prow[col:]]
+        support = [(k, prow[k]) for k in range(col, ncols) if prow[k]]
+        for j, other in enumerate(rows):
+            c = other[col]
+            if c and j != row:
+                for k, x in support:
+                    other[k] = (other[k] - c * x) % p
         pivots.append(col)
-        row += 1
-    return r, len(pivots), pivots
+        if row + 1 == nrows:
+            break
+    return np.array(rows, dtype=np.int64), len(pivots), pivots
 
 
 def rank(a, p: int) -> int:
     return rref(a, p)[1]
 
 
+def _kernel(rows, pivots, ncols: int, p: int) -> np.ndarray:
+    """Null space basis of the first ncols columns of a reduced echelon form.
+
+    rows are the echelon rows as lists and pivots the pivot columns below
+    ncols, so rows[i] belongs to pivots[i]; column j of the result is the
+    solution with free unknown free[j] set to 1 and the other free ones 0.
+    """
+    free = [c for c in range(ncols) if c not in pivots]
+    k = [None] * ncols
+    for j, f in enumerate(free):
+        k[f] = [0] * len(free)
+        k[f][j] = 1
+    for row, c in zip(rows, pivots):
+        k[c] = [-row[f] % p for f in free]
+    return np.array(k, dtype=np.int64).reshape(ncols, len(free))
+
+
 def kernel_basis(a, p: int) -> np.ndarray:
     """Columns form the canonical (echelon-derived) basis of the null space."""
-    a = fparray(a, p)
-    ncols = a.shape[1]
     r, _, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    k = zeros(ncols, len(free))
-    for j, f in enumerate(free):
-        k[f, j] = 1
-        for i, pc in enumerate(pivots):
-            k[pc, j] = (-int(r[i, f])) % p
-    return k
+    return _kernel(r.tolist(), pivots, r.shape[1], p)
 
 
 def column_space_basis(a, p: int) -> np.ndarray:
     """Canonical basis of the column space, one basis vector per column."""
-    r, rk, _ = rref(fparray(a, p).T, p)
+    r, rk, _ = rref(np.asarray(a, dtype=np.int64).T, p)
     return r[:rk].T.copy()
 
 
@@ -110,24 +134,31 @@ def solve(a, b, p: int):
 
     b may be a vector or a matrix of stacked right-hand sides.  Returns
     (particular, kernel) where particular is None when the system is
-    inconsistent; kernel columns span the homogeneous solution space.
+    inconsistent; kernel columns span the homogeneous solution space.  One
+    elimination of [a | b] gives both: its left block is the reduced echelon
+    form of a.
     """
-    a = fparray(a, p)
-    vec = np.ndim(b) == 1
-    b2 = fparray(b, p).reshape(-1, 1) if vec else fparray(b, p)
+    a = np.asarray(a, dtype=np.int64)
+    b2 = np.asarray(b, dtype=np.int64)
+    vec = b2.ndim == 1
+    if vec:
+        b2 = b2.reshape(-1, 1)
     if a.shape[0] != b2.shape[0]:
         raise ValueError("incompatible shapes in solve")
     ncols = a.shape[1]
-    aug = np.hstack([a, b2])
-    r, _, pivots = rref(aug, p)
-    if any(c >= ncols for c in pivots):
-        return None, kernel_basis(a, p)
-    x = zeros(ncols, b2.shape[1])
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, ncols:]
+    r, rk, pivots = rref(np.concatenate((a, b2), axis=1), p)
+    rows = r.tolist()
+    head = [c for c in pivots if c < ncols]
+    kernel = _kernel(rows, head, ncols, p)
+    if len(head) < rk:
+        return None, kernel
+    x = [[0] * b2.shape[1] for _ in range(ncols)]
+    for row, c in zip(rows, pivots):
+        x[c] = row[ncols:]
+    x = np.array(x, dtype=np.int64).reshape(ncols, b2.shape[1])
     if vec:
         x = x[:, 0]
-    return x, kernel_basis(a, p)
+    return x, kernel
 
 
 def coords_in_basis(basis, vecs, p: int) -> np.ndarray:
@@ -140,8 +171,7 @@ def coords_in_basis(basis, vecs, p: int) -> np.ndarray:
 
 def complement_indices(basis, p: int) -> list[int]:
     """Indices of standard basis vectors completing independent columns."""
-    basis = fparray(basis, p)
-    d, k = basis.shape
+    d, k = np.shape(basis)
     aug = np.hstack([basis, identity(d)])
     _, _, pivots = rref(aug, p)
     head = [c for c in pivots if c < k]
@@ -151,8 +181,8 @@ def complement_indices(basis, p: int) -> list[int]:
 
 
 def is_invertible(a, p: int) -> bool:
-    a = fparray(a, p)
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
+    rows, cols = np.shape(a)
+    return rows == cols and rank(a, p) == rows
 
 
 def random_matrix(rows: int, cols: int, p: int, rng: np.random.Generator) -> np.ndarray:

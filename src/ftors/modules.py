@@ -15,6 +15,7 @@ accepted here; valued arrows live purely at the numerical level.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -533,14 +534,18 @@ def decompose(M: Representation, rng: np.random.Generator,
     if end.dim == 1:
         return [M]
     p = M.p
-    samples = [end.basis[k] for k in range(min(end.dim, budget))]
-    while len(samples) < budget:
-        samples.append(end.random_element(rng))
+    basis = end.basis[:budget]
+    # every random coefficient vector is drawn up front, as many as the budget
+    # needs, so the random stream does not depend on where a split is found;
+    # a sample is built only when its turn comes
+    draws = [rng.integers(0, p, size=end.dim) for _ in range(budget - len(basis))]
+    samples = itertools.chain(basis, map(end.element, draws))
+    ids = [la.identity(d) for d in M.dims]
     certificate_ok = True
     for phi in samples:
         eig_seen = False
         for lam in range(p):
-            shifted = tuple((phi[v] - lam * la.identity(M.dims[v])) % p for v in range(M.quiver.n))
+            shifted = tuple((f - lam * i) % p for f, i in zip(phi, ids))
             if all(la.is_invertible(m, p) for m in shifted):
                 continue
             eig_seen = True

@@ -35,6 +35,55 @@ def test_rref_hand_case_mod5():
     assert r2.tolist() == [[1, 2, 3], [0, 0, 0]]
 
 
+def _rref_reference(a, p):
+    """The numpy Gauss-Jordan loop rref used to run, one pivot at a time."""
+    r = la.fparray(a, p).copy()
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            r[[row, pr]] = r[[pr, row]]
+        r[row] = (r[row] * la.inv_scalar(r[row, col], p)) % p
+        other = np.nonzero(r[:, col])[0]
+        other = other[other != row]
+        if other.size:
+            r[other] = (r[other] - np.outer(r[other, col], r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, len(pivots), pivots
+
+
+RREF_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 6), (6, 1), (4, 4), (9, 3), (3, 9),
+               (12, 20), (72, 72)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 32749])
+def test_rref_matches_numpy_reference(p):
+    """Every shape and fill, with entries negative or at least p, gives the
+    reference's echelon matrix, rank and pivots, as an int64 array."""
+    rng = np.random.default_rng(p)
+    for rows, cols in RREF_SHAPES:
+        for fill in (0.0, 0.15, 0.5, 1.0):
+            a = rng.integers(-2 * p, 3 * p, size=(rows, cols))
+            a = a * (rng.random((rows, cols)) < fill)
+            got, want = la.rref(a, p), _rref_reference(a, p)
+            assert got[0].dtype == np.int64 and got[0].shape == (rows, cols)
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+    # rank-deficient: stacked copies and combinations of a few rows
+    for rows, cols in ((8, 5), (5, 8), (72, 72)):
+        a = rng.integers(0, 4, size=(rows, 3)) @ rng.integers(-p, 2 * p, size=(3, cols))
+        got, want = la.rref(a, p), _rref_reference(a, p)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
 def test_rref_is_idempotent():
     rng = np.random.default_rng(7)
     for p in (2, 5):
@@ -99,6 +148,51 @@ def test_solve_random_consistent_systems_mod5():
         got, _ = la.solve(a, b, 5)
         assert got is not None
         assert np.array_equal(la.matmul(a, got, 5), b)
+
+
+def _solve_cases(rng):
+    """Consistent systems b = a x, and inconsistent ones whose last row of a
+    is zero while b's is not; b is a matrix or a vector."""
+    for p in (2, 5):
+        for _ in range(30):
+            rows, cols, rhs = (int(v) for v in rng.integers(0, 5, size=3))
+            a = la.random_matrix(rows, cols, p, rng)
+            b = la.matmul(a, la.random_matrix(cols, rhs, p, rng), p)
+            yield a, b, p, True
+            yield a, la.matmul(a, la.random_matrix(cols, 1, p, rng), p)[:, 0], p, True
+            a = np.vstack([a, la.zeros(1, cols)])
+            b = la.random_matrix(rows + 1, rhs + 1, p, rng)
+            b[-1, 0] = 1
+            yield a, b, p, False
+            yield a, b[:, 0], p, False
+
+
+def test_solve_takes_one_elimination(monkeypatch):
+    """solve reads its kernel off the left block of the elimination of
+    [a | b], so it makes one rref call, and the kernel equals kernel_basis(a)
+    whether or not the system is consistent."""
+    calls = []
+    rref = la.rref
+
+    def counting(a, p):
+        calls.append(np.shape(a))
+        return rref(a, p)
+
+    outcomes = set()
+    for a, b, p, consistent in _solve_cases(np.random.default_rng(29)):
+        kernel = la.kernel_basis(a, p)
+        monkeypatch.setattr(la, "rref", counting)
+        calls.clear()
+        x, got = la.solve(a, b, p)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert got.dtype == np.int64 and np.array_equal(got, kernel)
+        assert (x is not None) == consistent
+        if consistent:
+            assert x.shape == (a.shape[1],) + b.shape[1:]
+            assert np.array_equal(la.matmul(a, x, p), b)
+        outcomes.add((consistent, np.ndim(b)))
+    assert outcomes == {(True, 1), (True, 2), (False, 1), (False, 2)}
 
 
 def test_column_space_basis_spans_columns():

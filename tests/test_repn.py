@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ftors import linalg as la
+from ftors import modules
 from ftors.modules import (
     ExtensionCapError,
     ar_translate,
@@ -275,6 +276,42 @@ def test_decompose_random_modules_reassemble():
                 # decomposition pass returns the part unchanged
                 assert len(decompose(part, rng)) == 1
             assert is_isomorphic(direct_sum(parts), M, rng)
+
+
+def test_decompose_draws_its_whole_budget(monkeypatch):
+    """Every call of decompose on a module with a non-scalar endomorphism
+    draws budget - dim End coefficient vectors, wherever it finds a split,
+    so the random stream after it is that of drawing them in call order.
+    The summands are those the eager sampler returned."""
+    calls = []
+    original = modules.decompose
+
+    def recording(M, rng, budget=modules.DECOMPOSE_BUDGET):
+        calls.append((M, budget))
+        return original(M, rng, budget)
+
+    monkeypatch.setattr(modules, "decompose", recording)
+    S1, S2 = simple(KRONECKER, 5, 0), simple(KRONECKER, 5, 1)
+    X = make_rep(A3, 5, (1, 1, 0), [[[1]], la.zeros(0, 1)])
+    Y = make_rep(A3, 5, (0, 1, 1), [la.zeros(1, 0), [[1]]])
+    split_middle = base_changed(direct_sum([X, Y]), np.random.default_rng(4))
+    assert [m.tolist() for m in split_middle.mats] == [[[3], [4]], [[4, 2]]]
+    cases = [
+        (direct_sum([S1, S1, S2]), 3, [((0, 1), [[[]], [[]]]), ((1, 0), [[], []]), ((1, 0), [[], []])]),
+        (split_middle, 5, [((0, 1, 1), [[[]], [[2]]]), ((1, 1, 0), [[[3]], []])]),
+    ]
+    for M, seed, summands in cases:
+        calls.clear()
+        rng = np.random.default_rng(seed)
+        parts = modules.decompose(M, rng)
+        assert [(P.dims, [m.tolist() for m in P.mats]) for P in parts] == summands
+        assert len(calls) > 1
+        replay = np.random.default_rng(seed)
+        for N, budget in calls:
+            d = hom_dim(N, N) if N.total > 1 else 0
+            for _ in range(max(budget - d, 0) if d > 1 else 0):
+                replay.integers(0, N.p, size=d)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_is_isomorphic_detects_base_change_and_rejects_fakes():
