@@ -107,7 +107,6 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
                 injectives_found[injective_dims[node.dims]] = idx
                 continue
             moved = ar_translate_inverse(node.module)
-            assert moved.total > 0
             new = add(moved, node.orbit, node.power + 1)
             translate[new] = idx
             nxt.append(new)

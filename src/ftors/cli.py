@@ -8,8 +8,9 @@ Subcommands:
   run nocover FILE         no-cover evidence along an extension cycle
 
 Exit codes: 0 verified, 1 verification failed, 2 bad input, 3 inconclusive,
-4 input/output error.  Reports are byte deterministic for a fixed seed: JSON
-is emitted with sorted keys and no timestamps.
+4 input/output error, 5 internal error (a bug, such as a failed self-check).
+Reports are byte deterministic for a fixed seed: JSON is emitted with sorted
+keys and no timestamps.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
@@ -439,6 +441,9 @@ def main(argv=None) -> int:
     except (QuiverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -47,9 +47,13 @@ from .quiver import (
     Subquiver,
     ValuedQuiver,
     classify_type,
+    is_sink,
+    reflect_at,
     subquiver_restrict,
     underlying_edges,
 )
+
+
 class ExtPairInconclusive(RuntimeError):
     """The case analysis does not cover this quiver shape."""
 
@@ -245,12 +249,10 @@ def _orient_path(sub: Subquiver, first: int, mid: int, last: int):
     cur = q3
     ks = _edge_arrows(cur, first, mid)
     if cur.arrows[ks[0]].source != first:
-        from .quiver import reflect_at
         cur = reflect_at(cur, first)
         seq.append(first)
     ks = _edge_arrows(cur, mid, last)
     if cur.arrows[ks[0]].source != mid:
-        from .quiver import reflect_at
         cur = reflect_at(cur, last)
         seq.append(last)
     ks1 = _edge_arrows(cur, first, mid)
@@ -295,7 +297,7 @@ def construct_case4(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int,
 
     kron = subquiver_restrict(q3, [src, mid])
     s_local = simple(kron.quiver, p, kron.new_vertex(src))
-    t_local = ar_translate(s_local) if not _is_projective_simple(kron.quiver, p, kron.new_vertex(src)) else None
+    t_local = None if is_sink(kron.quiver, kron.new_vertex(src)) else ar_translate(s_local)
     y_trunc = isotypic_socle(Y, snk).quot
     detail = {
         "projective_dims": list(P.dims),
@@ -310,11 +312,6 @@ def construct_case4(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int,
         detail["wing_extension_dim"] = ext_dim(
             t_local, projective(kron.quiver, p, kron.new_vertex(src)))
     return X, Y, detail
-
-
-def _is_projective_simple(q: ValuedQuiver, p: int, v: int) -> bool:
-    from .quiver import is_sink
-    return is_sink(q, v)
 
 
 # ---------------------------------------------------------------------------

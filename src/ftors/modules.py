@@ -5,9 +5,9 @@ source), over an explicitly carried prime modulus.  On top of that sit the
 exact workhorses: Hom spaces by intertwiner systems, Ext dimensions through
 the hereditary identity, trace submodules and generation tests, randomized
 Fitting decomposition with an honest inconclusive outcome, normalization,
-reflection functors, the translate DTr computed from a minimal projective
-presentation, universal extensions by simples, and enumeration of extension
-middle terms.
+reflection functors, the translates DTr and TrD as Coxeter functors twisted
+by the sign automorphism that negates every arrow, universal extensions by
+simples, and enumeration of extension middle terms.
 
 Only valuation-(1, 1) quivers (path algebras, parallel arrows allowed) are
 accepted here; valued arrows live purely at the numerical level.
@@ -26,6 +26,8 @@ from .quiver import (
     ValuedQuiver,
     arrows_in,
     arrows_out,
+    is_sink,
+    reflect_with_perm,
     sorted_with_perm,
     topological_order,
     Subquiver,
@@ -179,13 +181,6 @@ def direct_sum(parts: list[Representation]) -> Representation:
             co += dc
         mats.append(m)
     return make_rep(q, p, dims, mats)
-
-
-def block_offsets(parts: list[Representation], v: int) -> list[int]:
-    offs = [0]
-    for part in parts:
-        offs.append(offs[-1] + part.dims[v])
-    return offs
 
 
 def dual(M: Representation) -> Representation:
@@ -665,9 +660,8 @@ def normalize(M: Representation, rng) -> Representation:
 def reflection_functor_apply(M: Representation, v: int) -> Representation:
     """BGP reflection at a sink (kernel of the assembled map into v) or a
     source (cokernel of the diagonal map out of v).  Copies of S(v) are
-    annihilated; everything else transports equivalently."""
-    from .quiver import is_sink, is_source, reflect_with_perm
-
+    annihilated; everything else transports equivalently.  Any other vertex
+    raises QuiverError."""
     q, p = M.quiver, M.p
     rq, perm = reflect_with_perm(q, v)
     new_dims = list(M.dims)
@@ -683,19 +677,19 @@ def reflection_functor_apply(M: Representation, v: int) -> Representation:
             d = M.dims[ar.source]
             new_mats[perm[k]] = ker[off:off + d, :] % p
             off += d
-    elif is_source(q, v):
+    else:
         outs = arrows_out(q, v)
         blocks = [M.mats[k] for k, _ in outs]
         assembled = np.vstack(blocks) if blocks else la.zeros(0, M.dims[v])
-        _, proj = _complement(la.column_space_basis(assembled, p), p)
+        # the reduced echelon basis of the left null space: the projection
+        # _complement would build, from fewer and narrower eliminations
+        proj = la.rref(la.kernel_basis(assembled.T, p).T, p)[0]
         new_dims[v] = proj.shape[0]
         off = 0
         for k, ar in outs:
             d = M.dims[ar.target]
             new_mats[perm[k]] = proj[:, off:off + d] % p
             off += d
-    else:
-        raise ValueError(f"vertex {v + 1} is neither a sink nor a source")
     for k in range(q.m):
         if new_mats[perm[k]] is None:
             new_mats[perm[k]] = M.mats[k]
@@ -703,7 +697,7 @@ def reflection_functor_apply(M: Representation, v: int) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# minimal projective presentations and the translate DTr
+# projective covers and minimal presentations
 
 def projective_cover(M: Representation):
     """Minimal epi from a projective: (P0, component vertices, g: P0 -> M)."""
@@ -745,94 +739,55 @@ def is_projective_rep(M: Representation) -> bool:
     return p0.total == M.total
 
 
-def _nu_path_block(q: ValuedQuiver, x: tuple[int, ...], j: int, i: int, w: int) -> np.ndarray:
-    """Matrix of the Nakayama image of the path-hom for x: j -> i, at vertex w.
-
-    The path hom P(i) -> P(j) appends x; its Nakayama image I(i) -> I(j) is
-    the transpose of prepending x on path bases into j and into i.
-    """
-    rows = paths_from(q, w)[j]
-    cols = paths_from(q, w)[i]
-    pos = {path: r for r, path in enumerate(cols)}
-    m = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, wpath in enumerate(rows):
-        full = wpath + x
-        if full in pos:
-            m[r, pos[full]] = 1
-    return m
-
-
 def _minimal_presentation(M: Representation):
-    """Minimal projective presentation P1 -> P0 -> M -> 0 of a nonprojective M.
+    """Minimal projective presentation P1 -> P0 -> M -> 0.
 
-    Returns (P0, its component vertices, P1, its component vertices, f) with
-    f: P1 -> P0 the presentation map.  P1 is the projective cover of the
-    kernel of P0 -> M; over a path algebra that kernel is projective, so the
-    cover is an isomorphism and f is injective.
+    Returns (P0, P1, f) with f: P1 -> P0 the presentation map.  P1 is the
+    projective cover of the kernel of P0 -> M; over a path algebra that
+    kernel is projective, so the cover is an isomorphism and f is injective.
     """
     q, p = M.quiver, M.p
-    p0, comps0, g = projective_cover(M)
+    p0, _, g = projective_cover(M)
     ker = carve(p0, [la.kernel_basis(g[v], p) for v in range(q.n)])
-    if ker.sub.total == 0:
-        raise ValueError("the translate DTr is undefined on projective modules")
-    p1, comps1, h = projective_cover(ker.sub)
+    p1, _, h = projective_cover(ker.sub)
     # h surjects and the inclusion of the kernel is injective, so f is
     # injective exactly when P1 and the kernel have the same dimensions
     assert p1.dims == ker.sub.dims, "presentation map must be injective"
-    return p0, comps0, p1, comps1, compose(ker.incl, h, p)
+    return p0, p1, compose(ker.incl, h, p)
+
+
+# ---------------------------------------------------------------------------
+# the translates as sign-twisted Coxeter functors
+
+def _twisted_coxeter(M: Representation, order, undefined: str) -> Representation:
+    """Reflect M at each vertex of order in turn, then negate every arrow.
+
+    Over an acyclic quiver the Coxeter functors agree with DTr and TrD up to
+    the automorphism that negates every arrow (Bernstein-Gelfand-Ponomarev);
+    without the negation a homogeneous module M_t of the triangle would go
+    to M_-t.  A zero result raises ValueError(undefined).
+    """
+    for v in order:
+        M = reflection_functor_apply(M, v)
+    if M.total == 0:
+        raise ValueError(undefined)
+    return make_rep(M.quiver, M.p, M.dims, [(-m) % M.p for m in M.mats])
 
 
 def ar_translate(M: Representation) -> Representation:
-    """The translate DTr M from a minimal projective presentation.
-
-    Both steps of the presentation are minimal (tops and projective covers),
-    otherwise the kernel below would pick up spurious injective summands.
-    The presentation map is rewritten in the path-hom basis, pushed through
-    the Nakayama correspondence P(i) -> I(i), and the translate is the kernel
-    of the resulting map between injectives.  Projective summands of the
-    input are annihilated; projective input is rejected.
-    """
-    q, p = M.quiver, M.p
-    p0, comps0, p1, comps1, f = _minimal_presentation(M)
-
-    parts1 = [injective(q, p, v) for v in comps1]
-    parts0 = [injective(q, p, v) for v in comps0]
-    nu_p1 = direct_sum(parts1)
-    nu_p0 = direct_sum(parts0)
-    proj_parts0 = [projective(q, p, v) for v in comps0]
-    proj_parts1 = [projective(q, p, v) for v in comps1]
-
-    nu_f = [la.zeros(nu_p0.dims[w], nu_p1.dims[w]) for w in range(q.n)]
-    for c1, i in enumerate(comps1):
-        # column of the generator of this P(i) summand inside P1 at vertex i
-        col = block_offsets(proj_parts1, i)[c1] + paths_from(q, i)[i].index(())
-        column = f[i][:, col]
-        for c0, j in enumerate(comps0):
-            roff = block_offsets(proj_parts0, i)[c0]
-            for xi, x in enumerate(paths_from(q, j)[i]):
-                coeff = int(column[roff + xi])
-                if coeff == 0:
-                    continue
-                for w in range(q.n):
-                    blk = _nu_path_block(q, x, j, i, w)
-                    if not blk.size:
-                        continue
-                    r0 = block_offsets(parts0, w)[c0]
-                    c0off = block_offsets(parts1, w)[c1]
-                    nu_f[w][r0:r0 + blk.shape[0], c0off:c0off + blk.shape[1]] += coeff * blk
-    nu_f = [m % p for m in nu_f]
-    tau = carve(nu_p1, [la.kernel_basis(nu_f[v], p) for v in range(q.n)]).sub
-    return tau
+    """DTr M as the sign-twisted Coxeter functor C+: reflections at the
+    vertices in reverse topological order, each a sink of the quiver
+    reflected so far.  Projective summands vanish; projective input raises."""
+    return _twisted_coxeter(M, reversed(topological_order(M.quiver)),
+                            "the translate DTr is undefined on projective modules")
 
 
 def ar_translate_inverse(M: Representation) -> Representation:
-    """TrD via duality: reverse, translate, reverse back."""
-    d = dual(M)
-    try:
-        t = ar_translate(d)
-    except ValueError:
-        raise ValueError("the translate TrD is undefined on injective modules") from None
-    return dual(t)
+    """TrD M as the sign-twisted Coxeter functor C-: reflections at the
+    vertices in topological order, each a source of the quiver reflected so
+    far.  Injective summands vanish; injective input raises."""
+    return _twisted_coxeter(M, topological_order(M.quiver),
+                            "the translate TrD is undefined on injective modules")
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +886,7 @@ def middle_terms(B: Representation, A: Representation, rng,
     dedup = e >= 2 and not (
         A is not B and e == -euler_form(q, B.dims, A.dims) and hom(A, B).dim == 0
         and hom(A, A).dim == 1 and hom(B, B).dim == 1)
-    p0, _, p1, _, f = _minimal_presentation(B)
+    p0, p1, f = _minimal_presentation(B)
 
     h1 = hom_basis(p1, A)
     h0 = hom_basis(p0, A)

@@ -106,6 +106,7 @@ class ModuleUniverse:
     _middles: dict = field(default_factory=dict)
     _closure: dict = field(default_factory=dict)
     _gen: dict = field(default_factory=dict)
+    _peeled: dict = field(default_factory=dict)
     _homs: dict = field(default_factory=dict)
     _index: dict = field(init=False)
 
@@ -148,6 +149,17 @@ class ModuleUniverse:
             self._gen[key] = in_gen_closure(
                 [self.modules[g] for g in sorted(gens)], self.modules[member], self.hom)
         return self._gen[key]
+
+    def peeled_closure(self, gens: frozenset) -> frozenset:
+        """Members that the peeling test puts in the torsion closure of the
+        given members.  Unlike torsion_closure it needs no extension-closed
+        universe, so the sampled universe of the bounded check uses it."""
+        if gens not in self._peeled:
+            glist = [self.modules[g] for g in sorted(gens)]
+            self._peeled[gens] = frozenset(
+                m for m in range(len(self))
+                if in_torsion_closure(glist, self.modules[m], self.hom))
+        return self._peeled[gens]
 
 
 def finite_universe(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ModuleUniverse:
@@ -197,10 +209,8 @@ def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
     result = frozenset(current)
     u._closure[gens] = result
     # the membership engine must agree with the fixpoint
-    for m in range(len(u)):
-        assert (m in result) == in_torsion_closure(
-            [u.modules[g] for g in sorted(gens)], u.modules[m], u.hom), (
-            f"closure engines disagree at member {m}")
+    assert result == u.peeled_closure(gens), (
+        f"closure engines disagree at members {sorted(result ^ u.peeled_closure(gens))}")
     return result
 
 
@@ -332,9 +342,11 @@ class TwoVertexReport:
     notes: str
 
 
+KRONECKER_SAMPLES = 4   # random (k, k) representations decomposed for each k
+
+
 def _kronecker_universe(q: ValuedQuiver, p: int, bound: int,
-                        rng: np.random.Generator,
-                        samples: int = 4) -> list[Representation]:
+                        rng: np.random.Generator) -> list[Representation]:
     """Bounded universe for the two-vertex two-arrow quiver.
 
     The translate orbits of the projectives and injectives are exact; the
@@ -361,7 +373,7 @@ def _kronecker_universe(q: ValuedQuiver, p: int, bound: int,
                 break
 
     for k in range(1, bound // 2 + 1):
-        for _ in range(samples):
+        for _ in range(KRONECKER_SAMPLES):
             cand = random_rep(q, p, (k, k), rng)
             try:
                 parts = decompose(cand, rng)
@@ -404,17 +416,7 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
 
     u = ModuleUniverse(q, p, tuple(_kronecker_universe(q, p, bound, rng)), rng)
     mods = u.modules
-    member_sets: dict[frozenset, frozenset] = {}
     covers: dict[frozenset, frozenset | None] = {}
-
-    def closure_set(gens: frozenset) -> frozenset:
-        # the sampled universe is not extension closed, so membership is the
-        # peeling test, never the fixpoint torsion_closure
-        if gens not in member_sets:
-            glist = [mods[g] for g in sorted(gens)]
-            member_sets[gens] = frozenset(
-                m for m in range(len(u)) if in_torsion_closure(glist, mods[m], u.hom))
-        return member_sets[gens]
 
     def prune(gens: frozenset) -> frozenset:
         """Drop generators generated by the others; same closure, far fewer
@@ -435,7 +437,7 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
             covers[cls] = frozenset(kept) if gen_closure(u, frozenset(kept)) == cls else None
         return covers[cls]
 
-    single = {i: closure_set(frozenset([i])) for i in range(len(u))}
+    single = {i: u.peeled_closure(frozenset([i])) for i in range(len(u))}
     classes = sorted(
         set(single.values()) | {frozenset(), frozenset(range(len(u)))},
         key=lambda s: (len(s), sorted(s)))
@@ -454,13 +456,13 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
             pairs += 1
             inter = t & s
             # the meet must be generated by its own members and have a cover
-            if closure_set(prune(inter)) != inter:
+            if u.peeled_closure(prune(inter)) != inter:
                 failures.append(("meet", sorted(t), sorted(s)))
                 continue
             if bounded_cover(inter) is None:
                 failures.append(("meet-cover", sorted(t), sorted(s)))
                 continue
-            join = closure_set(prune(gens_of[t] | gens_of[s]))
+            join = u.peeled_closure(prune(gens_of[t] | gens_of[s]))
             if not (t <= join and s <= join):
                 failures.append(("join", sorted(t), sorted(s)))
                 continue
@@ -522,8 +524,7 @@ def _relative_radical(M: Representation, cycle):
     return carve(M, spaces)
 
 
-def relative_loewy_length(M: Representation, cycle, rng,
-                          certify: bool = True) -> int:
+def relative_loewy_length(M: Representation, cycle, rng) -> int:
     """Steps of the relative radical series, with each layer certified to be
     a sum of cycle members."""
     steps = 0
@@ -533,7 +534,7 @@ def relative_loewy_length(M: Representation, cycle, rng,
         layer = carved.quot
         assert carved.sub.total < current.total, (
             "relative radical failed to shrink; module is not filtered by the cycle")
-        if certify and layer.total:
+        if layer.total:
             for part in decompose(layer, rng):
                 assert _iso_index(part, cycle, rng) is not None, (
                     f"layer summand {part.dims} is not a cycle member")

@@ -265,7 +265,7 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         "14c9a09566ef230e579e8796f1d0e55e3e79196c08f37d03b6135134de36026d",
         "d91383e18dda72a0abd90b614bdcb35237e6071cd7d815285691f005f3c48246",
         "4f0d7c20f8ca2bc4453094c607b62da3557163aefdf60f8136e13b7025a5a651",
-        "abaa284a08746b870d6f706b1b7f3205318aa45918f5e9bf0d4ea005f3ede53d",
+        "754c36db623d999f3fbc1d05d33a3ff5a5dcb4b17bf94378f181a0f18863bf5a",
         "9655f5b1fb36aeced76e5ba63c9261d4632001ec96dc9cd718da406b4c783cff",
         "b40264a1750e42db0fb8894959d8fb0f8d93d3a0dc759a3a7f8aa353d211159d",
     ]

@@ -267,6 +267,17 @@ def test_bad_prime(capsys):
     assert "prime" in err
 
 
+def test_internal_failure_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("hereditary identity violated")
+
+    monkeypatch.setattr("ftors.cli.find_ext_pair", broken)
+    code, out, err = run(capsys, "run", "extpair", A2TILDE)
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: AssertionError: hereditary identity violated\n"
+
+
 def test_out_flag_matches_stdout(tmp_path, capsys):
     _, out, _ = run(capsys, "classify", A2, "--format", "json")
     target = tmp_path / "report.json"

@@ -8,6 +8,9 @@ from the raw matrices, so its kernel and cokernel dimensions are independent
 of both the packaged intertwiner solver and the Euler-form shortcut.
 """
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,7 +46,7 @@ from ftors.modules import (
     trace_submodule,
     universal_extension,
 )
-from ftors.quiver import parse_quiver, reflect_at
+from ftors.quiver import load_quiver, parse_quiver, reflect_at
 from ftors.roots import coxeter_transform, euler_form
 from ftors.tors import in_gen_closure
 
@@ -52,6 +55,7 @@ A3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\n")
 D4 = parse_quiver("vertices 4\narrow 1 2\narrow 1 3\narrow 1 4\n")
 KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\n")
 TWO_ONE = parse_quiver("vertices 3\narrow 1 2\narrow 1 2\narrow 2 3\n")
+QDIR = Path(__file__).resolve().parent.parent / "quivers"
 
 
 def count_paths(q, src):
@@ -460,6 +464,57 @@ def test_ar_translate_fixes_homogeneous_regulars():
         R = make_rep(KRONECKER, 5, (1, 1), [np.array([[1]]), np.array([[lam]])])
         assert is_isomorphic(ar_translate(R), R, rng)
         assert is_isomorphic(ar_translate_inverse(R), R, rng)
+
+
+def _triangle_orientations():
+    """The six acyclic orientations of the triangle; the other two are
+    oriented cycles."""
+    out = []
+    for flips in itertools.product((False, True), repeat=3):
+        edges = [(b, a) if flip else (a, b) for (a, b), flip in zip(((1, 2), (2, 3), (1, 3)), flips)]
+        if sorted(edges) in ([(1, 2), (2, 3), (3, 1)], [(1, 3), (2, 1), (3, 2)]):
+            continue
+        out.append(parse_quiver("vertices 3\n" + "".join(f"arrow {a} {b}\n" for a, b in edges)))
+    return out
+
+
+AR_FORMULA_FILES = ("a5cycle.txt", "kronecker.txt", "twoone.txt")
+
+
+@pytest.mark.parametrize(
+    "q", _triangle_orientations() + [load_quiver(str(QDIR / name)) for name in AR_FORMULA_FILES],
+    ids=[f"triangle{k}" for k in range(6)] + [name[:-4] for name in AR_FORMULA_FILES])
+def test_ar_formula(q):
+    """Hom(N, tau M) = Ext(M, N) and Hom(tau^- M, N) = Ext(N, M) for every
+    pair of sampled modules: the summands of random representations, the
+    simples and the all-ones module.  On the triangle a translate without the
+    sign twist breaks the first identity for homogeneous modules.  A random
+    representation that decompose cannot split with certainty is skipped."""
+    p = 5
+    rng = np.random.default_rng(109)
+    mods = [simple(q, p, v) for v in range(q.n)]
+    mods.append(make_rep(q, p, (1,) * q.n, [np.ones((1, 1), dtype=np.int64)] * q.m))
+    for _ in range(4):
+        try:
+            mods += decompose(random_rep(q, p, rng.integers(1, 3, q.n), rng), rng)
+        except modules.DecompositionInconclusive:
+            pass
+    zero = modules.zero_rep(q, p)
+    for M in mods:
+        if is_projective_rep(M):
+            with pytest.raises(ValueError):
+                ar_translate(M)
+            tau = zero
+        else:
+            tau = ar_translate(M)
+        try:
+            tau_inv = ar_translate_inverse(M)
+        except ValueError:
+            assert is_projective_rep(dual(M)), "only injective modules lack TrD"
+            tau_inv = zero
+        for N in mods:
+            assert hom_dim(N, tau) == ext_dim(M, N), (M.dims, N.dims)
+            assert hom_dim(tau_inv, N) == ext_dim(N, M), (M.dims, N.dims)
 
 
 def test_normalize_drops_generated_summands():
