@@ -31,6 +31,7 @@ from .modules import (
     DecompositionInconclusive,
     ExtensionCapError,
     Representation,
+    VerificationError,
     ar_translate,
     ar_translate_inverse,
     decompose,

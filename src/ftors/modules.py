@@ -3,8 +3,9 @@
 A representation stores one matrix per arrow, shaped (dim at target, dim at
 source), over an explicitly carried prime modulus.  On top of that sit the
 exact workhorses: Hom spaces by intertwiner systems, Ext dimensions through
-the hereditary identity, trace submodules and generation tests, randomized
-Fitting decomposition with an honest inconclusive outcome, normalization,
+the hereditary identity, trace submodules and generation tests, Fitting
+decomposition that proves locality from a basis of End(M) and samples only
+to search for a split, with an honest inconclusive outcome, normalization,
 reflection functors, the translates DTr and TrD as Coxeter functors twisted
 by the sign automorphism that negates every arrow, universal extensions by
 simples, and enumeration of extension middle terms.
@@ -36,7 +37,24 @@ from .roots import euler_form
 
 
 class DecompositionInconclusive(RuntimeError):
-    """The splitting budget ran out without a local-ring certificate."""
+    """The splitting budget ran out without a split or a proof of locality.
+
+    The exact proof covers every indecomposable M with End(M)/rad = F_p and
+    dim End(M) within the budget, so this is raised only when some sample
+    had no eigenvalue in F_p: End(M)/rad is then a proper extension field of
+    F_p, or M decomposes but no sample within the budget split it.
+    """
+
+
+class VerificationError(RuntimeError):
+    """A check behind a computed certificate failed."""
+
+
+def require(cond, msg: str) -> None:
+    """Raise VerificationError(msg) unless cond holds; unlike assert, this
+    check survives python -O."""
+    if not cond:
+        raise VerificationError(msg)
 
 
 class ExtensionCapError(RuntimeError):
@@ -398,14 +416,18 @@ def _complement(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     The complement is spanned by standard basis vectors; the section c embeds
     it and proj is the matching projection, so proj @ basis = 0 and
-    proj @ c = 1.
+    proj @ c = 1.  One elimination of [basis | I] gives both: its pivots past
+    the basis pick the standard vectors, and its right block is the inverse
+    of [basis | c], whose rows below the basis are the projection.
     """
     d, k = basis.shape
+    r, _, pivots = la.rref(np.hstack([basis, la.identity(d)]), p)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("basis columns are not independent")
     c = la.zeros(d, d - k)
-    for j, idx in enumerate(la.complement_indices(basis, p)):
-        c[idx, j] = 1
-    inv, _ = la.solve(np.hstack([basis, c]), la.identity(d), p)
-    return c, inv[k:, :]
+    for j, col in enumerate(pivots[k:]):
+        c[col - k, j] = 1
+    return c, r[k:, k:]
 
 
 def carve(M: Representation, spaces) -> Subquotient:
@@ -494,6 +516,32 @@ def _endo_power(f, n: int, p: int):
     return out
 
 
+def _nilpotent_algebra(gens, p: int) -> bool:
+    """Whether the endomorphisms gens generate a nilpotent algebra.
+
+    W runs through echelon bases of the powers J, J^2, ... of J = span(gens):
+    J^(k+1) is spanned by the products w after n, w in J^k and n in J.  An
+    algebra of n x n matrices is nilpotent exactly when J^n = 0, so W reaches
+    zero within n rounds or never.
+    """
+    if not gens:
+        return True
+    shapes = [m.shape for m in gens[0]]
+    cuts = np.cumsum([a * b for a, b in shapes])[:-1]
+
+    def echelon(morphisms):
+        r, rk, _ = la.rref(np.vstack([morphism_flat(f) for f in morphisms]), p)
+        return [tuple(m.reshape(shape) for m, shape in zip(np.split(row, cuts), shapes))
+                for row in r[:rk]]
+
+    span = w = echelon(gens)
+    for _ in range(sum(a for a, _ in shapes)):
+        if not w:
+            return True
+        w = echelon([compose(x, n, p) for x in w for n in span])
+    return not w
+
+
 def _fitting_split(M: Representation, g) -> tuple[Representation, Representation] | None:
     """Split M along ker g^N + im g^N; None when g is nilpotent or invertible."""
     p = M.p
@@ -505,7 +553,7 @@ def _fitting_split(M: Representation, g) -> tuple[Representation, Representation
         return None
     part1 = carve(M, ker_spaces).sub
     part2 = carve(M, [la.column_space_basis(gn[v], p) for v in range(M.quiver.n)]).sub
-    assert part1.total + part2.total == M.total
+    require(part1.total + part2.total == M.total, "Fitting parts do not add up to the module")
     return part1, part2
 
 
@@ -513,12 +561,18 @@ def decompose(M: Representation, rng: np.random.Generator,
               budget: int = DECOMPOSE_BUDGET) -> list[Representation]:
     """Full direct-sum decomposition into indecomposables.
 
-    Randomized Fitting: each sampled endomorphism phi is shifted by every
-    scalar; a shift with a nontrivial stable kernel splits the module.  A
-    module is declared indecomposable only when every sample within the
-    budget was invertible-or-nilpotent after some scalar shift (the local
-    certificate: everything sampled is scalar plus nilpotent).  A sample with
-    no eigenvalue in F_p and no split leaves the call inconclusive, which is
+    Fitting's lemma: an endomorphism phi is shifted by every scalar in turn,
+    and the first singular shift either splits M along its stable kernel and
+    image or is nilpotent.  The canonical basis b_1..b_d of End(M) is
+    examined first.  When every b_i has an eigenvalue l_i in F_p and none
+    splits, the nilpotent shifts b_i - l_i span J with End(M) = F_p + J; if
+    J generates a nilpotent algebra, that algebra is an ideal of codimension
+    one, so End(M) is local and M is indecomposable: an exact proof.  It
+    applies exactly when End(M)/rad = F_p and d is within the budget.
+    Otherwise random endomorphisms
+    search for a split, up to the budget.  A module whose samples all had an
+    eigenvalue and none split is declared indecomposable; a sample with no
+    eigenvalue in F_p and no split leaves the call inconclusive, which is
     reported rather than guessed.
     """
     if M.total == 0:
@@ -531,13 +585,14 @@ def decompose(M: Representation, rng: np.random.Generator,
     p = M.p
     basis = end.basis[:budget]
     # every random coefficient vector is drawn up front, as many as the budget
-    # needs, so the random stream does not depend on where a split is found;
-    # a sample is built only when its turn comes
+    # needs, so the random stream does not depend on where a split is found
+    # or whether locality is proved; a sample is built only when its turn comes
     draws = [rng.integers(0, p, size=end.dim) for _ in range(budget - len(basis))]
     samples = itertools.chain(basis, map(end.element, draws))
     ids = [la.identity(d) for d in M.dims]
     certificate_ok = True
-    for phi in samples:
+    nilpotents = []
+    for k, phi in enumerate(samples, 1):
         eig_seen = False
         for lam in range(p):
             shifted = tuple((f - lam * i) % p for f, i in zip(phi, ids))
@@ -547,9 +602,15 @@ def decompose(M: Representation, rng: np.random.Generator,
             split = _fitting_split(M, shifted)
             if split is not None:
                 return decompose(split[0], rng, budget) + decompose(split[1], rng, budget)
+            if k <= end.dim and any(m.any() for m in shifted):
+                nilpotents.append(shifted)
             break   # nilpotent shift: phi is scalar plus nilpotent
         if not eig_seen:
             certificate_ok = False
+        # one nilpotent shift needs no products: the split test showed it nilpotent
+        if k == end.dim and certificate_ok and (
+                len(nilpotents) <= 1 or _nilpotent_algebra(nilpotents, p)):
+            return [M]
     if certificate_ok:
         return [M]
     raise DecompositionInconclusive(

@@ -51,6 +51,7 @@ from .modules import (
     middle_terms,
     projective,
     random_rep,
+    require,
     trace_submodule,
     zero_rep,
 )
@@ -532,12 +533,12 @@ def relative_loewy_length(M: Representation, cycle, rng) -> int:
     while current.total > 0:
         carved = _relative_radical(current, cycle)
         layer = carved.quot
-        assert carved.sub.total < current.total, (
-            "relative radical failed to shrink; module is not filtered by the cycle")
+        require(carved.sub.total < current.total,
+                "relative radical failed to shrink; module is not filtered by the cycle")
         if layer.total:
             for part in decompose(layer, rng):
-                assert _iso_index(part, cycle, rng) is not None, (
-                    f"layer summand {part.dims} is not a cycle member")
+                require(_iso_index(part, cycle, rng) is not None,
+                        f"layer summand {part.dims} is not a cycle member")
         current = carved.sub
         steps += 1
     return steps
@@ -627,7 +628,7 @@ def serial_filtration_object(fu: FiltrationUniverse, top_index: int,
             if relative_loewy_length(E, cycle, rng) == length - k:
                 pick = E
                 break
-        assert pick is not None, "no serial middle found"
+        require(pick is not None, "no serial middle found")
         current = pick
     return current
 

@@ -1,6 +1,9 @@
 """The command line surface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from ftors.modules import rep_from_json
 from ftors.ext_pairs import verify_ext_pair
 from ftors.quiver import load_quiver
 
-QDIR = Path(__file__).resolve().parent.parent / "quivers"
+ROOT = Path(__file__).resolve().parent.parent
+QDIR = ROOT / "quivers"
 A2 = str(QDIR / "a2.txt")
 A3 = str(QDIR / "a3.txt")
 KRONECKER = str(QDIR / "kronecker.txt")
@@ -276,6 +280,24 @@ def test_internal_failure_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err == "internal error: AssertionError: hereditary identity violated\n"
+
+
+def test_nocover_checks_survive_python_O():
+    """With the cycle-member test of the Loewy layers broken, the nocover
+    certificate fails its layer check and exits 5, also under python -O,
+    which strips assert statements."""
+    script = ("import sys\n"
+              "from ftors import cli, tors\n"
+              "tors._iso_index = lambda *args, **kwargs: None\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, "run", "nocover", A2TILDE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: VerificationError: layer summand ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):

@@ -17,6 +17,7 @@ import pytest
 from ftors import linalg as la
 from ftors import modules
 from ftors.modules import (
+    DecompositionInconclusive,
     ExtensionCapError,
     ar_translate,
     ar_translate_inverse,
@@ -48,7 +49,8 @@ from ftors.modules import (
 )
 from ftors.quiver import load_quiver, parse_quiver, reflect_at
 from ftors.roots import coxeter_transform, euler_form
-from ftors.tors import in_gen_closure
+from ftors.tors import filtration_universe, in_gen_closure
+from ftors.tubes import find_regular_simples
 
 A2 = parse_quiver("vertices 2\narrow 1 2\n")
 A3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\n")
@@ -316,6 +318,170 @@ def test_decompose_draws_its_whole_budget(monkeypatch):
             for _ in range(max(budget - d, 0) if d > 1 else 0):
                 replay.integers(0, N.p, size=d)
         assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def reference_decompose(M, rng, budget=modules.DECOMPOSE_BUDGET):
+    """The sampling loop decompose ran before it proved locality from a
+    basis of End(M), kept as the reference: a module is declared
+    indecomposable only once every sample within the budget had an
+    eigenvalue in F_p and none split it."""
+    if M.total == 0:
+        return []
+    if M.total == 1:
+        return [M]
+    end = hom_basis(M, M)
+    if end.dim == 1:
+        return [M]
+    p = M.p
+    basis = end.basis[:budget]
+    draws = [rng.integers(0, p, size=end.dim) for _ in range(budget - len(basis))]
+    ids = [la.identity(d) for d in M.dims]
+    certificate_ok = True
+    for phi in itertools.chain(basis, map(end.element, draws)):
+        eig_seen = False
+        for lam in range(p):
+            shifted = tuple((f - lam * i) % p for f, i in zip(phi, ids))
+            if all(la.is_invertible(m, p) for m in shifted):
+                continue
+            eig_seen = True
+            split = modules._fitting_split(M, shifted)
+            if split is not None:
+                return (reference_decompose(split[0], rng, budget)
+                        + reference_decompose(split[1], rng, budget))
+            break
+        if not eig_seen:
+            certificate_ok = False
+    if certificate_ok:
+        return [M]
+    raise DecompositionInconclusive(f"budget {budget} exhausted on dims {M.dims}")
+
+
+def glued(A, B, rng):
+    """A random extension of B by A: block upper-triangular arrow matrices."""
+    q, p = A.quiver, A.p
+    mats = []
+    for k, a in enumerate(q.arrows):
+        corner = la.random_matrix(A.dims[a.target], B.dims[a.source], p, rng)
+        mats.append(np.block([[A.mats[k], corner],
+                              [la.zeros(B.dims[a.target], A.dims[a.source]), B.mats[k]]]))
+    return make_rep(q, p, [a + b for a, b in zip(A.dims, B.dims)], mats)
+
+
+def test_nilpotent_algebra_needs_products():
+    """E12 and E21 are nilpotent, but E12 E21 = E11 is idempotent, so their
+    span generates no nilpotent algebra; strictly upper-triangular blocks
+    always do."""
+    e12, e21 = np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])
+    assert not modules._nilpotent_algebra([(e12,), (e21,)], 5)
+    assert not modules._nilpotent_algebra([(la.zeros(0, 0), e12), (la.zeros(0, 0), e21)], 5)
+    assert modules._nilpotent_algebra([(e12,)], 5)
+    rng = np.random.default_rng(67)
+    for _ in range(60):
+        sizes = rng.integers(0, 5, size=int(rng.integers(1, 4)))
+        gens = [tuple(np.triu(la.random_matrix(n, n, 5, rng), 1) for n in sizes)
+                for _ in range(int(rng.integers(1, 5)))]
+        assert modules._nilpotent_algebra(gens, 5)
+
+
+def local_endomorphism_rings():
+    """Indecomposables whose endomorphism ring is local but not a field:
+    the Kronecker module (k^2, k^2; I, J_2(2)) and the regular uniserials
+    of the a2tilde tube of rank 2 that filtration_universe finds."""
+    kron = make_rep(KRONECKER, 5, (2, 2), [la.identity(2), [[2, 1], [0, 2]]])
+    rng = np.random.default_rng(0)
+    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5, rng)[0]
+    uniserials = [o.module for o in filtration_universe(tube.simples, 4, rng).objects
+                  if o.module.dims in ((1, 2, 1), (2, 1, 2), (2, 2, 2))]
+    assert sorted(M.dims for M in uniserials) == [(1, 2, 1), (2, 1, 2), (2, 2, 2), (2, 2, 2)]
+    return [kron] + uniserials
+
+
+def test_decompose_proves_locality_from_a_basis_of_end(monkeypatch):
+    """An indecomposable with End/rad = F_p is proved local after one Fitting
+    test per basis element; the coefficient vectors are drawn anyway."""
+    modules_with_local_end = local_endomorphism_rings()
+    splits = []
+    real = modules._fitting_split
+
+    def counting(M, g):
+        splits.append(M)
+        return real(M, g)
+
+    monkeypatch.setattr(modules, "_fitting_split", counting)
+    for M in modules_with_local_end:
+        d = hom_dim(M, M)
+        assert d >= 2
+        splits.clear()
+        rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+        parts = decompose(M, rng)
+        assert len(parts) == 1 and parts[0] is M
+        assert len(splits) <= d
+        for _ in range(modules.DECOMPOSE_BUDGET - d):
+            replay.integers(0, M.p, size=d)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["kronecker", "a2tilde", "twothree"])
+def test_decompose_agrees_with_the_sampling_reference(name):
+    """Random representations and random extensions (half of them
+    self-extensions, which often have a local endomorphism ring of dimension
+    two or more): the same summands, array for array, the same inconclusive
+    inputs and the same random stream as the reference."""
+    q = load_quiver(QDIR / f"{name}.txt")
+    gen = np.random.default_rng(73)
+
+    def draw(p):
+        return random_rep(q, p, gen.integers(0, 3, q.n), gen)
+
+    for p in (3, 5):
+        for trial in range(50):
+            if trial % 2:
+                A = draw(p)
+                M = glued(A, A if gen.integers(2) else draw(p), gen)
+            else:
+                M = random_rep(q, p, gen.integers(0, 4, q.n), gen)
+            seed = int(gen.integers(1 << 30))
+            outcomes = []
+            for fn in (decompose, reference_decompose):
+                rng = np.random.default_rng(seed)
+                try:
+                    parts = [(P.dims, [m.tolist() for m in P.mats]) for P in fn(M, rng)]
+                except DecompositionInconclusive:
+                    parts = None
+                outcomes.append((parts, rng.bit_generator.state))
+            assert outcomes[0] == outcomes[1], (p, M.dims)
+
+
+def test_complement_is_one_elimination(monkeypatch):
+    """Section and projection equal the two-step build (complement indices,
+    then the inverse of [basis | c]) from a single rref call."""
+    rng = np.random.default_rng(79)
+    real = la.rref
+    calls = []
+
+    def counting(a, p):
+        calls.append(np.shape(a))
+        return real(a, p)
+
+    monkeypatch.setattr(la, "rref", counting)
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            d = int(rng.integers(0, 6))
+            k = int(rng.integers(0, d + 1))
+            basis = la.random_matrix(d, k, p, rng)
+            if la.rank(basis, p) < k:
+                continue
+            calls.clear()
+            c, proj = modules._complement(basis, p)
+            assert len(calls) == 1
+            ref_c = la.zeros(d, d - k)
+            for j, idx in enumerate(la.complement_indices(basis, p)):
+                ref_c[idx, j] = 1
+            inv, _ = la.solve(np.hstack([basis, ref_c]), la.identity(d), p)
+            assert np.array_equal(c, ref_c)
+            assert np.array_equal(proj, inv[k:, :])
+    with pytest.raises(ValueError, match="not independent"):
+        modules._complement(np.array([[1, 2], [2, 4]]), 5)
 
 
 def test_is_isomorphic_detects_base_change_and_rejects_fakes():
