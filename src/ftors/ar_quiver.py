@@ -3,7 +3,8 @@
 The AR quiver is knitted from the indecomposable projectives by repeatedly
 applying the inverse translate, in topological order, until the injectives
 are reached.  Every indecomposable appears exactly once and its dimension
-vector is a positive root; both facts are asserted, not assumed.
+vector is a positive root; both facts are checked, not assumed.  Every
+check here raises VerificationError, so it also runs under python -O.
 
 Irreducible-map multiplicities are computed honestly as dim rad / rad^2 of
 the Hom spaces, not read off mesh shapes, and the mesh dimension identity is
@@ -26,6 +27,7 @@ from .modules import (
     injective,
     morphism_flat,
     projective,
+    require,
 )
 from .quiver import ValuedQuiver, classify_type, topological_order
 from .roots import positive_roots
@@ -82,8 +84,8 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
 
     def add(module: Representation, orbit: int, power: int) -> int:
         dims = module.dims
-        assert dims in root_set, f"knitted dims {dims} is not a positive root"
-        assert dims not in by_dims, f"duplicate indecomposable at {dims}"
+        require(dims in root_set, f"knitted dims {dims} is not a positive root")
+        require(dims not in by_dims, f"duplicate indecomposable at {dims}")
         idx = len(nodes)
         nodes.append(ARNode(idx, module, orbit, power))
         by_dims[dims] = idx
@@ -112,9 +114,10 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
             nxt.append(new)
         frontier = nxt
 
-    assert len(nodes) == len(roots), (
-        f"knitted {len(nodes)} indecomposables but found {len(roots)} positive roots")
-    assert len(injectives_found) == q.n
+    require(len(nodes) == len(roots),
+            f"knitted {len(nodes)} indecomposables but found {len(roots)} positive roots")
+    require(len(injectives_found) == q.n,
+            f"knitting reached {len(injectives_found)} of {q.n} injectives")
     injectives = [injectives_found[v] for v in range(q.n)]
 
     hom_table: dict[tuple[int, int], HomSpace] = {}
@@ -125,7 +128,7 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
         return hom_table[(i, j)]
 
     for i in range(len(nodes)):
-        assert homs(i, i).dim == 1, "indecomposables must be bricks here"
+        require(homs(i, i).dim == 1, f"knitted module {nodes[i].dims} is not a brick")
 
     # irreducible maps: multiplicity = dim rad(X, Y) - dim rad^2(X, Y);
     # between nonisomorphic indecomposables rad is all of Hom, and rad(X, X)
@@ -150,7 +153,7 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
                         comps.append(morphism_flat(compose(g, f, p)))
             r2 = rank(np.stack(comps, axis=1), p) if comps else 0
             mult = h.dim - r2
-            assert mult >= 0
+            require(mult >= 0, f"negative multiplicity {mult} from node {i} to node {j}")
             if mult > 0:
                 arrows[(i, j)] = mult
 
@@ -167,8 +170,8 @@ def _check_meshes(ar: ARQuiver) -> None:
         for (i, j), mult in ar.arrows.items():
             if j == y:
                 mid += mult * np.array(ar.nodes[i].dims)
-        assert np.array_equal(lhs, mid), (
-            f"mesh at node {y}: {tuple(lhs)} != {tuple(mid)}")
+        require(np.array_equal(lhs, mid),
+                f"mesh at node {y}: {tuple(lhs)} != {tuple(mid)}")
 
 
 def indecomposable_for_root(ar: ARQuiver, root) -> Representation:

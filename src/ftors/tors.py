@@ -16,6 +16,14 @@ reaches zero, because traces are generated quotients and torsion classes are
 closed under extensions upward along the peeled chain.  The bounded
 two-vertex check and the filtration evidence are built on that test.
 
+Taking the torsion closure T is monotone: K ⊆ G gives T(K) ⊆ T(G).  A
+universe caches each peeled closure as exactly T(K) ∩ U, so for new
+generators G every cached T(K) with K ⊆ G lies inside the answer, and
+everything outside a cached T(K) that contains G lies outside it.  Only the
+members these bounds leave open are peeled.  The bounds are sound only
+because every cached value is exact; a value from a weaker test would carry
+its error into every later closure.
+
 Each ModuleUniverse keeps a table of the Hom spaces between its members,
 filled on first use (a finite universe starts with the table its knitting
 computed), so the generation tests and the first peeling step compute each
@@ -154,13 +162,36 @@ class ModuleUniverse:
     def peeled_closure(self, gens: frozenset) -> frozenset:
         """Members that the peeling test puts in the torsion closure of the
         given members.  Unlike torsion_closure it needs no extension-closed
-        universe, so the sampled universe of the bounded check uses it."""
-        if gens not in self._peeled:
-            glist = [self.modules[g] for g in sorted(gens)]
-            self._peeled[gens] = frozenset(
-                m for m in range(len(self))
-                if in_torsion_closure(glist, self.modules[m], self.hom))
-        return self._peeled[gens]
+        universe, so the sampled universe of the bounded check uses it.
+
+        T is monotone, so the cache bounds the answer: it contains every
+        cached T(K) with K ⊆ gens and misses every member outside a cached
+        T(K) that contains gens.  Only the members left open are peeled, in
+        index order; one found inside brings its cached T(m) along, and one
+        found outside rules out every j whose cached T(j) contains it.  The
+        bounds hold because each cached value is exactly T(K) ∩ U: only
+        peeled answers enter the cache.
+        """
+        if gens in self._peeled:
+            return self._peeled[gens]
+        everything = range(len(self))
+        inside, outside = set(gens), set()
+        for key, closed in self._peeled.items():
+            if key <= gens:
+                inside |= closed
+            if gens <= closed:
+                outside.update(m for m in everything if m not in closed)
+        single = {j: self._peeled.get(frozenset([j])) for j in everything}
+        glist = [self.modules[g] for g in sorted(gens)]
+        for m in everything:
+            if m in inside or m in outside:
+                continue
+            if in_torsion_closure(glist, self.modules[m], self.hom):
+                inside |= single[m] or {m}
+            else:
+                outside.update(j for j, s in single.items() if s is not None and m in s)
+        self._peeled[gens] = result = frozenset(inside)
+        return result
 
 
 def finite_universe(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ModuleUniverse:
@@ -210,8 +241,9 @@ def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
     result = frozenset(current)
     u._closure[gens] = result
     # the membership engine must agree with the fixpoint
-    assert result == u.peeled_closure(gens), (
-        f"closure engines disagree at members {sorted(result ^ u.peeled_closure(gens))}")
+    peeled = u.peeled_closure(gens)
+    require(result == peeled,
+            f"closure engines disagree at members {sorted(result ^ peeled)}")
     return result
 
 
@@ -222,7 +254,7 @@ def enumerate_torsion_classes(u: ModuleUniverse) -> list[frozenset]:
     member and closing stays inside the class and strictly grows.
     """
     empty = torsion_closure(u, frozenset())
-    assert empty == frozenset(), "the empty class must be closed"
+    require(empty == frozenset(), "the empty class must be closed")
     seen = {empty}
     queue = [empty]
     while queue:
@@ -385,6 +417,30 @@ def _kronecker_universe(q: ValuedQuiver, p: int, bound: int,
     return sorted(mods, key=lambda m: (m.total, m.dims))
 
 
+def _prune(u: ModuleUniverse, gens: frozenset) -> frozenset:
+    """Drop generators generated by the others; same closure, far fewer Hom
+    systems per membership test."""
+    mods = u.modules
+    kept: list[int] = []
+    for g in sorted(gens, key=lambda g: (-mods[g].total, mods[g].dims)):
+        if not kept or not u.generated(frozenset(kept), g):
+            kept.append(g)
+    return frozenset(kept)
+
+
+def _bounded_cover(u: ModuleUniverse, cls: frozenset) -> frozenset | None:
+    """Generator indices of a normal module generating exactly cls, if one
+    exists inside the bound.
+
+    cls must be a peeled closure T(G) ∩ U.  The kept generators lie in cls,
+    so everything they generate lies in T(kept) ∩ U ⊆ cls, and only the
+    members of cls need the generation test.
+    """
+    pruned = sorted(_prune(u, cls))
+    kept = frozenset(pruned[k] for k in _drop_generated([u.modules[g] for g in pruned], u.hom))
+    return kept if all(u.generated(kept, m) for m in cls) else None
+
+
 def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
                      rng: np.random.Generator) -> TwoVertexReport:
     """Meet/join consistency for torsion classes of a two-vertex algebra.
@@ -416,26 +472,11 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
             "no bounded certificate is attempted for a wild two-vertex algebra")
 
     u = ModuleUniverse(q, p, tuple(_kronecker_universe(q, p, bound, rng)), rng)
-    mods = u.modules
     covers: dict[frozenset, frozenset | None] = {}
 
-    def prune(gens: frozenset) -> frozenset:
-        """Drop generators generated by the others; same closure, far fewer
-        Hom systems per membership test."""
-        order = sorted(gens, key=lambda g: (-mods[g].total, mods[g].dims))
-        kept: list[int] = []
-        for g in order:
-            if not kept or not u.generated(frozenset(kept), g):
-                kept.append(g)
-        return frozenset(kept)
-
     def bounded_cover(cls: frozenset) -> frozenset | None:
-        """Generator indices of a normal module generating exactly cls, if
-        one exists inside the bound."""
         if cls not in covers:
-            pruned = sorted(prune(cls))
-            kept = [pruned[k] for k in _drop_generated([mods[g] for g in pruned], u.hom)]
-            covers[cls] = frozenset(kept) if gen_closure(u, frozenset(kept)) == cls else None
+            covers[cls] = _bounded_cover(u, cls)
         return covers[cls]
 
     single = {i: u.peeled_closure(frozenset([i])) for i in range(len(u))}
@@ -457,16 +498,13 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
             pairs += 1
             inter = t & s
             # the meet must be generated by its own members and have a cover
-            if u.peeled_closure(prune(inter)) != inter:
+            if u.peeled_closure(_prune(u, inter)) != inter:
                 failures.append(("meet", sorted(t), sorted(s)))
                 continue
             if bounded_cover(inter) is None:
                 failures.append(("meet-cover", sorted(t), sorted(s)))
                 continue
-            join = u.peeled_closure(prune(gens_of[t] | gens_of[s]))
-            if not (t <= join and s <= join):
-                failures.append(("join", sorted(t), sorted(s)))
-                continue
+            join = u.peeled_closure(_prune(u, gens_of[t] | gens_of[s]))
             if any(t <= c and s <= c and not join <= c for c in class_set):
                 failures.append(("join", sorted(t), sorted(s)))
                 continue

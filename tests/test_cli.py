@@ -282,22 +282,54 @@ def test_internal_failure_has_its_own_exit_code(capsys, monkeypatch):
     assert err == "internal error: AssertionError: hereditary identity violated\n"
 
 
-def test_nocover_checks_survive_python_O():
-    """With the cycle-member test of the Loewy layers broken, the nocover
-    certificate fails its layer check and exits 5, also under python -O,
-    which strips assert statements."""
+def run_optimized(patch: str, *argv) -> subprocess.CompletedProcess:
+    """Run the CLI under python -O, which strips assert statements, after
+    executing the given patch with cli, tors and ar_quiver imported."""
     script = ("import sys\n"
-              "from ftors import cli, tors\n"
-              "tors._iso_index = lambda *args, **kwargs: None\n"
+              "from ftors import ar_quiver, cli, tors\n"
+              f"{patch}\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run([sys.executable, "-O", "-c", script, "run", "nocover", A2TILDE],
+    return subprocess.run([sys.executable, "-O", "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_verification_failure(proc, prefix: str) -> None:
     assert proc.returncode == 5, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith("internal error: VerificationError: layer summand ")
+    assert proc.stderr.startswith("internal error: VerificationError: " + prefix)
     assert proc.stderr.count("\n") == 1
+
+
+def test_nocover_checks_survive_python_O():
+    """With the cycle-member test of the Loewy layers broken, the nocover
+    certificate fails its layer check and exits 5, also under python -O."""
+    proc = run_optimized("tors._iso_index = lambda *args, **kwargs: None",
+                         "run", "nocover", A2TILDE)
+    assert_verification_failure(proc, "layer summand ")
+
+
+def test_closure_agreement_survives_python_O():
+    """With the peeling engine dropping one member of each closure, the
+    fixpoint closure and the peeled closure disagree, and run tors exits 5."""
+    patch = ("real = tors.ModuleUniverse.peeled_closure\n"
+             "tors.ModuleUniverse.peeled_closure = "
+             "lambda self, gens: frozenset(sorted(real(self, gens))[1:])")
+    proc = run_optimized(patch, "run", "tors", A3)
+    assert_verification_failure(proc, "closure engines disagree at members ")
+
+
+@pytest.mark.parametrize("shift, prefix", [(1, "negative multiplicity "),
+                                           (-1, "mesh at node ")])
+def test_knitting_checks_survive_python_O(shift, prefix):
+    """A rank of rad^2 off by one shifts every multiplicity computed from
+    composites: one lower turns a pair with no irreducible map negative, one
+    higher breaks the mesh identity.  Either way run knit exits 5."""
+    patch = ("real = ar_quiver.rank\n"
+             f"ar_quiver.rank = lambda a, p: real(a, p) + {shift}")
+    proc = run_optimized(patch, "run", "knit", str(QDIR / "d4.txt"))
+    assert_verification_failure(proc, prefix)
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):

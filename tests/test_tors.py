@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ftors import ar_quiver, modules, tors
+from ftors.cli import main
 from ftors.ext_pairs import find_ext_pair
 from ftors.modules import (
     direct_sum,
@@ -380,3 +381,85 @@ def test_middle_terms_scans_pairs_that_are_not_orthogonal_bricks(monkeypatch):
     assert scanned == []
     assert len(mids) == 1 + lines(3, 3)
     assert pairwise_nonisomorphic(mids[1:], rng)
+
+
+# ---------------------------------------------------------------------------
+# audit of the monotone bounds of peeled_closure and of the bounded cover check
+
+A3_IN = parse_quiver("vertices 3\narrow 1 2\narrow 3 2\n")
+
+
+def reference_peeled_closure(u, gens) -> frozenset:
+    """The unbounded loop: peel every member."""
+    glist = [u.modules[g] for g in sorted(gens)]
+    return frozenset(m for m in range(len(u))
+                     if in_torsion_closure(glist, u.modules[m], u.hom))
+
+
+def reference_bounded_cover(u, cls):
+    """The cover check over the whole universe: the kept generators must
+    generate cls and nothing else."""
+    pruned = sorted(tors._prune(u, cls))
+    kept = frozenset(pruned[k] for k in modules._drop_generated(
+        [u.modules[g] for g in pruned], u.hom))
+    return kept if gen_closure(u, kept) == cls else None
+
+
+def assert_peeled_cache_exact(u):
+    assert u._peeled
+    for gens, closed in u._peeled.items():
+        assert closed == reference_peeled_closure(u, gens), sorted(gens)
+
+
+@pytest.mark.parametrize("bound, seed", [(8, 0), (12, 3)])
+def test_bounded_check_matches_unbounded_peeling(monkeypatch, bound, seed):
+    built, checked = [], []
+    real_cover = tors._bounded_cover
+
+    class Recorded(tors.ModuleUniverse):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    def recorded_cover(u, cls):
+        kept = real_cover(u, cls)
+        checked.append((cls, kept))
+        return kept
+
+    monkeypatch.setattr(tors, "ModuleUniverse", Recorded)
+    monkeypatch.setattr(tors, "_bounded_cover", recorded_cover)
+    report = two_vertex_check(KRONECKER, 5, bound, np.random.default_rng(seed))
+    assert report.verdict == "consistent"
+    [u] = built
+    assert_peeled_cache_exact(u)
+    # each class once, and meets and joins that are no single closure too
+    assert len(checked) == len({cls for cls, _ in checked}) > report.class_count
+    for cls, kept in checked:
+        assert kept == reference_bounded_cover(u, cls), sorted(cls)
+
+
+@pytest.mark.parametrize("q", [A3_LINE, A3_OUT, A3_IN, load_quiver(QDIR / "d4.txt")],
+                         ids=["a3-line", "a3-out", "a3-in", "d4"])
+def test_finite_peeled_closures_match_unbounded_peeling(q):
+    u = universe(q)
+    lattice_check(u, enumerate_torsion_classes(u))
+    assert_peeled_cache_exact(u)
+    assert set(u._peeled) == set(u._closure)
+
+
+def test_bounds_cut_the_peeling_of_the_bounded_check(monkeypatch, capsys):
+    """Peeling every member of every closure made 1678 calls here; the
+    monotone bounds leave 429."""
+    calls = Counter()
+    real = tors.in_torsion_closure
+
+    def counting(*args, **kwargs):
+        calls["in_torsion_closure"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tors, "in_torsion_closure", counting)
+    code = main(["run", "tors", str(QDIR / "kronecker.txt"),
+                 "--dim-bound", "8", "--seed", "0"])
+    assert code == 0
+    assert "verdict consistent" in capsys.readouterr().out
+    assert 0 < calls["in_torsion_closure"] <= 600
