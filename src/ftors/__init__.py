@@ -10,6 +10,7 @@ from .quiver import (
     QuiverError,
     QuiverType,
     ValuedQuiver,
+    VerificationError,
     classify_type,
     load_quiver,
     parse_quiver,
@@ -31,7 +32,6 @@ from .modules import (
     DecompositionInconclusive,
     ExtensionCapError,
     Representation,
-    VerificationError,
     ar_translate,
     ar_translate_inverse,
     decompose,

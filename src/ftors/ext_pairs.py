@@ -39,6 +39,7 @@ from .modules import (
     isotypic_socle,
     projective,
     reflection_functor_apply,
+    require,
     restrict_module,
     simple,
     universal_extension,
@@ -46,8 +47,10 @@ from .modules import (
 from .quiver import (
     Subquiver,
     ValuedQuiver,
+    _arms,
     classify_type,
     is_sink,
+    neighbors,
     reflect_at,
     subquiver_restrict,
     underlying_edges,
@@ -122,13 +125,27 @@ def verify_ext_pair(X: Representation, Y: Representation) -> ExtPairReport:
 # ---------------------------------------------------------------------------
 # graph utilities
 
-def _adjacency(q: ValuedQuiver) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(q.n)]
-    for pair, _ in underlying_edges(q):
-        u, v = sorted(pair)
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _shortest_path(adj, a: int, b: int, direct: bool = True) -> list[int] | None:
+    """A shortest path from a to b by breadth-first search in increasing
+    vertex order, not using the edge a - b itself unless direct; None when
+    there is no such path."""
+    prev = {a: -1}
+    queue = deque([a])
+    while queue:
+        x = queue.popleft()
+        if x == b:
+            break
+        for y in sorted(adj[x]):
+            if y in prev or (not direct and x == a and y == b):
+                continue
+            prev[y] = x
+            queue.append(y)
+    if b not in prev:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def shortest_cycle(q: ValuedQuiver) -> list[int] | None:
@@ -136,29 +153,11 @@ def shortest_cycle(q: ValuedQuiver) -> list[int] | None:
 
     Shortest cycles are chordless.  Returns None when the graph is a tree.
     """
-    adj = _adjacency(q)
+    adj = neighbors(q)
     best: list[int] | None = None
     for pair, _ in underlying_edges(q):
-        u, v = sorted(pair)
-        # BFS from u to v avoiding the direct edge
-        prev = {u: -1}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y in sorted(adj[x]):
-                if y in prev or (x == u and y == v):
-                    continue
-                prev[y] = x
-                queue.append(y)
-        if v not in prev:
-            continue
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        cycle = path[::-1]
-        if best is None or len(cycle) < len(best):
+        cycle = _shortest_path(adj, *sorted(pair), direct=False)
+        if cycle is not None and (best is None or len(cycle) < len(best)):
             best = cycle
     if best is None:
         return None
@@ -194,7 +193,7 @@ def _arc_module(q: ValuedQuiver, p: int, arc: list[int]) -> Representation:
         k = _edge_arrows(q, prev, w)[0]
         where = "above" if q.arrows[k].source == w else "below"
         grown = universal_extension(M, w, where)
-        assert grown.dims[w] > 0, "universal extension failed to reach the new vertex"
+        require(grown.dims[w] > 0, "universal extension failed to reach the new vertex")
         M = grown
     return M
 
@@ -257,15 +256,16 @@ def _orient_path(sub: Subquiver, first: int, mid: int, last: int):
         seq.append(last)
     ks1 = _edge_arrows(cur, first, mid)
     ks2 = _edge_arrows(cur, mid, last)
-    assert all(cur.arrows[k].source == first for k in ks1)
-    assert all(cur.arrows[k].source == mid for k in ks2)
+    require(all(cur.arrows[k].source == first for k in ks1)
+            and all(cur.arrows[k].source == mid for k in ks2),
+            "reflections did not orient the path first -> mid -> last")
     return cur, seq
 
 
 def _transport_back(M: Representation, seq: list[int]) -> Representation:
     for v in reversed(seq):
-        assert M.dims != tuple(int(w == v) for w in range(M.quiver.n)), (
-            "cannot transport the reflected simple")
+        require(M.dims != tuple(int(w == v) for w in range(M.quiver.n)),
+                "cannot transport the reflected simple")
         M = reflection_functor_apply(M, v)
     return M
 
@@ -324,7 +324,7 @@ def _tame_subtree(q: ValuedQuiver) -> list[int] | None:
     vertices padded by one extra neighbor at each end; or a single branch
     vertex whose arms are trimmed to the smallest non-finite arm pattern.
     """
-    adj = _adjacency(q)
+    adj = neighbors(q)
     deg = [len(a) for a in adj]
     for v in range(q.n):
         if deg[v] >= 4:
@@ -333,37 +333,13 @@ def _tame_subtree(q: ValuedQuiver) -> list[int] | None:
     if len(branches) >= 2:
         a, b = branches[0], branches[1]
         # path from a to b plus one extra neighbor at each end
-        prev = {a: -1}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            if x == b:
-                break
-            for y in sorted(adj[x]):
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        path = path[::-1]
+        path = _shortest_path(adj, a, b)
         ends_a = sorted(w for w in adj[a] if w not in path)[:2]
         ends_b = sorted(w for w in adj[b] if w not in path)[:2]
         return sorted(set(path) | set(ends_a) | set(ends_b))
     if len(branches) == 1:
         c = branches[0]
-        arms = []
-        for w in sorted(adj[c]):
-            arm = [w]
-            prev = c
-            while True:
-                nxt = [x for x in sorted(adj[arm[-1]]) if x != prev]
-                if not nxt:
-                    break
-                prev = arm[-1]
-                arm.append(nxt[0])
-            arms.append(arm)
-        arms.sort(key=len)
+        arms = sorted(_arms(adj, c), key=len)
         la_, lb, lc = len(arms[0]), len(arms[1]), len(arms[2])
         if la_ >= 2:
             keep = arms[0][:2] + arms[1][:2] + arms[2][:2]
@@ -383,11 +359,11 @@ def construct_case1(q: ValuedQuiver, p: int, rng: np.random.Generator):
         raise ExtPairInconclusive("no tame induced subtree found")
     sub = subquiver_restrict(q, vs)
     qt = classify_type(sub.quiver)
-    assert qt.family == "euclidean", f"subtree classified as {qt.display()}"
+    require(qt.family == "euclidean", f"subtree classified as {qt.display()}")
     from .tubes import find_regular_simples, tube_mouth_pair
 
     tubes = find_regular_simples(sub.quiver, p, rng)
-    assert tubes, "a tame tree algebra must have exceptional tubes"
+    require(tubes, "a tame tree algebra must have exceptional tubes")
     x_local, y_local = tube_mouth_pair(tubes[0], rng)
     X = extend_by_zero(x_local, sub)
     Y = extend_by_zero(y_local, sub)
@@ -425,16 +401,14 @@ def find_ext_pair(q: ValuedQuiver, p: int,
     if cycle is not None:
         X, Y, detail = construct_case2(q, p, cycle)
         report = verify_ext_pair(X, Y)
-        assert report.ok, f"case 2 verification failed: {report.failures}"
+        require(report.ok, f"case 2 verification failed: {report.failures}")
         return ExtPairCertificate(2, X, Y, report, detail)
 
     multi = [tuple(sorted(pair)) for pair, ks in underlying_edges(q) if len(ks) >= 2]
     if multi:
-        adj = _adjacency(q)
+        adj = neighbors(q)
         for u, v in sorted(multi):
-            thirds = sorted(
-                w for w in (adj[u] | adj[v]) - {u, v}
-                if (w in adj[u]) != (w in adj[v]))
+            thirds = sorted((adj[u] ^ adj[v]) - {u, v})
             for w in thirds:
                 mid = u if w in adj[u] else v
                 far = v if mid == u else u
@@ -455,12 +429,12 @@ def find_ext_pair(q: ValuedQuiver, p: int,
                     x_o, y_o, detail = construct_case4(oriented, p, s_first, s_mid, s_last, rng)
                 x_local = _transport_back(x_o, seq)
                 y_local = _transport_back(y_o, seq)
-                assert x_local.quiver == sub.quiver
-                assert y_local.quiver == sub.quiver
+                require(x_local.quiver == sub.quiver and y_local.quiver == sub.quiver,
+                        "transport did not return to the input orientation")
                 X = extend_by_zero(x_local, sub)
                 Y = extend_by_zero(y_local, sub)
                 report = verify_ext_pair(X, Y)
-                assert report.ok, f"case {case} verification failed: {report.failures}"
+                require(report.ok, f"case {case} verification failed: {report.failures}")
                 detail = dict(detail)
                 detail["support"] = [x + 1 for x in sorted((u, v, w))]
                 detail["reflections"] = [sub.old_vertex(s) + 1 for s in seq]
@@ -470,5 +444,5 @@ def find_ext_pair(q: ValuedQuiver, p: int,
 
     X, Y, detail = construct_case1(q, p, rng)
     report = verify_ext_pair(X, Y)
-    assert report.ok, f"case 1 verification failed: {report.failures}"
+    require(report.ok, f"case 1 verification failed: {report.failures}")
     return ExtPairCertificate(1, X, Y, report, detail)

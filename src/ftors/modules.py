@@ -31,6 +31,7 @@ from .quiver import (
     reflect_with_perm,
     sorted_with_perm,
     topological_order,
+    require,
     Subquiver,
 )
 from .roots import euler_form
@@ -44,17 +45,6 @@ class DecompositionInconclusive(RuntimeError):
     had no eigenvalue in F_p: End(M)/rad is then a proper extension field of
     F_p, or M decomposes but no sample within the budget split it.
     """
-
-
-class VerificationError(RuntimeError):
-    """A check behind a computed certificate failed."""
-
-
-def require(cond, msg: str) -> None:
-    """Raise VerificationError(msg) unless cond holds; unlike assert, this
-    check survives python -O."""
-    if not cond:
-        raise VerificationError(msg)
 
 
 class ExtensionCapError(RuntimeError):
@@ -353,7 +343,7 @@ def ext_dim(X: Representation, Y: Representation, hom=None) -> int:
     """
     h = hom_dim(X, Y) if hom is None else hom(X, Y).dim
     e = h - euler_form(X.quiver, X.dims, Y.dims)
-    assert e >= 0, "hereditary identity violated"
+    require(e >= 0, "hereditary identity violated")
     return e
 
 
@@ -777,7 +767,7 @@ def projective_cover(M: Representation):
             comps.append(v)
             tops.append(vec)
     if not comps:
-        assert M.total == 0
+        require(M.total == 0, "a module with no top must be zero")
         return zero_rep(q, p), [], identity_morphism(M)
     parts = [projective(q, p, v) for v in comps]
     p0 = direct_sum(parts)
@@ -791,7 +781,7 @@ def projective_cover(M: Representation):
                 col += 1
         g.append(m)
     for w in range(q.n):
-        assert la.rank(g[w], p) == M.dims[w], "projective cover fails to surject"
+        require(la.rank(g[w], p) == M.dims[w], "projective cover fails to surject")
     return p0, comps, tuple(g)
 
 
@@ -813,7 +803,7 @@ def _minimal_presentation(M: Representation):
     p1, _, h = projective_cover(ker.sub)
     # h surjects and the inclusion of the kernel is injective, so f is
     # injective exactly when P1 and the kernel have the same dimensions
-    assert p1.dims == ker.sub.dims, "presentation map must be injective"
+    require(p1.dims == ker.sub.dims, "presentation map must be injective")
     return p0, p1, compose(ker.incl, h, p)
 
 
@@ -885,7 +875,7 @@ def _universal_extension_above(M: Representation, i: int) -> Representation:
             m = np.vstack([m, la.zeros(e, M.dims[ar.source])])
         new_mats.append(m)
     E = make_rep(q, p, dims, new_mats)
-    assert ext_dim(simple(q, p, i), E) == 0
+    require(ext_dim(simple(q, p, i), E) == 0, "universal extension above leaves an extension")
     return E
 
 
@@ -901,7 +891,8 @@ def universal_extension(M: Representation, i: int, where: str) -> Representation
     if where == "below":
         E = _universal_extension_above(dual(M), i)
         out = dual(E)
-        assert ext_dim(out, simple(M.quiver, M.p, i)) == 0
+        require(ext_dim(out, simple(M.quiver, M.p, i)) == 0,
+                "universal extension below leaves an extension")
         return out
     raise ValueError("where must be 'above' or 'below'")
 
@@ -951,7 +942,7 @@ def middle_terms(B: Representation, A: Representation, rng,
 
     h1 = hom_basis(p1, A)
     h0 = hom_basis(p0, A)
-    assert h1.dim >= e
+    require(h1.dim >= e, "fewer maps from P1 than extension classes")
     flat1 = np.stack([morphism_flat(fb) for fb in h1.basis], axis=1) if h1.dim else la.zeros(0, 0)
     pulled = []
     for eta in h0.basis:
@@ -962,7 +953,7 @@ def middle_terms(B: Representation, A: Representation, rng,
         coords = la.zeros(h1.dim, 0)
     img = la.column_space_basis(coords, p)
     reps_idx = la.complement_indices(img, p)
-    assert len(reps_idx) == e
+    require(len(reps_idx) == e, "extension classes do not match the Ext dimension")
 
     out = [split]
     kept: list[Representation] = []
@@ -975,7 +966,7 @@ def middle_terms(B: Representation, A: Representation, rng,
         # E is the cokernel of P1 -> A + P0, the pushout along xi
         jmap = [np.vstack([xi[v], (-f[v]) % p]) % p for v in range(q.n)]
         E = carve(target, jmap).quot
-        assert E.total == A.total + B.total
+        require(E.total == A.total + B.total, "middle term has the wrong dimension")
         if not dedup or _iso_index(E, kept, rng) is None:
             kept.append(E)
     return out + kept

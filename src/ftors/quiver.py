@@ -9,6 +9,13 @@ index matrices by arrow position.
 Path algebras are the quivers whose arrows all carry valuation (1, 1); parallel
 arrows are allowed and meaningful.  Valued arrows participate only in
 numerical (Euler-form level) computations.
+
+Each exact routine exists once: one elimination over the rationals
+(`gauss_jordan`, also used by the Coxeter inverses in `roots`), one
+topological sort (`_kahn`, which also detects oriented cycles), and one
+graph walk over one adjacency (`_spanning_tree` on `neighbors`, which checks
+connectivity and propagates the symmetrizer; `_arms` walks the arms of a
+tree for the type letters and the tame subtrees of `ext_pairs`).
 """
 
 from __future__ import annotations
@@ -17,11 +24,23 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from heapq import heappop, heappush
+from math import gcd, lcm
 
 
 class QuiverError(ValueError):
     """Malformed quiver input or a violated quiver precondition."""
+
+
+class VerificationError(RuntimeError):
+    """A check behind a computed certificate failed."""
+
+
+def require(cond, msg: str) -> None:
+    """Raise VerificationError(msg) unless cond holds; unlike assert, this
+    check survives python -O."""
+    if not cond:
+        raise VerificationError(msg)
 
 
 @dataclass(frozen=True, order=True)
@@ -58,8 +77,10 @@ class ValuedQuiver:
                 raise QuiverError(f"loop at vertex {ar.source + 1} is not allowed")
             if ar.a < 1 or ar.b < 1:
                 raise QuiverError(f"arrow {ar} has a non-positive valuation")
-        _check_acyclic(self.n, self.arrows)
-        _check_connected(self.n, self.arrows)
+        if len(_kahn(self.n, self.arrows)) != self.n:
+            raise QuiverError("the quiver has an oriented cycle")
+        if len(_spanning_tree(neighbors(self))) != self.n - 1:
+            raise QuiverError("the underlying graph is not connected")
 
     @property
     def m(self) -> int:
@@ -73,41 +94,6 @@ class ValuedQuiver:
 
     def reverse(self) -> "ValuedQuiver":
         return ValuedQuiver(self.n, tuple(ar.reversed() for ar in self.arrows), self.labels)
-
-
-def _check_acyclic(n: int, arrows) -> None:
-    indeg = [0] * n
-    for ar in arrows:
-        indeg[ar.target] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for ar in arrows:
-            if ar.source == v:
-                indeg[ar.target] -= 1
-                if indeg[ar.target] == 0:
-                    queue.append(ar.target)
-    if seen != n:
-        raise QuiverError("the quiver has an oriented cycle")
-
-
-def _check_connected(n: int, arrows) -> None:
-    adj = [set() for _ in range(n)]
-    for ar in arrows:
-        adj[ar.source].add(ar.target)
-        adj[ar.target].add(ar.source)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        raise QuiverError("the underlying graph is not connected")
 
 
 def sorted_with_perm(raw: list[Arrow]) -> tuple[tuple[Arrow, ...], list[int]]:
@@ -211,23 +197,75 @@ def quiver_to_json(q: ValuedQuiver) -> dict:
 # ---------------------------------------------------------------------------
 # combinatorial helpers
 
+def _kahn(n: int, arrows) -> list[int]:
+    """Kahn's topological sort, smallest available vertex first.
+
+    A vertex on an oriented cycle, or reachable from one, is never freed, so
+    the order is shorter than n exactly when the arrows contain a cycle.
+    """
+    indeg = [0] * n
+    heads: list[list[int]] = [[] for _ in range(n)]
+    for ar in arrows:
+        indeg[ar.target] += 1
+        heads[ar.source].append(ar.target)
+    avail = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while avail:
+        v = heappop(avail)
+        order.append(v)
+        for w in heads[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heappush(avail, w)
+    return order
+
+
 @cache
 def topological_order(q: ValuedQuiver) -> tuple[int, ...]:
-    indeg = [0] * q.n
+    return tuple(_kahn(q.n, q.arrows))
+
+
+def neighbors(q: ValuedQuiver) -> list[set[int]]:
+    """Adjacency sets of the underlying simple graph."""
+    adj: list[set[int]] = [set() for _ in range(q.n)]
     for ar in q.arrows:
-        indeg[ar.target] += 1
-    out = []
-    avail = sorted(v for v in range(q.n) if indeg[v] == 0)
-    while avail:
-        v = avail.pop(0)
-        out.append(v)
-        for ar in q.arrows:
-            if ar.source == v:
-                indeg[ar.target] -= 1
-                if indeg[ar.target] == 0:
-                    avail.append(ar.target)
-        avail.sort()
-    return tuple(out)
+        adj[ar.source].add(ar.target)
+        adj[ar.target].add(ar.source)
+    return adj
+
+
+def _spanning_tree(adj) -> list[tuple[int, int]]:
+    """Edges (parent, child) of a depth-first spanning tree of the component
+    of vertex 0, in discovery order."""
+    seen = {0}
+    stack = [0]
+    edges = []
+    while stack:
+        v = stack.pop()
+        for w in sorted(adj[v]):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+                edges.append((v, w))
+    return edges
+
+
+def _arms(adj, branch: int) -> list[list[int]] | None:
+    """The vertex path of each arm leaving a branch vertex of a tree, in the
+    order of the arms' first vertices; None when an arm forks."""
+    arms = []
+    for start in sorted(adj[branch]):
+        arm, prev = [start], branch
+        while True:
+            nxt = [w for w in adj[arm[-1]] if w != prev]
+            if len(nxt) > 1:
+                return None
+            if not nxt:
+                break
+            prev = arm[-1]
+            arm.append(nxt[0])
+        arms.append(arm)
+    return arms
 
 
 @cache
@@ -300,55 +338,52 @@ class QuiverType:
         return f"{self.letter}~{self.rank}"
 
 
-def _det_int(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a small integer matrix."""
-    m = [row[:] for row in m]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
+def gauss_jordan(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: the nonzero rows and
+    their pivot columns."""
+    m = [row[:] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][col]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
 
 
 def _rational_kernel(c: list[list[int]]) -> list[list[Fraction]]:
     """Exact kernel basis of a small integer matrix, over the rationals."""
-    n = len(c)
-    m = [[Fraction(x) for x in row] for row in c]
-    ncols = n
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if pr is None:
-            continue
-        m[row], m[pr] = m[pr], m[row]
-        piv = m[row][col]
-        m[row] = [x / piv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    free = [c_ for c_ in range(ncols) if c_ not in pivots]
+    ncols = len(c[0])
+    rows, pivots = gauss_jordan([[Fraction(x) for x in row] for row in c])
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][f]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[f]
         basis.append(vec)
     return basis
+
+
+def _primitive(vec) -> list[int]:
+    """The primitive integer multiple of a nonzero rational vector whose
+    first nonzero entry is positive."""
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
 def _symmetrized(q: ValuedQuiver) -> list[list[int]]:
@@ -363,27 +398,14 @@ def _symmetrized(q: ValuedQuiver) -> list[list[int]]:
     for ar in q.arrows:
         aij[ar.source][ar.target] += ar.a
         aij[ar.target][ar.source] += ar.b
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if aij[i][j] and d[j] is None:
-                d[j] = d[i] * Fraction(aij[i][j], aij[j][i])
-                stack.append(j)
+    d = [Fraction(1)] * n
+    for i, j in _spanning_tree(neighbors(q)):
+        d[j] = d[i] * Fraction(aij[i][j], aij[j][i])
     for i in range(n):
         for j in range(n):
             if aij[i][j] and d[i] * aij[i][j] != d[j] * aij[j][i]:
                 raise QuiverError("arrow valuations admit no symmetrizer")
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = _primitive(d)
     c = [[0] * n for _ in range(n)]
     for v in range(n):
         c[v][v] = 2 * ints[v]
@@ -395,26 +417,28 @@ def _symmetrized(q: ValuedQuiver) -> list[list[int]]:
 
 
 def _positive_definite(c: list[list[int]]) -> bool:
-    n = len(c)
-    return all(_det_int([row[: k + 1] for row in c[: k + 1]]) > 0 for k in range(n))
+    """Sylvester's criterion in one fraction-free (Bareiss) pass.
+
+    Without row swaps the k-th pivot is the k-th leading principal minor, so
+    the test stops at the first pivot that is not positive.
+    """
+    m = [row[:] for row in c]
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return True
 
 
-def _arm_lengths(adj: dict[int, set], branch: int) -> list[int] | None:
+def _arm_lengths(adj, branch: int) -> list[int] | None:
     """Arm lengths of a star-shaped tree seen from its unique branch vertex."""
-    arms = []
-    for start in sorted(adj[branch]):
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return sorted(arms)
+    arms = _arms(adj, branch)
+    return None if arms is None else sorted(len(arm) for arm in arms)
 
 
 def _simply_laced_letter(q: ValuedQuiver, family: str) -> tuple[str | None, int | None]:
@@ -423,11 +447,7 @@ def _simply_laced_letter(q: ValuedQuiver, family: str) -> tuple[str | None, int 
     edges = underlying_edges(q)
     mults = [len(ks) for _, ks in edges]
     n = q.n
-    adj: dict[int, set] = {v: set() for v in range(n)}
-    for e, _ in edges:
-        u, v = sorted(e)
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = neighbors(q)
     degrees = sorted(len(adj[v]) for v in range(n))
     if family == "dynkin":
         # positive definite forces a simple tree here
@@ -481,26 +501,13 @@ def classify_type(q: ValuedQuiver) -> QuiverType:
         letter, rank = _simply_laced_letter(q, "dynkin")
         return QuiverType("dynkin", letter, rank, True, False)
     ker = _rational_kernel(c)
-    if len(ker) == 1:
-        vec = ker[0]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in vec]
-        if all(x != 0 for x in ints):
-            if ints[0] < 0:
-                ints = [-x for x in ints]
-            if all(x > 0 for x in ints) and _psd_given_radical(c, ints):
-                letter, rank = _simply_laced_letter(q, "euclidean")
-                return QuiverType("euclidean", letter, rank, False, True)
-    return QuiverType("wild", None, None, False, False)
-
-
-def _psd_given_radical(c: list[list[int]], delta: list[int]) -> bool:
     # with C @ delta = 0 and delta_0 != 0, psd is equivalent to positive
     # definiteness of the principal submatrix omitting vertex 0
-    sub = [[c[i][j] for j in range(1, len(c)) ] for i in range(1, len(c))]
-    return _positive_definite(sub) if sub else True
+    if (len(ker) == 1 and all(x > 0 for x in _primitive(ker[0]))
+            and _positive_definite([row[1:] for row in c[1:]])):
+        letter, rank = _simply_laced_letter(q, "euclidean")
+        return QuiverType("euclidean", letter, rank, False, True)
+    return QuiverType("wild", None, None, False, False)
 
 
 def radical_vector(q: ValuedQuiver) -> tuple[int, ...]:
@@ -508,19 +515,7 @@ def radical_vector(q: ValuedQuiver) -> tuple[int, ...]:
     t = classify_type(q)
     if not t.tame:
         raise QuiverError("radical generator exists only for tame (Euclidean) quivers")
-    ker = _rational_kernel(_symmetrized(q))
-    vec = ker[0]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    if ints[0] < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return tuple(_primitive(_rational_kernel(_symmetrized(q))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +523,7 @@ def radical_vector(q: ValuedQuiver) -> tuple[int, ...]:
 
 def reflect_at(q: ValuedQuiver, v: int) -> ValuedQuiver:
     """Reverse all arrows at a sink or source v, swapping valuation pairs."""
-    if not (is_sink(q, v) or is_source(q, v)):
-        raise QuiverError(f"vertex {v + 1} is neither a sink nor a source")
-    new = tuple(ar.reversed() if v in (ar.source, ar.target) else ar for ar in q.arrows)
-    return ValuedQuiver(q.n, new, q.labels)
+    return reflect_with_perm(q, v)[0]
 
 
 def reflect_with_perm(q: ValuedQuiver, v: int) -> tuple[ValuedQuiver, list[int]]:

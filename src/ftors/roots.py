@@ -19,8 +19,10 @@ from .quiver import (
     QuiverError,
     ValuedQuiver,
     classify_type,
+    gauss_jordan,
     projective_dimvec,
     radical_vector,
+    require,
 )
 
 DimVector = tuple[int, ...]
@@ -53,25 +55,12 @@ def quadratic_form(q: ValuedQuiver, x) -> int:
 def _int_inverse(m: np.ndarray) -> np.ndarray:
     """Exact inverse of an integer matrix that is unimodular over Z."""
     n = m.shape[0]
-    work = [[Fraction(int(m[i, j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pr = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pr] = work[pr], work[col]
-        piv = work[col][col]
-        work[col] = [x / piv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    inv = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            val = work[i][n + j]
-            if val.denominator != 1:
-                raise ValueError("matrix is not unimodular over the integers")
-            inv[i, j] = int(val)
-    return inv
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows, pivots = gauss_jordan([[Fraction(int(x)) for x in m[i]] + eye[i] for i in range(n)])
+    right = [x for row in rows for x in row[n:]]
+    if pivots != list(range(n)) or any(x.denominator != 1 for x in right):
+        raise ValueError("matrix is not unimodular over the integers")
+    return np.array([int(x) for x in right], dtype=np.int64).reshape(n, n)
 
 
 @cache
@@ -143,8 +132,8 @@ def positive_roots(q: ValuedQuiver) -> list[DimVector]:
         vals = np.einsum("ij,jk,ik->i", pts, e, pts)
         mask = (vals == 1) & (pts.sum(axis=1) > 0)
         roots.extend(tuple(int(c) for c in row) for row in pts[mask])
-    if any(max(r) > ROOT_COORD_BOUND for r in roots):
-        raise AssertionError("root scan boundary attained; bound too small")
+    require(all(max(r) <= ROOT_COORD_BOUND for r in roots),
+            "root scan boundary attained; bound too small")
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
@@ -166,8 +155,8 @@ def defect_linear_form(q: ValuedQuiver) -> tuple[int, ...]:
     form = form // g
     proj = [int(form @ np.asarray(projective_dimvec(q, i), dtype=np.int64)) for i in range(q.n)]
     if q.is_path_algebra():
-        if any(d > 0 for d in proj) or all(d == 0 for d in proj):
-            raise AssertionError("defect sign convention violated on projectives")
+        require(all(d <= 0 for d in proj) and any(d < 0 for d in proj),
+                "defect sign convention violated on projectives")
     return tuple(int(x) for x in form)
 
 

@@ -6,7 +6,7 @@ roots of defect zero lying strictly inside the radical vector.  Modules are
 realized by generic sampling certified by the brick test (a brick whose
 dimension vector is a real root is the unique indecomposable for that root),
 with a thin zero/one fallback.  Translate orbits of the found simples are the
-tubes; rank, dimension sums and the cyclic extension pattern are asserted.
+tubes; rank, dimension sums and the cyclic extension pattern are checked.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .modules import (
     make_rep,
     middle_terms,
     random_rep,
+    require,
 )
 from .quiver import ValuedQuiver, classify_type
 from .roots import (
@@ -90,7 +91,7 @@ def module_for_real_root(q: ValuedQuiver, p: int, x,
     A brick with these dimensions is that indecomposable, so sampling needs
     no genericity argument, only a certified hit.
     """
-    assert quadratic_form(q, x) == 1, f"{x} is not a real root"
+    require(quadratic_form(q, x) == 1, f"{x} is not a real root")
     for _ in range(GENERIC_TRIES):
         cand = random_rep(q, p, x, rng)
         if hom_dim(cand, cand) == 1:
@@ -133,21 +134,21 @@ def find_regular_simples(q: ValuedQuiver, p: int,
         orbit = [x]
         y = tuple(int(c) for c in coxeter_transform(q, x))
         while y != x:
-            assert y in modules and y in set(simple_roots), (
-                f"translate orbit of {x} leaves the regular simples at {y}")
+            require(y in modules and y in simple_roots,
+                    f"translate orbit of {x} leaves the regular simples at {y}")
             orbit.append(y)
             y = tuple(int(c) for c in coxeter_transform(q, y))
         used.update(orbit)
         rank = len(orbit)
-        assert rank >= 2, f"orbit of {x} is a fixed point below the radical vector"
+        require(rank >= 2, f"orbit of {x} is a fixed point below the radical vector")
         total = tuple(int(s) for s in np.sum([np.array(d) for d in orbit], axis=0))
-        assert total == delta, f"tube through {x} sums to {total}, not {delta}"
+        require(total == delta, f"tube through {x} sums to {total}, not {delta}")
         tube = Tube(q, p, rank, tuple(modules[d] for d in orbit))
         _check_tube(tube)
         tubes.append(tube)
 
     excess = sum(t.rank - 1 for t in tubes)
-    assert excess <= q.n - 2, "too many exceptional tubes for a tame algebra"
+    require(excess <= q.n - 2, "too many exceptional tubes for a tame algebra")
     return sorted(tubes, key=lambda t: (t.rank, t.dims))
 
 
@@ -156,11 +157,10 @@ def _check_tube(tube: Tube) -> None:
     for i in range(r):
         nxt = tube.simples[(i + 1) % r]
         cur = tube.simples[i]
-        assert hom_dim(cur, cur) == 1
-        assert ext_dim(cur, nxt) >= 1, (
-            f"entry {i} has no extension by its translate")
+        require(hom_dim(cur, cur) == 1, f"entry {i} is not a brick")
+        require(ext_dim(cur, nxt) >= 1, f"entry {i} has no extension by its translate")
         if r >= 2:
-            assert hom_dim(cur, nxt) == 0
+            require(hom_dim(cur, nxt) == 0, f"entry {i} maps to its translate")
 
 
 def tube_serial_module(tube: Tube, top_index: int, length: int,
@@ -169,7 +169,7 @@ def tube_serial_module(tube: Tube, top_index: int, length: int,
 
     Layers from the top are successive translates of the top entry.  Built
     from the socle upward; every step is a one-dimensional extension space,
-    which is asserted, so the middle term is forced.
+    which is checked, so the middle term is forced.
     """
     r = tube.rank
     if not 1 <= length <= r:
@@ -178,9 +178,9 @@ def tube_serial_module(tube: Tube, top_index: int, length: int,
     current = layers[-1]
     for k in range(length - 2, -1, -1):
         top = layers[k]
-        assert ext_dim(top, current) == 1, "serial step is not unique"
+        require(ext_dim(top, current) == 1, "serial step is not unique")
         middles = middle_terms(top, current, rng)
-        assert len(middles) == 2, "expected exactly the split and one nonsplit middle"
+        require(len(middles) == 2, "expected exactly the split and one nonsplit middle")
         current = middles[1]
     return current
 

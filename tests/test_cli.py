@@ -1,5 +1,6 @@
 """The command line surface: exit codes, formats, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -123,9 +124,10 @@ def _never_called(*args, **kwargs):
     raise AssertionError("the flags should be rejected before any computation")
 
 
-def test_tors_bounded_rejects_dot(capsys, monkeypatch):
+@pytest.mark.parametrize("path", [KRONECKER, A2TILDE], ids=["kronecker", "a2tilde"])
+def test_tors_bounded_rejects_dot(capsys, monkeypatch, path):
     monkeypatch.setattr("ftors.tors.two_vertex_check", _never_called)
-    code, _, err = run(capsys, "run", "tors", KRONECKER, "--format", "dot")
+    code, _, err = run(capsys, "run", "tors", path, "--format", "dot")
     assert code == 2
     assert "exact finite mode" in err
 
@@ -330,6 +332,39 @@ def test_knitting_checks_survive_python_O(shift, prefix):
              f"ar_quiver.rank = lambda a, p: real(a, p) + {shift}")
     proc = run_optimized(patch, "run", "knit", str(QDIR / "d4.txt"))
     assert_verification_failure(proc, prefix)
+
+
+TWO_THREE = str(QDIR / "twothree.txt")
+
+
+@pytest.mark.parametrize("patch, argv, prefix", [
+    # every tube extension read as zero: the cyclic extension check fails
+    ("from ftors import tubes\ntubes.ext_dim = lambda *args: 0",
+     ("run", "nocover", A2TILDE), "entry 0 has no extension by its translate"),
+    # every Hom space of the pair read as two-dimensional
+    ("from ftors import ext_pairs\next_pairs.hom_dim = lambda *args: 2",
+     ("run", "extpair", TWO_THREE), "case 3 verification failed: "),
+    # a wrong Euler form makes Ext dimensions negative
+    ("from ftors import modules\nmodules.euler_form = lambda *args: 100",
+     ("run", "extpair", TWO_THREE), "hereditary identity violated"),
+], ids=["tubes", "ext_pairs", "modules"])
+def test_certificate_checks_survive_python_O(patch, argv, prefix):
+    """With a layer under the tube, ext-pair or module checks broken, the
+    command exits 5 under python -O instead of printing a report (it used
+    to exit 0 or 1)."""
+    assert_verification_failure(run_optimized(patch, *argv), prefix)
+
+
+def test_no_assert_in_the_package():
+    """Checks go through require, which python -O keeps: the package holds
+    no assert statement and raises no AssertionError."""
+    for path in sorted((ROOT / "src" / "ftors").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), (
+                    f"{path.name}:{node.lineno}")
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ftors.quiver import (
@@ -19,6 +20,7 @@ from ftors.quiver import (
     underlying_edges,
     valuation_v,
 )
+from ftors.roots import coxeter_inverse, coxeter_matrix, positive_roots, quadratic_form
 
 A2 = "vertices 2\narrow 1 2\n"
 A3 = "vertices 3\narrow 1 2\narrow 2 3\n"
@@ -179,3 +181,130 @@ def test_subquiver_restrict():
     assert q.arrows[sub.old_arrow(0)].target == sub.old_vertex(1)
     with pytest.raises(QuiverError):
         subquiver_restrict(q, [1, 2])         # drops the joining vertex
+
+
+# ---------------------------------------------------------------------------
+# classification against the theory: Dynkin, Euclidean and wild graphs under
+# seeded relabelings and orientations
+
+def _path(n):
+    return [(v, v + 1) for v in range(n - 1)]
+
+
+def _star(*arms):
+    """Tree with center 0 and one path per arm length."""
+    edges, nxt = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return edges
+
+
+def _dtilde(n):
+    """n + 1 vertices: a path of n - 3 vertices with two leaves at each end."""
+    core = n - 3
+    return _path(core) + [(0, core), (0, core + 1),
+                          (core - 1, core + 2), (core - 1, core + 3)]
+
+
+DYNKIN = (
+    [("A", n, n, _path(n)) for n in range(1, 9)]
+    + [("D", n, n, _path(n - 1) + [(n - 3, n - 1)]) for n in range(4, 9)]
+    + [("E", n, n, _path(n - 1) + [(2, n - 1)]) for n in (6, 7, 8)]
+)
+EUCLIDEAN = (
+    [("A", 1, 2, [(0, 1), (0, 1)])]
+    + [("A", n, n + 1, _path(n + 1) + [(0, n)]) for n in range(2, 6)]
+    + [("D", 4, 5, _star(1, 1, 1, 1))]
+    + [("D", n, n + 1, _dtilde(n)) for n in range(5, 8)]
+    + [("E", 6, 7, _star(2, 2, 2)), ("E", 7, 8, _path(7) + [(3, 7)]),
+       ("E", 8, 9, _path(8) + [(2, 8)])]
+)
+WILD = [(sum(arms) + 1, _star(*arms)) for arms in ((1, 2, 6), (1, 3, 4), (2, 2, 3))]
+WILD.append((2, [(0, 1)] * 3))
+COXETER_NUMBER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
+                  "E": lambda n: {6: 12, 7: 18, 8: 30}[n]}
+SEEDS = (1, 2)
+
+
+def _relabeled(n, edges, seed, valuation=(1, 1)):
+    """The graph under a seeded vertex relabeling, each edge oriented along a
+    seeded linear order (so never an oriented cycle); returns the quiver and
+    the relabeling old -> new."""
+    rng = np.random.default_rng(seed)
+    label = [int(x) for x in rng.permutation(n)]
+    rank = [int(x) for x in rng.permutation(n)]
+    arrows = []
+    for u, v in edges:
+        ar = Arrow(label[u], label[v], *valuation)
+        arrows.append(ar if rank[u] < rank[v] else ar.reversed())
+    return ValuedQuiver(n, tuple(arrows)), label
+
+
+def _check_coxeter_inverse(q):
+    prod = np.array(coxeter_matrix(q)) @ np.array(coxeter_inverse(q))
+    assert (prod == np.eye(q.n, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("letter, rank, n, edges", DYNKIN,
+                         ids=[f"{c[0]}{c[1]}" for c in DYNKIN])
+def test_classify_dynkin_against_theory(letter, rank, n, edges, seed):
+    q, _ = _relabeled(n, edges, seed)
+    t = classify_type(q)
+    assert (t.family, t.letter, t.rank) == ("dynkin", letter, rank)
+    assert t.representation_finite and not t.tame
+    _check_coxeter_inverse(q)
+    if n <= 7:
+        assert len(positive_roots(q)) == n * COXETER_NUMBER[letter](n) // 2
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("letter, rank, n, edges", EUCLIDEAN,
+                         ids=[f"{c[0]}~{c[1]}" for c in EUCLIDEAN])
+def test_classify_euclidean_against_theory(letter, rank, n, edges, seed):
+    q, _ = _relabeled(n, edges, seed)
+    t = classify_type(q)
+    assert (t.family, t.letter, t.rank) == ("euclidean", letter, rank)
+    assert t.tame and not t.representation_finite
+    delta = radical_vector(q)
+    assert min(delta) > 0 and quadratic_form(q, delta) == 0
+    _check_coxeter_inverse(q)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n, edges, delta", [
+    (8, _path(7) + [(3, 7)], (1, 2, 3, 4, 3, 2, 1, 2)),
+    (9, _path(8) + [(2, 8)], (2, 4, 6, 5, 4, 3, 2, 1, 3)),
+], ids=["E~7", "E~8"])
+def test_radical_vector_pinned(n, edges, delta, seed):
+    q, label = _relabeled(n, edges, seed)
+    got = radical_vector(q)
+    assert tuple(got[label[v]] for v in range(n)) == delta
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("valuation, family", [
+    ((1, 2), "dynkin"), ((1, 3), "dynkin"), ((1, 4), "euclidean"),
+    ((2, 2), "euclidean"), ((1, 5), "wild"),
+])
+def test_classify_valued_against_theory(valuation, family, seed):
+    q, _ = _relabeled(2, [(0, 1)], seed, valuation)
+    t = classify_type(q)
+    assert (t.family, t.letter, t.rank) == (family, None, None)
+    assert t.representation_finite == (family == "dynkin")
+    assert t.tame == (family == "euclidean")
+    _check_coxeter_inverse(q)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n, edges", WILD,
+                         ids=["T(2,3,7)", "T(2,4,5)", "T(3,3,4)", "3-Kronecker"])
+def test_classify_wild_against_theory(n, edges, seed):
+    q, _ = _relabeled(n, edges, seed)
+    t = classify_type(q)
+    assert (t.family, t.letter, t.rank) == ("wild", None, None)
+    assert not t.representation_finite and not t.tame
+    _check_coxeter_inverse(q)
