@@ -68,7 +68,7 @@ class ARQuiver:
         return sorted((node.module for node in self.nodes), key=lambda m: (m.total, m.dims))
 
 
-def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuiver:
+def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
     """Knit the AR quiver of a representation-finite path algebra."""
     qt = classify_type(q)
     if not qt.representation_finite:
@@ -132,7 +132,8 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
 
     # irreducible maps: multiplicity = dim rad(X, Y) - dim rad^2(X, Y);
     # between nonisomorphic indecomposables rad is all of Hom, and rad(X, X)
-    # vanishes because End(X) is one dimensional
+    # vanishes because End(X) is one dimensional.  rad^2 lies in Hom, so once
+    # the composites span all of Hom the multiplicity is 0 and the scan stops
     arrows: dict[tuple[int, int], int] = {}
     for i in range(len(nodes)):
         for j in range(len(nodes)):
@@ -142,6 +143,7 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
             if h.dim == 0:
                 continue
             comps: list[np.ndarray] = []
+            r2 = 0
             for k in range(len(nodes)):
                 if k == i or k == j:
                     continue
@@ -151,7 +153,9 @@ def knit_ar_quiver(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ARQuive
                 for g in hkj.basis:
                     for f in hik.basis:
                         comps.append(morphism_flat(compose(g, f, p)))
-            r2 = rank(np.stack(comps, axis=1), p) if comps else 0
+                r2 = rank(np.stack(comps), p)
+                if r2 >= h.dim:
+                    break
             mult = h.dim - r2
             require(mult >= 0, f"negative multiplicity {mult} from node {i} to node {j}")
             if mult > 0:
@@ -179,9 +183,9 @@ def indecomposable_for_root(ar: ARQuiver, root) -> Representation:
     return ar.node_for_dims(root).module
 
 
-def all_indecomposables(q: ValuedQuiver, p: int, rng: np.random.Generator) -> list[Representation]:
+def all_indecomposables(q: ValuedQuiver, p: int) -> list[Representation]:
     """Every indecomposable module, sorted by (total dimension, dims)."""
-    return knit_ar_quiver(q, p, rng).sorted_modules()
+    return knit_ar_quiver(q, p).sorted_modules()
 
 
 def ar_quiver_dot(ar: ARQuiver) -> str:

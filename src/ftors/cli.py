@@ -139,8 +139,7 @@ def cmd_knit(args) -> int:
     if not qt.representation_finite:
         raise CliError(EXIT_BAD_INPUT,
                        f"knitting needs a representation-finite quiver, got {qt.display()}")
-    rng = np.random.default_rng(args.seed)
-    ar = knit_ar_quiver(q, args.prime, rng)
+    ar = knit_ar_quiver(q, args.prime)
     if args.format == "dot":
         _emit(ar_quiver_dot(ar), "text", args.out)
         return EXIT_OK

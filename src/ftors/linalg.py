@@ -1,10 +1,12 @@
 """Exact linear algebra over a prime field F_p.
 
 Matrices at the interface are numpy int64 arrays with entries reduced into
-[0, p).  The modulus is passed explicitly everywhere.  Row reduction, the one
-elimination every routine here is built on, runs on Python int lists: the
-matrices met in practice are so small (most have no side longer than 4) that
-numpy's per-call overhead would outweigh the arithmetic.  matmul stays in
+[0, p).  The modulus is passed explicitly everywhere.  Row reduction runs
+on Python int lists in _eliminate, the one Gauss-Jordan elimination of the
+package: every routine here is built on it, and modules.hom_basis feeds it
+its intertwiner system directly, row by row.  The matrices met in practice
+are so small (most have no side longer than 4) that numpy's per-call
+overhead would outweigh the arithmetic.  matmul stays in
 numpy, so p must still be a prime below 2**15: products of entries, summed
 over any inner dimension we meet in practice, then stay far inside the int64
 range.  No floats are ever involved.
@@ -53,25 +55,19 @@ def inv_scalar(x: int, p: int) -> int:
     return pow(int(x) % p, p - 2, p)
 
 
-def rref(a, p: int):
-    """Reduced row echelon form.
+def _eliminate(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan elimination in place on rows of ints already in [0, p).
 
-    Returns (r, rank, pivots) where r is the echelon matrix, an int64 array of
-    the input's shape, rank the number of pivots and pivots the list of pivot
-    column indices.  The result is a canonical representative of the row
-    space, so every routine built on it (kernels, column bases, solutions) is
-    deterministic.  The input is reduced mod p once; Gauss-Jordan elimination
-    then runs on its rows as lists, and each row operation touches only the
-    nonzero entries of the pivot row.
+    Returns the pivot columns; rows[i] then belongs to pivots[i] and the rows
+    past the rank are zero.  Each row operation touches only the nonzero
+    entries of the pivot row.
     """
-    r = fparray(a, p)
-    nrows, ncols = r.shape
-    if not nrows or not ncols:
-        return r, 0, []
-    rows = r.tolist()
+    nrows = len(rows)
     pivots = []
     for col in range(ncols):
         row = len(pivots)
+        if row == nrows:
+            break
         for i in range(row, nrows):
             if rows[i][col]:
                 break
@@ -91,8 +87,25 @@ def rref(a, p: int):
                 for k, x in support:
                     other[k] = (other[k] - c * x) % p
         pivots.append(col)
-        if row + 1 == nrows:
-            break
+    return pivots
+
+
+def rref(a, p: int):
+    """Reduced row echelon form.
+
+    Returns (r, rank, pivots) where r is the echelon matrix, an int64 array of
+    the input's shape, rank the number of pivots and pivots the list of pivot
+    column indices.  The result is a canonical representative of the row
+    space, so every routine built on it (kernels, column bases, solutions) is
+    deterministic.  The input is reduced mod p once; _eliminate then runs on
+    its rows as lists.
+    """
+    r = fparray(a, p)
+    nrows, ncols = r.shape
+    if not nrows or not ncols:
+        return r, 0, []
+    rows = r.tolist()
+    pivots = _eliminate(rows, ncols, p)
     return np.array(rows, dtype=np.int64), len(pivots), pivots
 
 

@@ -295,41 +295,40 @@ def hom_basis(X: Representation, Y: Representation) -> HomSpace:
     The unknowns are the entries of f_v, row by row.  Arrow k: s -> t gives
     the block of equations f_t X_k - Y_k f_s = 0, indexed by the entries
     (i, a) of a Y_t x X_s matrix: f_t X_k contributes X_k[b, a] at unknown
-    f_t[i, b], and Y_k f_s contributes Y_k[i, j] at unknown f_s[j, a].  Both
-    are written through 4-D views of the row block, (i, a, i, b) and
-    (i, a, j, a), so no Kronecker product is formed.
+    f_t[i, b], and Y_k f_s contributes -Y_k[i, j] at unknown f_s[j, a].  The
+    system is written as rows of ints reduced mod p and eliminated by
+    linalg._eliminate; the median system is 2 x 3, too small for numpy.
     """
     if X.quiver != Y.quiver or X.p != Y.p:
         raise ValueError("modules live over different quivers or moduli")
     q, p = X.quiver, X.p
-    sizes = [Y.dims[v] * X.dims[v] for v in range(q.n)]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    cols = int(offs[-1])
-    rows = sum(Y.dims[ar.target] * X.dims[ar.source] for ar in q.arrows)
-    a = la.zeros(rows, cols)
-    r0 = 0
+    offs = [0]
+    for v in range(q.n):
+        offs.append(offs[-1] + Y.dims[v] * X.dims[v])
+    cols = offs[-1]
+    if not cols:
+        return HomSpace(X, Y, ())
+    rows = []
     for k, ar in enumerate(q.arrows):
         s, t = ar.source, ar.target
-        yt, xs = Y.dims[t], X.dims[s]
-        nr = yt * xs
-        if nr:
-            block = a[r0:r0 + nr, offs[t]:offs[t + 1]].reshape(yt, xs, yt, X.dims[t])
-            diag = np.arange(yt)
-            block[diag, :, diag, :] = X.mats[k].T
-            block = a[r0:r0 + nr, offs[s]:offs[s + 1]].reshape(yt, xs, Y.dims[s], xs)
-            diag = np.arange(xs)
-            block[:, diag, :, diag] -= Y.mats[k]
-        r0 += nr
-    a %= p
-    ker = la.kernel_basis(a, p)
-    basis = []
-    for j in range(ker.shape[1]):
-        f = tuple(
-            ker[offs[v]:offs[v + 1], j].reshape(Y.dims[v], X.dims[v])
-            for v in range(q.n)
-        )
-        basis.append(f)
-    return HomSpace(X, Y, tuple(basis))
+        xs, xt, ys = X.dims[s], X.dims[t], Y.dims[s]
+        xk, yk = X.mats[k].tolist(), Y.mats[k].tolist()
+        for i in range(Y.dims[t]):
+            ft = offs[t] + i * xt
+            for a in range(xs):
+                row = [0] * cols
+                for b in range(xt):
+                    row[ft + b] = xk[b][a] % p
+                for j in range(ys):
+                    row[offs[s] + j * xs + a] = -yk[i][j] % p
+                rows.append(row)
+    pivots = la._eliminate(rows, cols, p)
+    if len(pivots) == cols:
+        return HomSpace(X, Y, ())
+    ker = la._kernel(rows, pivots, cols, p)
+    return HomSpace(X, Y, tuple(
+        tuple(ker[offs[v]:offs[v + 1], j].reshape(Y.dims[v], X.dims[v]) for v in range(q.n))
+        for j in range(ker.shape[1])))
 
 
 def hom_dim(X, Y) -> int:

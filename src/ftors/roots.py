@@ -2,15 +2,16 @@
 
 Everything here is exact integer work on the Euler form: the bilinear form
 itself, the Coxeter transform that tracks the translate on dimension vectors,
-positive root enumeration in finite type, and the radical/defect data of tame
-type.  No representations are built in this module.
+the simple reflections, the positive roots of finite type (the simple roots
+closed under height-raising reflections, each checked to have Tits form 1),
+and the radical/defect data of tame type.  No representations are built in
+this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import gcd
 
 import numpy as np
@@ -26,8 +27,6 @@ from .quiver import (
 )
 
 DimVector = tuple[int, ...]
-
-ROOT_COORD_BOUND = 6   # no positive root of rank <= 8 exceeds this coordinate
 
 
 @cache
@@ -103,37 +102,26 @@ def reflection_transform(q: ValuedQuiver, x, v: int) -> DimVector:
 def positive_roots(q: ValuedQuiver) -> list[DimVector]:
     """All positive roots of a representation-finite quiver.
 
-    Bounded exhaustive scan: coordinates are searched one past the bound and
-    the bound itself must never be exceeded, which certifies that the scan
-    window was large enough.
+    The simple roots closed under the simple reflections that raise the
+    height (Bernstein-Gelfand-Ponomarev): s_v x = x - (x, e_v) e_v in the
+    symmetrized form, taken whenever (x, e_v) < 0.  Every positive root
+    other than a simple one is reached this way from a root of smaller
+    height, so no coordinate bound is needed; every generated vector must
+    have Tits form 1.
     """
     t = classify_type(q)
     if not t.representation_finite:
         raise QuiverError("positive roots are enumerated for Dynkin quivers only")
     if not q.is_path_algebra():
         raise QuiverError("root enumeration supports path algebras only")
-    if q.n > 8:
-        raise QuiverError("root scan supports rank at most 8")
-    e = np.array(euler_matrix(q))
-    limit = ROOT_COORD_BOUND + 1
-    coords = np.arange(limit + 1, dtype=np.int64)
-    # chunk over leading coordinates so the rank-8 scan stays inside memory
-    head = max(0, q.n - 6)
-    tail = q.n - head
-    grids = np.meshgrid(*([coords] * tail), indexing="ij")
-    base = np.stack([g.ravel() for g in grids], axis=1)
-    roots = []
-    for prefix in product(range(limit + 1), repeat=head):
-        if head:
-            lead = np.tile(np.asarray(prefix, dtype=np.int64), (base.shape[0], 1))
-            pts = np.hstack([lead, base])
-        else:
-            pts = base
-        vals = np.einsum("ij,jk,ik->i", pts, e, pts)
-        mask = (vals == 1) & (pts.sum(axis=1) > 0)
-        roots.extend(tuple(int(c) for c in row) for row in pts[mask])
-    require(all(max(r) <= ROOT_COORD_BOUND for r in roots),
-            "root scan boundary attained; bound too small")
+    roots = [tuple(int(v == i) for i in range(q.n)) for v in range(q.n)]
+    for x in roots:     # the list grows while it is read
+        for v in range(q.n):
+            y = reflection_transform(q, x, v)
+            if y[v] > x[v] and y not in roots:
+                form = quadratic_form(q, y)
+                require(form == 1, f"reflected vector {y} has Tits form {form}, not 1")
+                roots.append(y)
     return sorted(roots, key=lambda r: (sum(r), r))
 
 

@@ -199,7 +199,7 @@ def finite_universe(q: ValuedQuiver, p: int, rng: np.random.Generator) -> Module
     table the knitting computed between all of them."""
     from .ar_quiver import knit_ar_quiver
 
-    ar = knit_ar_quiver(q, p, rng)
+    ar = knit_ar_quiver(q, p)
     u = ModuleUniverse(q, p, tuple(ar.sorted_modules()), rng)
     for h in ar.homs.values():
         u._homs[u._index[id(h.source)], u._index[id(h.target)]] = h
@@ -452,6 +452,13 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
     classes the meet (intersection) and join (closure of the union) are
     certified to be classes with bounded covers again.  Wild two-vertex
     algebras are reported inconclusive rather than guessed at.
+
+    The cover half is vacuous in the sampled universe: _prune and
+    _drop_generated drop only members generated by the kept ones, so the
+    kept generators of a class generate all its members and _bounded_cover
+    never returns None.  covered_count equals class_count by construction,
+    and the meet-cover and join-cover failures cannot occur; only the meet
+    and join checks can fail.
     """
     if q.n != 2:
         raise ValueError("this check is for two-vertex quivers")

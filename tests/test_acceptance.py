@@ -64,7 +64,7 @@ FINITE_RUNS = (A1, A2, *a3_orientations(), D4)
 
 @lru_cache(maxsize=None)
 def knitted(q):
-    return knit_ar_quiver(q, 5, np.random.default_rng(0))
+    return knit_ar_quiver(q, 5)
 
 
 @lru_cache(maxsize=None)

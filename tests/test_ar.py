@@ -9,7 +9,17 @@ from ftors.ar_quiver import (
     indecomposable_for_root,
     knit_ar_quiver,
 )
-from ftors.modules import ar_translate, ext_dim, hom_dim, is_isomorphic, projective
+from ftors.linalg import rank
+from ftors.modules import (
+    ar_translate,
+    compose,
+    ext_dim,
+    hom_basis,
+    hom_dim,
+    is_isomorphic,
+    morphism_flat,
+    projective,
+)
 from ftors.quiver import parse_quiver
 from ftors.roots import positive_roots
 
@@ -20,48 +30,45 @@ A3_ORIENTATIONS = [
     parse_quiver("vertices 3\narrow 1 2\narrow 3 2\n"),
 ]
 D4 = parse_quiver("vertices 4\narrow 1 2\narrow 1 3\narrow 1 4\n")
+E6 = parse_quiver("vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6\n")
 KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\n")
 
 
 def test_knitting_counts():
-    rng = np.random.default_rng(0)
-    assert len(knit_ar_quiver(A2, 5, rng).nodes) == 3
+    assert len(knit_ar_quiver(A2, 5).nodes) == 3
     for q in A3_ORIENTATIONS:
-        assert len(knit_ar_quiver(q, 5, rng).nodes) == 6
-    assert len(knit_ar_quiver(D4, 5, rng).nodes) == 12
+        assert len(knit_ar_quiver(q, 5).nodes) == 6
+    assert len(knit_ar_quiver(D4, 5).nodes) == 12
 
 
 def test_knitting_rejects_infinite_type():
     with pytest.raises(ValueError):
-        knit_ar_quiver(KRONECKER, 5, np.random.default_rng(0))
+        knit_ar_quiver(KRONECKER, 5)
 
 
 def test_knitted_dims_biject_with_positive_roots():
-    rng = np.random.default_rng(1)
     for q in (A2, D4, *A3_ORIENTATIONS):
-        ar = knit_ar_quiver(q, 5, rng)
+        ar = knit_ar_quiver(q, 5)
         assert {node.dims for node in ar.nodes} == set(positive_roots(q))
 
 
 def test_knitted_modules_are_exceptional_bricks():
-    rng = np.random.default_rng(2)
-    ar = knit_ar_quiver(D4, 5, rng)
+    ar = knit_ar_quiver(D4, 5)
     for node in ar.nodes:
         assert hom_dim(node.module, node.module) == 1
         assert ext_dim(node.module, node.module) == 0
 
 
 def test_projective_nodes_match_standard_projectives():
-    rng = np.random.default_rng(3)
     for q in (A2, D4):
-        ar = knit_ar_quiver(q, 5, rng)
+        ar = knit_ar_quiver(q, 5)
         for v, idx in enumerate(ar.projectives):
             assert ar.nodes[idx].dims == projective(q, 5, v).dims
 
 
 def test_translate_edges_agree_with_ar_translate():
     rng = np.random.default_rng(4)
-    ar = knit_ar_quiver(A3_ORIENTATIONS[0], 5, rng)
+    ar = knit_ar_quiver(A3_ORIENTATIONS[0], 5)
     for y, ty in ar.translate.items():
         t = ar_translate(ar.nodes[y].module)
         assert is_isomorphic(t, ar.nodes[ty].module, rng)
@@ -69,9 +76,8 @@ def test_translate_edges_agree_with_ar_translate():
 
 def test_mesh_identity_recomputed():
     """Sum of middle dims equals dims of the two mesh ends."""
-    rng = np.random.default_rng(5)
     for q in (D4, *A3_ORIENTATIONS):
-        ar = knit_ar_quiver(q, 5, rng)
+        ar = knit_ar_quiver(q, 5)
         for y, ty in ar.translate.items():
             mid = np.zeros(q.n, dtype=np.int64)
             for (i, j), mult in ar.arrows.items():
@@ -81,9 +87,35 @@ def test_mesh_identity_recomputed():
             assert np.array_equal(mid, want)
 
 
+def _arrows_from_full_span(ar):
+    """Every multiplicity dim Hom(i, j) - dim rad^2(i, j), with rad^2 the
+    span of every composite through every third module."""
+    mods = [node.module for node in ar.nodes]
+    homs = {(i, j): hom_basis(x, y) for i, x in enumerate(mods) for j, y in enumerate(mods)}
+    arrows = {}
+    for (i, j), h in homs.items():
+        if i == j or h.dim == 0:
+            continue
+        comps = [morphism_flat(compose(g, f, ar.p))
+                 for k in range(len(mods)) if k not in (i, j)
+                 for g in homs[k, j].basis for f in homs[i, k].basis]
+        mult = h.dim - (rank(np.stack(comps), ar.p) if comps else 0)
+        if mult:
+            arrows[(i, j)] = mult
+    return arrows
+
+
+@pytest.mark.parametrize("q", [*A3_ORIENTATIONS, D4, E6],
+                         ids=["A3-path", "A3-source", "A3-sink", "D4", "E6"])
+def test_rad2_scan_that_stops_at_full_rank_matches_the_full_span(q):
+    """The knit stops collecting composites once they span Hom(i, j); every
+    multiplicity still equals the one read from the full span."""
+    ar = knit_ar_quiver(q, 5)
+    assert ar.arrows == _arrows_from_full_span(ar)
+
+
 def test_a2_arrow_pattern():
-    rng = np.random.default_rng(6)
-    ar = knit_ar_quiver(A2, 5, rng)
+    ar = knit_ar_quiver(A2, 5)
     by_dims = {node.dims: node.index for node in ar.nodes}
     assert ar.arrows == {
         (by_dims[(0, 1)], by_dims[(1, 1)]): 1,
@@ -93,8 +125,7 @@ def test_a2_arrow_pattern():
 
 
 def test_all_indecomposables_sorted_unique():
-    rng = np.random.default_rng(7)
-    mods = all_indecomposables(D4, 5, rng)
+    mods = all_indecomposables(D4, 5)
     assert len(mods) == 12
     keys = [(m.total, m.dims) for m in mods]
     assert keys == sorted(keys)
@@ -102,8 +133,7 @@ def test_all_indecomposables_sorted_unique():
 
 
 def test_indecomposable_for_root_and_bad_input():
-    rng = np.random.default_rng(8)
-    ar = knit_ar_quiver(A2, 5, rng)
+    ar = knit_ar_quiver(A2, 5)
     M = indecomposable_for_root(ar, (1, 1))
     assert M.dims == (1, 1)
     with pytest.raises(KeyError):
@@ -111,8 +141,7 @@ def test_indecomposable_for_root_and_bad_input():
 
 
 def test_dot_output_a2():
-    rng = np.random.default_rng(9)
-    text = ar_quiver_dot(knit_ar_quiver(A2, 5, rng))
+    text = ar_quiver_dot(knit_ar_quiver(A2, 5))
     assert text.startswith("digraph")
     assert text.count("label=") == 3 + 0        # one label per node, no multi-edges
     assert text.count("->") == 3                 # two solid plus one dashed

@@ -334,6 +334,14 @@ def test_knitting_checks_survive_python_O(shift, prefix):
     assert_verification_failure(proc, prefix)
 
 
+def test_root_check_survives_python_O():
+    """With the Tits form broken, the first reflected root fails its check
+    and run knit exits 5, also under python -O."""
+    patch = "from ftors import roots\nroots.quadratic_form = lambda *args: 2"
+    proc = run_optimized(patch, "run", "knit", str(QDIR / "d4.txt"))
+    assert_verification_failure(proc, "reflected vector ")
+
+
 TWO_THREE = str(QDIR / "twothree.txt")
 
 

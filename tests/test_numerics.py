@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_quiver import DYNKIN, SEEDS, _relabeled
 
 from ftors.quiver import QuiverError, classify_type, parse_quiver, radical_vector
 from ftors.roots import (
@@ -68,6 +69,35 @@ def test_positive_roots_d4():
     assert set(roots) == want
     for r in roots:
         assert quadratic_form(D4, r) == 1
+
+
+ROOT_COORD_BOUND = 6   # no positive root of rank <= 8 exceeds this coordinate
+
+
+def _positive_roots_reference(q):
+    """The coordinate scan positive_roots used to run: every vector with
+    coordinates 0..7 whose Tits form is 1.  The window reaches one past the
+    bound, and no root may attain it, which certifies the window."""
+    coords = np.arange(ROOT_COORD_BOUND + 2, dtype=np.int64)
+    grids = np.meshgrid(*([coords] * q.n), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    vals = np.einsum("ij,jk,ik->i", pts, np.array(euler_matrix(q)), pts)
+    roots = [tuple(int(c) for c in row) for row in pts[(vals == 1) & (pts.sum(axis=1) > 0)]]
+    assert all(max(r) <= ROOT_COORD_BOUND for r in roots)
+    return sorted(roots, key=lambda r: (sum(r), r))
+
+
+SMALL_DYNKIN = [c for c in DYNKIN if c[2] <= 6]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("letter, rank, n, edges", SMALL_DYNKIN,
+                         ids=[f"{c[0]}{c[1]}" for c in SMALL_DYNKIN])
+def test_positive_roots_match_the_coordinate_scan(letter, rank, n, edges, seed):
+    """Reflections from the simple roots reach exactly the roots the bounded
+    scan finds, in the same order."""
+    q, _ = _relabeled(n, edges, seed)
+    assert positive_roots(q) == _positive_roots_reference(q)
 
 
 def test_positive_roots_rejects_infinite_type():
