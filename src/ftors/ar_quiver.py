@@ -56,13 +56,6 @@ class ARQuiver:
     injectives: list[int]
     homs: dict[tuple[int, int], HomSpace]       # (src node, dst node) -> Hom space
 
-    def node_for_dims(self, dims) -> ARNode:
-        dims = tuple(dims)
-        for node in self.nodes:
-            if node.dims == dims:
-                return node
-        raise KeyError(f"no indecomposable with dimension vector {dims}")
-
     def sorted_modules(self) -> list[Representation]:
         """Every knitted module, sorted by (total dimension, dims)."""
         return sorted((node.module for node in self.nodes), key=lambda m: (m.total, m.dims))
@@ -176,16 +169,6 @@ def _check_meshes(ar: ARQuiver) -> None:
                 mid += mult * np.array(ar.nodes[i].dims)
         require(np.array_equal(lhs, mid),
                 f"mesh at node {y}: {tuple(lhs)} != {tuple(mid)}")
-
-
-def indecomposable_for_root(ar: ARQuiver, root) -> Representation:
-    """The unique indecomposable with the given dimension vector."""
-    return ar.node_for_dims(root).module
-
-
-def all_indecomposables(q: ValuedQuiver, p: int) -> list[Representation]:
-    """Every indecomposable module, sorted by (total dimension, dims)."""
-    return knit_ar_quiver(q, p).sorted_modules()
 
 
 def ar_quiver_dot(ar: ARQuiver) -> str:

@@ -441,8 +441,23 @@ def carve(M: Representation, spaces) -> Subquotient:
 
 @dataclass(frozen=True, eq=False)
 class TraceResult:
-    carved: Subquotient
-    full: bool
+    """The trace of some generators in M as one basis per vertex.  Their
+    ranks decide full and zero; the submodule is carved on first read."""
+
+    ambient: Representation
+    bases: tuple[np.ndarray, ...]
+
+    @property
+    def full(self) -> bool:
+        return all(b.shape[1] == d for b, d in zip(self.bases, self.ambient.dims))
+
+    @property
+    def zero(self) -> bool:
+        return not any(b.shape[1] for b in self.bases)
+
+    @cached_property
+    def carved(self) -> Subquotient:
+        return carve(self.ambient, self.bases)
 
     @property
     def sub(self):
@@ -452,27 +467,18 @@ class TraceResult:
 def trace_submodule(gens, M: Representation, hom=None) -> TraceResult:
     """Sum of all images of maps from the generators into M.
 
-    hom(G, M) supplies the Hom spaces, for instance from the table of a
-    module universe; without it they are computed by hom_basis.
+    The images of the Hom basis maps are reduced to a column-space basis at
+    each vertex.  hom(G, M) supplies the Hom spaces, for instance from the
+    table of a module universe; without it they are computed by hom_basis.
     """
     if isinstance(gens, Representation):
         gens = [gens]
     if hom is None:
         hom = hom_basis
-    q = M.quiver
-    blocks: list[list[np.ndarray]] = [[] for _ in range(q.n)]
-    for G in gens:
-        for f in hom(G, M).basis:
-            for v in range(q.n):
-                blocks[v].append(f[v])
-    spaces = []
-    for v in range(q.n):
-        if blocks[v]:
-            spaces.append(np.hstack(blocks[v]))
-        else:
-            spaces.append(la.zeros(M.dims[v], 0))
-    carved = carve(M, spaces)
-    return TraceResult(carved, carved.sub.dims == M.dims)
+    maps = [f for G in gens for f in hom(G, M).basis]
+    bases = tuple(la.column_space_basis(np.hstack([f[v] for f in maps]), M.p) if maps
+                  else la.zeros(M.dims[v], 0) for v in range(M.quiver.n))
+    return TraceResult(M, bases)
 
 
 def generates(gens, M: Representation, hom=None) -> bool:
@@ -541,7 +547,7 @@ def _fitting_split(M: Representation, g) -> tuple[Representation, Representation
     if kdim == 0 or kdim == M.total:
         return None
     part1 = carve(M, ker_spaces).sub
-    part2 = carve(M, [la.column_space_basis(gn[v], p) for v in range(M.quiver.n)]).sub
+    part2 = carve(M, gn).sub
     require(part1.total + part2.total == M.total, "Fitting parts do not add up to the module")
     return part1, part2
 
@@ -782,11 +788,6 @@ def projective_cover(M: Representation):
     for w in range(q.n):
         require(la.rank(g[w], p) == M.dims[w], "projective cover fails to surject")
     return p0, comps, tuple(g)
-
-
-def is_projective_rep(M: Representation) -> bool:
-    p0, _, g = projective_cover(M)
-    return p0.total == M.total
 
 
 def _minimal_presentation(M: Representation):

@@ -24,6 +24,11 @@ members these bounds leave open are peeled.  The bounds are sound only
 because every cached value is exact; a value from a weaker test would carry
 its error into every later closure.
 
+Both engines read a trace as full or zero off its ranks at each vertex;
+only a peeling step through a proper nonzero trace carves it and builds the
+quotient.  The middle-term table records the split middle term of members
+i and j as (i, j) and decomposes only the nonsplit ones.
+
 Each ModuleUniverse keeps a table of the Hom spaces between its members,
 filled on first use (a finite universe starts with the table its knitting
 computed), so the generation tests and the first peeling step compute each
@@ -76,24 +81,21 @@ def in_torsion_closure(gens: list[Representation], N: Representation, hom=None) 
     Peel the trace of the generators off N and recurse on the quotient.  The
     trace is a generated quotient, so peeling builds the required filtration
     from below; conversely torsion classes are quotient closed, so a member
-    must keep a nonzero trace at every stage.  hom supplies the Hom spaces,
-    as in trace_submodule.
+    must keep a nonzero trace at every stage.  A full or a zero trace (the
+    zero module's is full) is read off the ranks, so only a proper nonzero
+    trace is carved.  hom supplies the Hom spaces, as in trace_submodule.
     """
-    if N.total == 0:
-        return True
     tr = trace_submodule(gens, N, hom)
     if tr.full:
         return True
-    if tr.sub.total == 0:
+    if tr.zero:
         return False
     return in_torsion_closure(gens, tr.carved.quot, hom)
 
 
 def in_gen_closure(gens: list[Representation], N: Representation, hom=None) -> bool:
     """Is N a quotient of a finite sum of the generators?"""
-    if N.total == 0:
-        return True
-    return trace_submodule(gens, N, hom).full
+    return generates(gens, N, hom)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +144,17 @@ class ModuleUniverse:
 
     def middle_summands(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
         """Universe indices of the summands of each middle term of
-        extensions of module i by module j."""
+        extensions of module i by module j.
+
+        The split middle term comes first and its summands are i and j; only
+        the nonsplit ones are decomposed.
+        """
         if (i, j) not in self._middles:
-            out = []
-            for E in middle_terms(self.modules[i], self.modules[j], self.rng,
-                                  hom=self.hom):
-                parts = decompose(E, self.rng)
-                out.append(tuple(sorted(self.match(part) for part in parts)))
-            self._middles[(i, j)] = tuple(out)
+            nonsplit = middle_terms(self.modules[i], self.modules[j], self.rng,
+                                    hom=self.hom)[1:]
+            self._middles[(i, j)] = (tuple(sorted((i, j))),) + tuple(
+                tuple(sorted(self.match(part) for part in decompose(E, self.rng)))
+                for E in nonsplit)
         return self._middles[(i, j)]
 
     def generated(self, gens: frozenset, member: int) -> bool:
@@ -625,6 +630,13 @@ def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> Filtrati
     sub B and quotient A, where a nonzero map A -> E -> A would split the
     extension.  Self-extensions and longer filtrations are scanned against
     everything found so far.
+
+    The first two levels have known relative Loewy length.  A member has
+    radical 0 (the identity is a map to the cycle).  For E as above, a map
+    E -> X to a member vanishes on A: Hom(A, X) = 0 for X != A, and a
+    nonzero scalar A -> E -> A would split E.  So each map factors through
+    E -> B, whose kernel is A: the radical of E is A and its length is 2.
+    Only levels 3 and up run relative_loewy_length.
     """
     cycle = tuple(cycle)
     validate_ext_cycle(cycle)
@@ -649,7 +661,7 @@ def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> Filtrati
 
     objects = [
         FiltrationObject(M, length,
-                         relative_loewy_length(M, cycle, rng))
+                         length if length <= 2 else relative_loewy_length(M, cycle, rng))
         for M, length in found
     ]
     objects.sort(key=lambda o: (o.module.total, o.module.dims))

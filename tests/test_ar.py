@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from ftors.ar_quiver import (
-    all_indecomposables,
-    ar_quiver_dot,
-    indecomposable_for_root,
-    knit_ar_quiver,
-)
+from ftors.ar_quiver import ar_quiver_dot, knit_ar_quiver
 from ftors.linalg import rank
 from ftors.modules import (
     ar_translate,
@@ -124,8 +119,16 @@ def test_a2_arrow_pattern():
     assert len(ar.translate) == 1
 
 
+def indecomposable_for_root(ar, root):
+    """The unique knitted indecomposable with the given dimension vector."""
+    for node in ar.nodes:
+        if node.dims == tuple(root):
+            return node.module
+    raise KeyError(f"no indecomposable with dimension vector {tuple(root)}")
+
+
 def test_all_indecomposables_sorted_unique():
-    mods = all_indecomposables(D4, 5)
+    mods = knit_ar_quiver(D4, 5).sorted_modules()
     assert len(mods) == 12
     keys = [(m.total, m.dims) for m in mods]
     assert keys == sorted(keys)

@@ -31,7 +31,6 @@ from ftors.modules import (
     hom_dim,
     injective,
     is_isomorphic,
-    is_projective_rep,
     isotypic_socle,
     make_rep,
     middle_terms,
@@ -49,8 +48,14 @@ from ftors.modules import (
 )
 from ftors.quiver import load_quiver, parse_quiver, reflect_at
 from ftors.roots import coxeter_transform, euler_form
-from ftors.tors import filtration_universe, in_gen_closure
+from ftors.tors import filtration_universe, in_gen_closure, in_torsion_closure
 from ftors.tubes import find_regular_simples
+
+
+def is_projective_rep(M):
+    """A module is projective exactly when its projective cover is no larger."""
+    return projective_cover(M)[0].total == M.total
+
 
 A2 = parse_quiver("vertices 2\narrow 1 2\n")
 A3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\n")
@@ -259,6 +264,67 @@ def test_carve_checks_invariance_without_a_quotient(monkeypatch):
     monkeypatch.setattr("ftors.modules._complement", _no_quotient)
     with pytest.raises(ValueError, match="arrow-invariant"):
         carve(P1, [la.identity(1), la.zeros(1, 0)])
+
+
+def carved_trace(gens, M):
+    """Reference for the rank-only trace: stack the images at each vertex
+    and carve the submodule they span."""
+    spaces = []
+    for v in range(M.quiver.n):
+        cols = [f[v] for G in gens for f in hom_basis(G, M).basis]
+        spaces.append(np.hstack(cols) if cols else la.zeros(M.dims[v], 0))
+    return carve(M, spaces).sub
+
+
+def random_trace_cases(q, rng, count):
+    """Random modules, each with a random list of generators drawn from the
+    simples, the projectives and small random modules."""
+    small = [simple(q, 5, v) for v in range(q.n)] + [projective(q, 5, v) for v in range(q.n)]
+    for _ in range(count):
+        M = random_rep(q, 5, rng.integers(0, 3, q.n), rng)
+        gens = [small[k] for k in rng.choice(len(small), size=rng.integers(0, 3), replace=False)]
+        gens += [random_rep(q, 5, rng.integers(0, 2, q.n), rng) for _ in range(rng.integers(0, 2))]
+        yield gens, M
+
+
+@pytest.mark.parametrize("q", [A3, D4, KRONECKER], ids=["a3", "d4", "kronecker"])
+def test_rank_trace_agrees_with_the_carved_trace(q):
+    rng = np.random.default_rng(131)
+    kinds = set()
+    for gens, M in random_trace_cases(q, rng, 60):
+        sub = carved_trace(gens, M)
+        tr = trace_submodule(gens, M)
+        assert tr.full == (sub.dims == M.dims) == generates(gens, M)
+        assert tr.zero == (sub.total == 0)
+        assert tr.sub.dims == sub.dims
+        assert all(np.array_equal(a, b) for a, b in zip(tr.sub.mats, sub.mats))
+        kinds.add("full" if tr.full else "zero" if tr.zero else "proper")
+    assert kinds == {"full", "zero", "proper"}
+
+
+def test_full_and_zero_traces_are_never_carved(monkeypatch):
+    carved = []
+    real = modules.carve
+
+    def counting(M, spaces):
+        carved.append(M)
+        return real(M, spaces)
+
+    monkeypatch.setattr(modules, "carve", counting)
+    rng = np.random.default_rng(137)
+    decided = 0
+    for q in (A3, D4, KRONECKER):
+        for gens, M in random_trace_cases(q, rng, 30):
+            tr = trace_submodule(gens, M)
+            if tr.full or tr.zero:
+                decided += 1
+                assert generates(gens, M) == in_gen_closure(gens, M) == tr.full
+                assert in_torsion_closure(gens, M) == tr.full
+    assert decided > 30 and carved == []
+    # a proper trace is carved once, to peel it: S2 off P1, leaving S1
+    S1, S2, P1 = simple(A2, 5, 0), simple(A2, 5, 1), projective(A2, 5, 0)
+    assert in_torsion_closure([S1, S2], P1)
+    assert carved == [P1]
 
 
 def test_decompose_direct_sum_recovers_parts():

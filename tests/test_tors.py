@@ -176,6 +176,12 @@ def test_filtration_universe_and_loewy():
     two = serial_filtration_object(fu, 0, 2)
     assert two.dims == tuple(a + b for a, b in zip(x.dims, y.dims))
     assert relative_loewy_length(two, (x, y), rng) == 2
+    # the first two levels get their length from the proof, not the series
+    for _, cycle in audited_cycles():
+        fu = filtration_universe(cycle, 2, rng)
+        assert {o.length for o in fu.objects} == {1, 2}
+        for o in fu.objects:
+            assert relative_loewy_length(o.module, cycle, rng) == o.loewy == o.length
 
 
 def test_no_cover_evidence_cycle3():
@@ -387,6 +393,7 @@ def test_middle_terms_scans_pairs_that_are_not_orthogonal_bricks(monkeypatch):
 # audit of the monotone bounds of peeled_closure and of the bounded cover check
 
 A3_IN = parse_quiver("vertices 3\narrow 1 2\narrow 3 2\n")
+A3_BACK = parse_quiver("vertices 3\narrow 2 1\narrow 3 2\n")
 
 
 def reference_peeled_closure(u, gens) -> frozenset:
@@ -463,3 +470,56 @@ def test_bounds_cut_the_peeling_of_the_bounded_check(monkeypatch, capsys):
     assert code == 0
     assert "verdict consistent" in capsys.readouterr().out
     assert 0 < calls["in_torsion_closure"] <= 600
+
+
+# ---------------------------------------------------------------------------
+# the finite closures skip what they already know
+
+FINITE_CASES = pytest.mark.parametrize(
+    "q", [A3_LINE, A3_BACK, A3_OUT, A3_IN, load_quiver(QDIR / "d4.txt")],
+    ids=["a3-line", "a3-back", "a3-out", "a3-in", "d4"])
+
+
+@FINITE_CASES
+def test_middle_summands_match_decomposed_middle_terms(q):
+    """The split middle term is recorded as (i, j) without a decomposition;
+    every entry equals decomposing each middle term and matching its parts."""
+    u = universe(q)
+    rng = np.random.default_rng(1)
+    nonsplit = 0
+    for i in range(len(u)):
+        for j in range(len(u)):
+            middles = middle_terms(u.modules[i], u.modules[j], rng, hom=u.hom)
+            oracle = tuple(tuple(sorted(u.match(part) for part in modules.decompose(E, rng)))
+                           for E in middles)
+            assert u.middle_summands(i, j) == oracle, (i, j)
+            nonsplit += len(middles) - 1
+    assert nonsplit > 0
+
+
+@FINITE_CASES
+def test_closures_carve_only_proper_traces(monkeypatch, q):
+    """Generation tests and full or zero traces are decided from ranks; only
+    a peeling step through a proper nonzero trace carves, once."""
+    traces, carved = {}, []
+    real_trace, real_carve = tors.trace_submodule, modules.carve
+
+    def recording_trace(*args):
+        tr = real_trace(*args)
+        traces[id(tr.bases)] = tr
+        return tr
+
+    def recording_carve(M, spaces):
+        if id(spaces) in traces:
+            carved.append(traces[id(spaces)])
+        return real_carve(M, spaces)
+
+    monkeypatch.setattr(tors, "trace_submodule", recording_trace)
+    monkeypatch.setattr(modules, "trace_submodule", recording_trace)
+    monkeypatch.setattr(modules, "carve", recording_carve)
+    u = universe(q)
+    enumerate_torsion_classes(u)
+    assert carved
+    assert len({id(tr) for tr in carved}) == len(carved)
+    assert not any(tr.full or tr.zero for tr in carved)
+    assert len(carved) < len(traces) / 10
