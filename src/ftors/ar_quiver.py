@@ -6,9 +6,16 @@ are reached.  Every indecomposable appears exactly once and its dimension
 vector is a positive root; both facts are checked, not assumed.  Every
 check here raises VerificationError, so it also runs under python -O.
 
-Irreducible-map multiplicities are computed honestly as dim rad / rad^2 of
-the Hom spaces, not read off mesh shapes, and the mesh dimension identity is
-checked at every non-projective vertex.
+The Hom table between the knitted modules is decided by the Euler form:
+dim Hom(X, Y) = max(<x, y>, 0) (proved in knit_ar_quiver).  Only the Hom
+spaces with <x, y> > 0 are solved, and each solved dimension is checked to
+equal <x, y>; the others are the zero spaces the theory says they are.
+
+Irreducible-map multiplicities are computed honestly as dim rad / rad^2
+of the solved Hom spaces, not read off mesh shapes: the composites through
+each intermediate module are reduced into a growing echelon basis of
+rad^2.  The mesh dimension identity is checked at every non-projective
+vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import rank
+from .linalg import grow_rank
 from .modules import (
     HomSpace,
     Representation,
@@ -30,7 +37,7 @@ from .modules import (
     require,
 )
 from .quiver import ValuedQuiver, classify_type, topological_order
-from .roots import positive_roots
+from .roots import euler_matrix, positive_roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +69,22 @@ class ARQuiver:
 
 
 def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
-    """Knit the AR quiver of a representation-finite path algebra."""
+    """Knit the AR quiver of a representation-finite path algebra.
+
+    The Hom table holds every ordered pair of nodes, but only the pairs with
+    <x, y> > 0 are solved.  Why the rest are zero: for modules over a path
+    algebra, dim Hom(X, Y) - dim Ext(X, Y) = <x, y>.  When classify_type
+    finds the quiver representation finite, its module category is directed
+    (Gabriel 1972; Ringel, LNM 1099, 2.4): the AR quiver has no oriented
+    cycle, every nonzero map between indecomposables is a sum of composites
+    of irreducible maps, and Ext(X, Y) = D Hom(Y, tau X).  So nonzero Hom(X,
+    Y) and Ext(X, Y) would give a path X -> ... -> Y -> ... -> tau X -> ...
+    -> X, a cycle; for indecomposable X and Y at most one of them is
+    nonzero, and dim Hom(X, Y) = max(<x, y>, 0).  The nodes are those
+    indecomposables: their dims are distinct positive roots, as many as
+    there are roots, and each is a brick (End is the field, so the module
+    is indecomposable), which is the solved diagonal check <x, x> = 1.
+    """
     qt = classify_type(q)
     if not qt.representation_finite:
         raise ValueError("knitting requires a representation-finite quiver")
@@ -113,40 +135,44 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
             f"knitting reached {len(injectives_found)} of {q.n} injectives")
     injectives = [injectives_found[v] for v in range(q.n)]
 
-    hom_table: dict[tuple[int, int], HomSpace] = {}
-
-    def homs(i: int, j: int) -> HomSpace:
-        if (i, j) not in hom_table:
-            hom_table[(i, j)] = hom_basis(nodes[i].module, nodes[j].module)
-        return hom_table[(i, j)]
-
-    for i in range(len(nodes)):
-        require(homs(i, i).dim == 1, f"knitted module {nodes[i].dims} is not a brick")
+    # dim Hom(X, Y) = max(<x, y>, 0) (see the docstring): only the pairs
+    # with <x, y> > 0 are solved, each against the form.  <x, x> = 1 for a
+    # root, so on the diagonal this is the check that every node is a brick
+    dims = np.array([node.dims for node in nodes], dtype=np.int64)
+    euler = (dims @ euler_matrix(q) @ dims.T).tolist()
+    homs: dict[tuple[int, int], HomSpace] = {}
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            e = euler[i][j]
+            if e <= 0:
+                homs[(i, j)] = HomSpace(x.module, y.module, ())
+                continue
+            h = homs[(i, j)] = hom_basis(x.module, y.module)
+            require(h.dim == e, f"Hom from node {i} to node {j} has dimension "
+                                f"{h.dim}, not the Euler form {e}")
 
     # irreducible maps: multiplicity = dim rad(X, Y) - dim rad^2(X, Y);
     # between nonisomorphic indecomposables rad is all of Hom, and rad(X, X)
-    # vanishes because End(X) is one dimensional.  rad^2 lies in Hom, so once
-    # the composites span all of Hom the multiplicity is 0 and the scan stops
+    # vanishes because End(X) is one dimensional.  rad^2 is spanned by the
+    # composites through the modules k with Hom(i, k) and Hom(k, j) nonzero;
+    # each k's composites are reduced into the echelon rows kept so far.
+    # rad^2 lies in Hom, so once they span all of Hom the multiplicity is 0
+    # and the scan stops
     arrows: dict[tuple[int, int], int] = {}
-    for i in range(len(nodes)):
-        for j in range(len(nodes)):
+    after = [[k for k, e in enumerate(row) if e > 0] for row in euler]
+    for i, succ in enumerate(after):
+        for j in succ:
             if i == j:
                 continue
-            h = homs(i, j)
-            if h.dim == 0:
-                continue
-            comps: list[np.ndarray] = []
+            h = homs[(i, j)]
+            echelon: list[list[int]] = []
             r2 = 0
-            for k in range(len(nodes)):
-                if k == i or k == j:
+            for k in succ:
+                if k == i or k == j or euler[k][j] <= 0:
                     continue
-                hik, hkj = homs(i, k), homs(k, j)
-                if hik.dim == 0 or hkj.dim == 0:
-                    continue
-                for g in hkj.basis:
-                    for f in hik.basis:
-                        comps.append(morphism_flat(compose(g, f, p)))
-                r2 = rank(np.stack(comps), p)
+                comps = [morphism_flat(compose(g, f, p)).tolist()
+                         for g in homs[(k, j)].basis for f in homs[(i, k)].basis]
+                r2 = grow_rank(echelon, comps, p)
                 if r2 >= h.dim:
                     break
             mult = h.dim - r2
@@ -154,7 +180,7 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
             if mult > 0:
                 arrows[(i, j)] = mult
 
-    ar = ARQuiver(q, p, nodes, arrows, translate, projectives, injectives, hom_table)
+    ar = ARQuiver(q, p, nodes, arrows, translate, projectives, injectives, homs)
     _check_meshes(ar)
     return ar
 

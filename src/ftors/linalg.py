@@ -113,6 +113,18 @@ def rank(a, p: int) -> int:
     return rref(a, p)[1]
 
 
+def grow_rank(echelon: list[list[int]], vectors: list[list[int]], p: int) -> int:
+    """Reduce new rows into a reduced echelon basis, in place; return its rank.
+
+    echelon holds the reduced echelon rows kept so far and vectors the new
+    rows, all lists of ints in [0, p) of one length; afterwards echelon is
+    the reduced echelon basis of the span of both.
+    """
+    echelon.extend(vectors)
+    del echelon[len(_eliminate(echelon, len(echelon[0]), p)):]
+    return len(echelon)
+
+
 def _kernel(rows, pivots, ncols: int, p: int) -> np.ndarray:
     """Null space basis of the first ncols columns of a reduced echelon form.
 

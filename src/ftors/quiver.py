@@ -526,13 +526,16 @@ def reflect_at(q: ValuedQuiver, v: int) -> ValuedQuiver:
     return reflect_with_perm(q, v)[0]
 
 
-def reflect_with_perm(q: ValuedQuiver, v: int) -> tuple[ValuedQuiver, list[int]]:
-    """reflect_at plus the permutation old arrow index -> new arrow index."""
+@cache
+def reflect_with_perm(q: ValuedQuiver, v: int) -> tuple[ValuedQuiver, tuple[int, ...]]:
+    """reflect_at plus the permutation old arrow index -> new arrow index.
+
+    Memoized: each translate reflects the same few quivers again."""
     if not (is_sink(q, v) or is_source(q, v)):
         raise QuiverError(f"vertex {v + 1} is neither a sink nor a source")
     raw = [ar.reversed() if v in (ar.source, ar.target) else ar for ar in q.arrows]
     arrows, perm = sorted_with_perm(raw)
-    return ValuedQuiver(q.n, arrows, q.labels), perm
+    return ValuedQuiver(q.n, arrows, q.labels), tuple(perm)
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,13 @@ i and j as (i, j) and decomposes only the nonsplit ones.
 
 Each ModuleUniverse keeps a table of the Hom spaces between its members,
 filled on first use (a finite universe starts with the table its knitting
-computed), so the generation tests and the first peeling step compute each
-member pair once; only peeled quotients and outside modules reach hom_basis
-again.  The sampled Kronecker universe of the bounded check is not closed
-under extensions, so its membership test stays the peeling test, which
-needs no universe; the fixpoint torsion_closure needs every middle term of
-two members to be a sum of members.
+built, where the Euler form decides the zero spaces), so the generation
+tests and the first peeling step compute each member pair at most once;
+only peeled quotients and outside modules reach hom_basis again.  The
+sampled Kronecker universe of the bounded check is not closed under
+extensions, so its membership test stays the peeling test, which needs no
+universe; the fixpoint torsion_closure needs every middle term of two
+members to be a sum of members.
 """
 
 from __future__ import annotations
@@ -120,9 +121,14 @@ class ModuleUniverse:
     _peeled: dict = field(default_factory=dict)
     _homs: dict = field(default_factory=dict)
     _index: dict = field(init=False)
+    _members: frozenset = field(init=False)
+    _holders: dict = field(init=False)
 
     def __post_init__(self):
         self._index = {id(M): i for i, M in enumerate(self.modules)}
+        self._members = frozenset(range(len(self.modules)))
+        # member m -> the members j whose cached peeled closure T(j) holds m
+        self._holders = {m: set() for m in self._members}
 
     def __len__(self) -> int:
         return len(self.modules)
@@ -173,35 +179,39 @@ class ModuleUniverse:
         cached T(K) with K ⊆ gens and misses every member outside a cached
         T(K) that contains gens.  Only the members left open are peeled, in
         index order; one found inside brings its cached T(m) along, and one
-        found outside rules out every j whose cached T(j) contains it.  The
-        bounds hold because each cached value is exactly T(K) ∩ U: only
-        peeled answers enter the cache.
+        found outside rules out every j whose cached T(j) contains it (its
+        holders).  The bounds hold because each cached value is exactly
+        T(K) ∩ U: only peeled answers enter the cache.
         """
         if gens in self._peeled:
             return self._peeled[gens]
-        everything = range(len(self))
         inside, outside = set(gens), set()
         for key, closed in self._peeled.items():
             if key <= gens:
                 inside |= closed
             if gens <= closed:
-                outside.update(m for m in everything if m not in closed)
-        single = {j: self._peeled.get(frozenset([j])) for j in everything}
+                outside |= self._members - closed
         glist = [self.modules[g] for g in sorted(gens)]
-        for m in everything:
+        for m in range(len(self)):
             if m in inside or m in outside:
                 continue
             if in_torsion_closure(glist, self.modules[m], self.hom):
-                inside |= single[m] or {m}
+                inside |= self._peeled.get(frozenset((m,)), {m})
             else:
-                outside.update(j for j, s in single.items() if s is not None and m in s)
+                outside |= self._holders[m]
         self._peeled[gens] = result = frozenset(inside)
+        if len(gens) == 1:
+            [j] = gens
+            for m in result:
+                self._holders[m].add(j)
         return result
 
 
 def finite_universe(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ModuleUniverse:
     """Every indecomposable, sorted by (total dimension, dims), with the Hom
-    table the knitting computed between all of them."""
+    table the knitting built between all of them: the spaces with <x, y> > 0
+    solved and checked against the Euler form, the others the zero spaces
+    the Euler form decides (see knit_ar_quiver), taken over unchanged."""
     from .ar_quiver import knit_ar_quiver
 
     ar = knit_ar_quiver(q, p)

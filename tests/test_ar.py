@@ -16,7 +16,8 @@ from ftors.modules import (
     projective,
 )
 from ftors.quiver import parse_quiver
-from ftors.roots import positive_roots
+from ftors.roots import euler_form, positive_roots
+from test_tors import count_homs, member_pairs
 
 A2 = parse_quiver("vertices 2\narrow 1 2\n")
 A3_ORIENTATIONS = [
@@ -26,7 +27,11 @@ A3_ORIENTATIONS = [
 ]
 D4 = parse_quiver("vertices 4\narrow 1 2\narrow 1 3\narrow 1 4\n")
 E6 = parse_quiver("vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6\n")
+E7 = parse_quiver("vertices 7\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 5 6\narrow 3 7\n")
 KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\n")
+
+KNIT_CASES = pytest.mark.parametrize("q", [*A3_ORIENTATIONS, D4, E6],
+                                      ids=["A3-path", "A3-source", "A3-sink", "D4", "E6"])
 
 
 def test_knitting_counts():
@@ -69,17 +74,20 @@ def test_translate_edges_agree_with_ar_translate():
         assert is_isomorphic(t, ar.nodes[ty].module, rng)
 
 
+def assert_meshes(ar):
+    for y, ty in ar.translate.items():
+        mid = np.zeros(ar.quiver.n, dtype=np.int64)
+        for (i, j), mult in ar.arrows.items():
+            if j == y:
+                mid += mult * np.array(ar.nodes[i].dims)
+        want = np.array(ar.nodes[y].dims) + np.array(ar.nodes[ty].dims)
+        assert np.array_equal(mid, want)
+
+
 def test_mesh_identity_recomputed():
     """Sum of middle dims equals dims of the two mesh ends."""
     for q in (D4, *A3_ORIENTATIONS):
-        ar = knit_ar_quiver(q, 5)
-        for y, ty in ar.translate.items():
-            mid = np.zeros(q.n, dtype=np.int64)
-            for (i, j), mult in ar.arrows.items():
-                if j == y:
-                    mid += mult * np.array(ar.nodes[i].dims)
-            want = np.array(ar.nodes[y].dims) + np.array(ar.nodes[ty].dims)
-            assert np.array_equal(mid, want)
+        assert_meshes(knit_ar_quiver(q, 5))
 
 
 def _arrows_from_full_span(ar):
@@ -100,13 +108,47 @@ def _arrows_from_full_span(ar):
     return arrows
 
 
-@pytest.mark.parametrize("q", [*A3_ORIENTATIONS, D4, E6],
-                         ids=["A3-path", "A3-source", "A3-sink", "D4", "E6"])
+@KNIT_CASES
 def test_rad2_scan_that_stops_at_full_rank_matches_the_full_span(q):
     """The knit stops collecting composites once they span Hom(i, j); every
     multiplicity still equals the one read from the full span."""
     ar = knit_ar_quiver(q, 5)
     assert ar.arrows == _arrows_from_full_span(ar)
+
+
+@KNIT_CASES
+def test_hom_table_equals_hom_basis_on_every_pair(q):
+    """The solved entries and the ones the Euler form decides as zero are
+    both, array for array, what hom_basis computes afresh."""
+    ar = knit_ar_quiver(q, 5)
+    n = len(ar.nodes)
+    assert set(ar.homs) == {(i, j) for i in range(n) for j in range(n)}
+    for (i, j), h in ar.homs.items():
+        x, y = ar.nodes[i].module, ar.nodes[j].module
+        fresh = hom_basis(x, y)
+        assert h.source is x and h.target is y
+        assert len(h.basis) == len(fresh.basis) == max(euler_form(q, x.dims, y.dims), 0)
+        for f, g in zip(h.basis, fresh.basis):
+            assert all(np.array_equal(a, b) for a, b in zip(f, g))
+
+
+@KNIT_CASES
+def test_knit_solves_exactly_the_pairs_with_positive_euler_form(q, monkeypatch):
+    counts, alive = count_homs(monkeypatch)
+    ar = knit_ar_quiver(q, 5)
+    mods = [node.module for node in ar.nodes]
+    solved = {(i, j): 1 for i, x in enumerate(mods) for j, y in enumerate(mods)
+              if euler_form(q, x.dims, y.dims) > 0}
+    assert 0 < len(solved) < len(mods) ** 2
+    assert sum(counts.values()) == len(solved)
+    assert member_pairs(counts, mods) == solved
+
+
+def test_knitting_e7():
+    ar = knit_ar_quiver(E7, 5)
+    assert len(ar.nodes) == 63
+    assert {node.dims for node in ar.nodes} == set(positive_roots(E7))
+    assert_meshes(ar)
 
 
 def test_a2_arrow_pattern():

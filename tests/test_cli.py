@@ -328,10 +328,21 @@ def test_knitting_checks_survive_python_O(shift, prefix):
     """A rank of rad^2 off by one shifts every multiplicity computed from
     composites: one lower turns a pair with no irreducible map negative, one
     higher breaks the mesh identity.  Either way run knit exits 5."""
-    patch = ("real = ar_quiver.rank\n"
-             f"ar_quiver.rank = lambda a, p: real(a, p) + {shift}")
+    patch = ("real = ar_quiver.grow_rank\n"
+             f"ar_quiver.grow_rank = lambda e, v, p: real(e, v, p) + {shift}")
     proc = run_optimized(patch, "run", "knit", str(QDIR / "d4.txt"))
     assert_verification_failure(proc, prefix)
+
+
+def test_euler_hom_check_survives_python_O():
+    """With every solved Hom space of the knit one basis element short, the
+    first solved pair misses its Euler-form dimension and run knit exits 5."""
+    patch = ("from ftors.modules import HomSpace\n"
+             "real = ar_quiver.hom_basis\n"
+             "ar_quiver.hom_basis = lambda X, Y: HomSpace(X, Y, real(X, Y).basis[:-1])")
+    proc = run_optimized(patch, "run", "knit", str(QDIR / "d4.txt"))
+    assert_verification_failure(proc, "Hom from node 0 to node 0 has dimension 0, "
+                                      "not the Euler form 1")
 
 
 def test_root_check_survives_python_O():
