@@ -70,7 +70,6 @@ from .tors import (
     enumerate_torsion_classes,
     filtration_universe,
     find_cover,
-    find_covers,
     finite_universe,
     gen_closure,
     hasse_edges,

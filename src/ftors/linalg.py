@@ -186,14 +186,6 @@ def solve(a, b, p: int):
     return x, kernel
 
 
-def coords_in_basis(basis, vecs, p: int) -> np.ndarray:
-    """Coordinates of the columns of vecs in the given independent columns."""
-    x, _ = solve(basis, vecs, p)
-    if x is None:
-        raise ValueError("vectors do not lie in the span of the basis")
-    return x
-
-
 def complement_indices(basis, p: int) -> list[int]:
     """Indices of standard basis vectors completing independent columns."""
     d, k = np.shape(basis)

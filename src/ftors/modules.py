@@ -8,7 +8,11 @@ decomposition that proves locality from a basis of End(M) and samples only
 to search for a split, with an honest inconclusive outcome, normalization,
 reflection functors, the translates DTr and TrD as Coxeter functors twisted
 by the sign automorphism that negates every arrow, universal extensions by
-simples, and enumeration of extension middle terms.
+simples, and enumeration of extension middle terms.  Both extension
+constructions read Ext off the standard resolution: the Hom system's map
+from the vertex blocks to the arrow blocks has kernel Hom and cokernel Ext,
+so a class is a cocycle on the arrow blocks, and its middle term is glued
+from block upper-triangular arrow matrices with no projective presentation.
 
 Only valuation-(1, 1) quivers (path algebras, parallel arrows allowed) are
 accepted here; valued arrows live purely at the numerical level.
@@ -109,13 +113,6 @@ def paths_from(q: ValuedQuiver, i: int) -> tuple[tuple[tuple[int, ...], ...], ..
             for k, ar in arrows_out(q, v):
                 out[ar.target].append(path + (k,))
     return tuple(tuple(ps) for ps in out)
-
-
-def path_matrix(M: Representation, start: int, path: tuple[int, ...]) -> np.ndarray:
-    m = la.identity(M.dims[start])
-    for k in path:
-        m = la.matmul(M.mats[k], m, M.p)
-    return m
 
 
 def standard_module(q: ValuedQuiver, p: int, kind: str, i: int) -> Representation:
@@ -289,15 +286,16 @@ class HomSpace:
         return self.element(rng.integers(0, self.source.p, size=self.dim))
 
 
-def hom_basis(X: Representation, Y: Representation) -> HomSpace:
-    """Canonical echelonized basis of the intertwiner space Hom(X, Y).
+def _intertwiner_rows(X: Representation, Y: Representation) -> tuple[list[list[int]], list[int]]:
+    """The map f -> (f_t X_k - Y_k f_s)_k from the vertex blocks
+    sum_v Hom(X_v, Y_v) to the arrow blocks sum_k Hom(X_s, Y_t), as rows of
+    ints reduced mod p, and the offsets of the vertex blocks.
 
     The unknowns are the entries of f_v, row by row.  Arrow k: s -> t gives
-    the block of equations f_t X_k - Y_k f_s = 0, indexed by the entries
-    (i, a) of a Y_t x X_s matrix: f_t X_k contributes X_k[b, a] at unknown
-    f_t[i, b], and Y_k f_s contributes -Y_k[i, j] at unknown f_s[j, a].  The
-    system is written as rows of ints reduced mod p and eliminated by
-    linalg._eliminate; the median system is 2 x 3, too small for numpy.
+    one row per entry (i, a) of a Y_t x X_s matrix, arrow by arrow: f_t X_k
+    contributes X_k[b, a] at unknown f_t[i, b], and Y_k f_s contributes
+    -Y_k[i, j] at unknown f_s[j, a].  Its kernel is Hom(X, Y) and its
+    cokernel Ext(X, Y) (the standard resolution).
     """
     if X.quiver != Y.quiver or X.p != Y.p:
         raise ValueError("modules live over different quivers or moduli")
@@ -306,8 +304,6 @@ def hom_basis(X: Representation, Y: Representation) -> HomSpace:
     for v in range(q.n):
         offs.append(offs[-1] + Y.dims[v] * X.dims[v])
     cols = offs[-1]
-    if not cols:
-        return HomSpace(X, Y, ())
     rows = []
     for k, ar in enumerate(q.arrows):
         s, t = ar.source, ar.target
@@ -322,6 +318,19 @@ def hom_basis(X: Representation, Y: Representation) -> HomSpace:
                 for j in range(ys):
                     row[offs[s] + j * xs + a] = -yk[i][j] % p
                 rows.append(row)
+    return rows, offs
+
+
+def hom_basis(X: Representation, Y: Representation) -> HomSpace:
+    """Canonical echelonized basis of the intertwiner space Hom(X, Y).
+
+    The system of _intertwiner_rows is eliminated by linalg._eliminate; the
+    median system is 2 x 3, too small for numpy.
+    """
+    rows, offs = _intertwiner_rows(X, Y)
+    q, p, cols = X.quiver, X.p, offs[-1]
+    if not cols:
+        return HomSpace(X, Y, ())
     pivots = la._eliminate(rows, cols, p)
     if len(pivots) == cols:
         return HomSpace(X, Y, ())
@@ -353,10 +362,6 @@ def morphism_flat(f: tuple[np.ndarray, ...]) -> np.ndarray:
 def compose(g: tuple[np.ndarray, ...], f: tuple[np.ndarray, ...], p: int) -> tuple[np.ndarray, ...]:
     """Composite g after f, per vertex."""
     return tuple(la.matmul(g[v], f[v], p) for v in range(len(f)))
-
-
-def identity_morphism(M: Representation) -> tuple[np.ndarray, ...]:
-    return tuple(la.identity(d) for d in M.dims)
 
 
 def is_invertible_morphism(f, p: int) -> bool:
@@ -753,61 +758,6 @@ def reflection_functor_apply(M: Representation, v: int) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# projective covers and minimal presentations
-
-def projective_cover(M: Representation):
-    """Minimal epi from a projective: (P0, component vertices, g: P0 -> M)."""
-    q, p = M.quiver, M.p
-    comps: list[int] = []
-    tops: list[np.ndarray] = []
-    for v in range(q.n):
-        blocks = [M.mats[k] for k, _ in arrows_in(q, v)]
-        if blocks and M.dims[v]:
-            rad = la.column_space_basis(np.hstack(blocks), p)
-        else:
-            rad = la.zeros(M.dims[v], 0)
-        for idx in la.complement_indices(rad, p):
-            vec = np.zeros(M.dims[v], dtype=np.int64)
-            vec[idx] = 1
-            comps.append(v)
-            tops.append(vec)
-    if not comps:
-        require(M.total == 0, "a module with no top must be zero")
-        return zero_rep(q, p), [], identity_morphism(M)
-    parts = [projective(q, p, v) for v in comps]
-    p0 = direct_sum(parts)
-    g = []
-    for w in range(q.n):
-        m = la.zeros(M.dims[w], p0.dims[w])
-        col = 0
-        for c, v in enumerate(comps):
-            for path in paths_from(q, v)[w]:
-                m[:, col] = (path_matrix(M, v, path) @ tops[c]) % p
-                col += 1
-        g.append(m)
-    for w in range(q.n):
-        require(la.rank(g[w], p) == M.dims[w], "projective cover fails to surject")
-    return p0, comps, tuple(g)
-
-
-def _minimal_presentation(M: Representation):
-    """Minimal projective presentation P1 -> P0 -> M -> 0.
-
-    Returns (P0, P1, f) with f: P1 -> P0 the presentation map.  P1 is the
-    projective cover of the kernel of P0 -> M; over a path algebra that
-    kernel is projective, so the cover is an isomorphism and f is injective.
-    """
-    q, p = M.quiver, M.p
-    p0, _, g = projective_cover(M)
-    ker = carve(p0, [la.kernel_basis(g[v], p) for v in range(q.n)])
-    p1, _, h = projective_cover(ker.sub)
-    # h surjects and the inclusion of the kernel is injective, so f is
-    # injective exactly when P1 and the kernel have the same dimensions
-    require(p1.dims == ker.sub.dims, "presentation map must be injective")
-    return p0, p1, compose(ker.incl, h, p)
-
-
-# ---------------------------------------------------------------------------
 # the translates as sign-twisted Coxeter functors
 
 def _twisted_coxeter(M: Representation, order, undefined: str) -> Representation:
@@ -844,38 +794,51 @@ def ar_translate_inverse(M: Representation) -> Representation:
 # ---------------------------------------------------------------------------
 # universal extensions and middle terms
 
-def _universal_extension_above(M: Representation, i: int) -> Representation:
-    """0 -> M -> E -> S(i)^e -> 0 killing Ext(S(i), -); e = ext_dim(S(i), M)."""
-    q, p = M.quiver, M.p
-    outs = arrows_out(q, i)
-    blocks = [M.mats[k] for k, _ in outs]
-    assembled = np.vstack(blocks) if blocks else la.zeros(0, M.dims[i])
-    img = la.column_space_basis(assembled, p)
-    comp = la.complement_indices(img, p)
-    e = len(comp)
-    if e == 0:
-        return M
-    dims = list(M.dims)
-    dims[i] += e
-    new_mats = []
+def _ext_classes(B: Representation, A: Representation) -> np.ndarray:
+    """Cocycles whose classes form a basis of Ext(B, A), one per row.
+
+    Ext(B, A) is the cokernel of the map of _intertwiner_rows from the
+    vertex blocks to the arrow blocks (Ringel's standard resolution), so
+    the standard basis vectors of the arrow blocks that complete its image
+    represent a basis of it.
+    """
+    rows, offs = _intertwiner_rows(B, A)
+    image = la.column_space_basis(np.array(rows, dtype=np.int64).reshape(len(rows), offs[-1]), B.p)
+    return la.identity(len(rows))[la.complement_indices(image, B.p)]
+
+
+def _glue(A: Representation, B: Representation, cocycles) -> Representation:
+    """The extension 0 -> A -> E -> B^m -> 0 along m cocycles of (B, A).
+
+    Arrow k: s -> t acts on E_s = A_s + B_s^m by [[A_k, eta_k], [0, B_k^m]],
+    A first at each vertex, where eta_k holds the block of each cocycle at
+    arrow k, an A_t x B_s matrix read row by row, side by side.
+    """
+    q, p = A.quiver, A.p
+    Bm = direct_sum([B] * len(cocycles))
+    mats, off = [], 0
     for k, ar in enumerate(q.arrows):
-        m = M.mats[k]
-        if ar.source == i:
-            off = 0
-            for kk, aa in outs:
-                if kk == k:
-                    break
-                off += M.dims[aa.target]
-            extra = la.zeros(M.dims[ar.target], e)
-            for j, idx in enumerate(comp):
-                if off <= idx < off + M.dims[ar.target]:
-                    extra[idx - off, j] = 1
-            m = np.hstack([m, extra])
-        if ar.target == i:
-            m = np.vstack([m, la.zeros(e, M.dims[ar.source])])
-        new_mats.append(m)
-    E = make_rep(q, p, dims, new_mats)
-    require(ext_dim(simple(q, p, i), E) == 0, "universal extension above leaves an extension")
+        s, t = ar.source, ar.target
+        size = A.dims[t] * B.dims[s]
+        etas = [c[off:off + size].reshape(A.dims[t], B.dims[s]) for c in cocycles]
+        off += size
+        mats.append(np.block([[A.mats[k], *etas], [la.zeros(Bm.dims[t], A.dims[s]), Bm.mats[k]]]))
+    return make_rep(q, p, [a + b for a, b in zip(A.dims, Bm.dims)], mats)
+
+
+def _universal_extension_above(M: Representation, i: int) -> Representation:
+    """0 -> M -> E -> S(i)^e -> 0 killing Ext(S(i), -); e = ext_dim(S(i), M).
+
+    E glues one copy of S(i) along each class of Ext(S(i), M); the
+    coboundary of (S(i), M) is minus the stacked arrow maps out of i.
+    """
+    q, p = M.quiver, M.p
+    S = simple(q, p, i)
+    classes = _ext_classes(S, M)
+    if not len(classes):
+        return M
+    E = _glue(M, S, list(classes))
+    require(ext_dim(S, E) == 0, "universal extension above leaves an extension")
     return E
 
 
@@ -911,11 +874,11 @@ def middle_terms(B: Representation, A: Representation, rng,
                  cap: int = MIDDLE_CAP, hom=None) -> list[Representation]:
     """All middle terms of extensions of B by A (0 -> A -> E -> B -> 0).
 
-    Classes are enumerated up to scalar; each middle term arises as the
-    pushout of the projective presentation of B along a representative.  The
-    list starts with the split extension, followed by the iso-deduplicated
-    nonsplit middles.  hom supplies the Hom spaces between A and B, as in
-    trace_submodule.
+    Classes are enumerated up to scalar, as combinations of the basis
+    cocycles of _ext_classes, and each middle term is glued from A and B
+    along one.  The list starts with the split extension, followed by the
+    iso-deduplicated nonsplit middles.  hom supplies the Hom spaces between
+    A and B, as in trace_submodule.
 
     When A and B are distinct bricks with Hom(A, B) = Hom(B, A) = 0, no
     deduplication is needed: an isomorphism E -> E' of middle terms sends A
@@ -938,35 +901,12 @@ def middle_terms(B: Representation, A: Representation, rng,
     dedup = e >= 2 and not (
         A is not B and e == -euler_form(q, B.dims, A.dims) and hom(A, B).dim == 0
         and hom(A, A).dim == 1 and hom(B, B).dim == 1)
-    p0, p1, f = _minimal_presentation(B)
+    classes = _ext_classes(B, A)
+    require(len(classes) == e, "extension classes do not match the Ext dimension")
 
-    h1 = hom_basis(p1, A)
-    h0 = hom_basis(p0, A)
-    require(h1.dim >= e, "fewer maps from P1 than extension classes")
-    flat1 = np.stack([morphism_flat(fb) for fb in h1.basis], axis=1) if h1.dim else la.zeros(0, 0)
-    pulled = []
-    for eta in h0.basis:
-        pulled.append(morphism_flat(compose(eta, f, p)))
-    if pulled:
-        coords = la.coords_in_basis(flat1, np.stack(pulled, axis=1), p)
-    else:
-        coords = la.zeros(h1.dim, 0)
-    img = la.column_space_basis(coords, p)
-    reps_idx = la.complement_indices(img, p)
-    require(len(reps_idx) == e, "extension classes do not match the Ext dimension")
-
-    out = [split]
     kept: list[Representation] = []
-    target = direct_sum([A, p0])
     for line in _projective_class_lines(p, e):
-        coeffs = np.zeros(h1.dim, dtype=np.int64)
-        for c, idx in zip(line, reps_idx):
-            coeffs[idx] = c
-        xi = h1.element(coeffs)
-        # E is the cokernel of P1 -> A + P0, the pushout along xi
-        jmap = [np.vstack([xi[v], (-f[v]) % p]) % p for v in range(q.n)]
-        E = carve(target, jmap).quot
-        require(E.total == A.total + B.total, "middle term has the wrong dimension")
+        E = _glue(A, B, [la.matmul(np.array(line), classes, p)])
         if not dedup or _iso_index(E, kept, rng) is None:
             kept.append(E)
-    return out + kept
+    return [split] + kept

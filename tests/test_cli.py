@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,17 @@ def test_nocover_checks_survive_python_O():
     assert_verification_failure(proc, "layer summand ")
 
 
+def test_extension_class_count_survives_python_O():
+    """With the complement of the coboundary image one class short, the
+    first middle term enumeration misses its Ext dimension and run nocover
+    exits 5, also under python -O."""
+    patch = ("from ftors import linalg\n"
+             "real = linalg.complement_indices\n"
+             "linalg.complement_indices = lambda basis, p: real(basis, p)[:-1]")
+    proc = run_optimized(patch, "run", "nocover", A2TILDE)
+    assert_verification_failure(proc, "extension classes do not match the Ext dimension")
+
+
 def test_closure_agreement_survives_python_O():
     """With the peeling engine dropping one member of each closure, the
     fixpoint closure and the peeled closure disagree, and run tors exits 5."""
@@ -384,6 +396,33 @@ def test_no_assert_in_the_package():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), (
                     f"{path.name}:{node.lineno}")
+
+
+def _referenced_names(tree) -> Counter:
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def test_no_orphaned_private_helper():
+    """Every _-prefixed function or method defined in the package is
+    referenced somewhere else in the package, outside its own body, so a
+    helper whose last caller is gone is deleted with it."""
+    trees = [(path.name, ast.parse(path.read_text(), str(path)))
+             for path in sorted((ROOT / "src" / "ftors").glob("*.py"))]
+    everywhere = sum((_referenced_names(tree) for _, tree in trees), Counter())
+    orphans = [f"{name}:{node.lineno} {node.name}"
+               for name, tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and everywhere[node.name] == _referenced_names(node)[node.name]]
+    assert not orphans, orphans
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):

@@ -205,17 +205,6 @@ def test_column_space_basis_spans_columns():
         assert la.solve(c, col, 5)[0] is not None
 
 
-def test_coords_in_basis_roundtrip():
-    rng = np.random.default_rng(3)
-    basis = la.random_matrix(4, 2, 5, rng)
-    while la.rank(basis, 5) < 2:
-        basis = la.random_matrix(4, 2, 5, rng)
-    coeff = la.random_matrix(2, 3, 5, rng)
-    vecs = la.matmul(basis, coeff, 5)
-    got = la.coords_in_basis(basis, vecs, 5)
-    assert np.array_equal(got, coeff)
-
-
 def test_complement_indices_complete_a_basis():
     basis = np.array([[1, 0], [0, 1], [0, 0]], dtype=np.int64)
     extra = la.complement_indices(basis, 5)

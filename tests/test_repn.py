@@ -36,7 +36,6 @@ from ftors.modules import (
     middle_terms,
     normalize,
     projective,
-    projective_cover,
     random_rep,
     reflection_functor_apply,
     rep_from_json,
@@ -45,16 +44,98 @@ from ftors.modules import (
     standard_module,
     trace_submodule,
     universal_extension,
+    zero_rep,
 )
-from ftors.quiver import load_quiver, parse_quiver, reflect_at
+from ftors.quiver import arrows_in, load_quiver, parse_quiver, reflect_at
 from ftors.roots import coxeter_transform, euler_form
 from ftors.tors import filtration_universe, in_gen_closure, in_torsion_closure
 from ftors.tubes import find_regular_simples
 
 
+def projective_cover(M):
+    """Minimal epi from a projective: (P0, component vertices, g: P0 -> M).
+
+    One copy of P(v) for each standard basis vector completing rad M at v;
+    g sends the path basis of that copy to the images of the vector.
+    """
+    q, p = M.quiver, M.p
+    comps, tops = [], []
+    for v in range(q.n):
+        blocks = [M.mats[k] for k, _ in arrows_in(q, v)]
+        rad = (la.column_space_basis(np.hstack(blocks), p) if blocks and M.dims[v]
+               else la.zeros(M.dims[v], 0))
+        for idx in la.complement_indices(rad, p):
+            comps.append(v)
+            tops.append(la.identity(M.dims[v])[:, idx])
+    if not comps:
+        assert M.total == 0
+        return zero_rep(q, p), [], tuple(la.identity(d) for d in M.dims)
+    p0 = direct_sum([projective(q, p, v) for v in comps])
+    g = []
+    for w in range(q.n):
+        cols = []
+        for top, v in zip(tops, comps):
+            for path in modules.paths_from(q, v)[w]:
+                vec = top
+                for k in path:
+                    vec = M.mats[k] @ vec % p
+                cols.append(vec)
+        g.append(np.stack(cols, axis=1) if cols else la.zeros(M.dims[w], 0))
+        assert la.rank(g[w], p) == M.dims[w]
+    return p0, comps, tuple(g)
+
+
 def is_projective_rep(M):
     """A module is projective exactly when its projective cover is no larger."""
     return projective_cover(M)[0].total == M.total
+
+
+def minimal_presentation(M):
+    """P1 -> P0 -> M -> 0 as (P0, P1, f), P1 the projective cover of the
+    kernel of P0 -> M; over a path algebra that kernel is projective, so f
+    is injective."""
+    q, p = M.quiver, M.p
+    p0, _, g = projective_cover(M)
+    ker = carve(p0, [la.kernel_basis(g[v], p) for v in range(q.n)])
+    p1, _, h = projective_cover(ker.sub)
+    assert p1.dims == ker.sub.dims
+    return p0, p1, tuple(la.matmul(i, hv, p) for i, hv in zip(ker.incl, h))
+
+
+def reference_middle_terms(B, A, rng):
+    """middle_terms by pushouts of the minimal presentation of B.
+
+    A class of Ext(B, A) is a map P1 -> A modulo those that factor through
+    f: P1 -> P0, and its middle term is the cokernel of P1 -> A + P0.  The
+    split term comes first, and the nonsplit ones follow one per line of
+    P(Ext), deduplicated by the rule of middle_terms.
+    """
+    q, p = B.quiver, B.p
+    e = ext_dim(B, A)
+    split = direct_sum([A, B]) if A.total and B.total else (A if B.total == 0 else B)
+    if e == 0:
+        return [split]
+    dedup = e >= 2 and not (
+        A is not B and e == -euler_form(q, B.dims, A.dims) and hom_dim(A, B) == 0
+        and hom_dim(A, A) == 1 and hom_dim(B, B) == 1)
+    p0, p1, f = minimal_presentation(B)
+    h1, h0 = hom_basis(p1, A), hom_basis(p0, A)
+    flat1 = np.stack([modules.morphism_flat(m) for m in h1.basis], axis=1)
+    pulled = [modules.morphism_flat(modules.compose(eta, f, p)) for eta in h0.basis]
+    coords = (la.solve(flat1, np.stack(pulled, axis=1), p)[0] if pulled
+              else la.zeros(h1.dim, 0))
+    reps_idx = la.complement_indices(la.column_space_basis(coords, p), p)
+    assert len(reps_idx) == e
+    target = direct_sum([A, p0])
+    kept = []
+    for line in modules._projective_class_lines(p, e):
+        coeffs = np.zeros(h1.dim, dtype=np.int64)
+        coeffs[reps_idx] = line
+        xi = h1.element(coeffs)
+        E = carve(target, [np.vstack([xi[v], -f[v] % p]) for v in range(q.n)]).quot
+        if not dedup or modules._iso_index(E, kept, rng) is None:
+            kept.append(E)
+    return [split] + kept
 
 
 A2 = parse_quiver("vertices 2\narrow 1 2\n")
@@ -617,6 +698,59 @@ def test_middle_terms_cap():
     S1 = direct_sum([simple(KRONECKER, 5, 0)] * 3)
     with pytest.raises(ExtensionCapError):
         middle_terms(S1, simple(KRONECKER, 5, 1), rng)
+
+
+THREE_KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n")
+
+
+def assert_same_middle_terms(got, want, rng):
+    """The same split term first, then the same nonsplit terms up to
+    isomorphism, counted with multiplicity."""
+    assert got[0].dims == want[0].dims
+    assert all(np.array_equal(x, y) for x, y in zip(got[0].mats, want[0].mats))
+    assert len(got) == len(want)
+    rest = list(want[1:])
+    for E in got[1:]:
+        idx = modules._iso_index(E, rest, rng)
+        assert idx is not None, E.dims
+        rest.pop(idx)
+
+
+@pytest.mark.parametrize(
+    "q", [A3, KRONECKER, THREE_KRONECKER] + [load_quiver(QDIR / f"{name}.txt")
+                                            for name in ("twothree", "a2tilde")],
+    ids=["a3", "kronecker", "3-kronecker", "twothree", "a2tilde"])
+def test_middle_terms_match_the_pushout_reference(q):
+    """Gluing along the cocycles of the standard resolution gives the middle
+    terms of the pushout construction: on random pairs, self-extensions,
+    sums that are no brick, and simples, among them orthogonal ones where
+    every line is kept.  Deduplication can meet a summand whose End/rad is
+    larger than F_p, where decompose is inconclusive; such pairs are counted,
+    as in criterion 4, and must stay rare."""
+    rng = np.random.default_rng(89)
+    compared = inconclusive = nonsplit = 0
+    for p in (2, 3, 5):
+        pairs = []
+        for _ in range(4):
+            A = random_rep(q, p, rng.integers(0, 3, q.n), rng)
+            B = random_rep(q, p, rng.integers(0, 3, q.n), rng)
+            pairs += [(B, A), (A, A), (B, direct_sum([A, B]))]
+        for i in range(q.n):
+            for j in range(q.n):
+                pairs.append((simple(q, p, i), simple(q, p, j)))
+        for B, A in pairs:
+            if not (A.total and B.total and p ** ext_dim(B, A) <= 8 * (p - 1) + 1):
+                continue            # at most eight lines in P(Ext(B, A))
+            try:
+                got = middle_terms(B, A, rng)
+                assert_same_middle_terms(got, reference_middle_terms(B, A, rng), rng)
+            except DecompositionInconclusive:
+                inconclusive += 1
+                continue
+            compared += 1
+            nonsplit += len(got) - 1
+    assert nonsplit >= 20
+    assert inconclusive <= compared // 20
 
 
 def test_projective_cover_shapes():

