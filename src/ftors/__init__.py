@@ -53,7 +53,7 @@ from .modules import (
     universal_extension,
 )
 from .ar_quiver import ARQuiver, ar_quiver_dot, knit_ar_quiver
-from .tubes import Tube, find_regular_simples, tube_mouth_pair, tube_serial_module
+from .tubes import Tube, find_regular_simples, tube_mouth_pair
 from .ext_pairs import (
     ExtPairCertificate,
     ExtPairInconclusive,
@@ -77,7 +77,7 @@ from .tors import (
     in_torsion_closure,
     lattice_check,
     no_cover_evidence,
-    serial_filtration_object,
+    serial_object,
     torsion_closure,
     two_vertex_check,
     validate_ext_cycle,

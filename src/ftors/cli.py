@@ -276,7 +276,7 @@ def cmd_tors(args) -> int:
             _emit("\n".join(lines) + "\n", "text", args.out)
         if report.verdict == "inconclusive":
             return EXIT_INCONCLUSIVE
-        return EXIT_OK if report.verdict in ("lattice", "consistent") else EXIT_FAILED
+        return EXIT_OK if report.verdict == "consistent" else EXIT_FAILED
 
     raise CliError(
         EXIT_INCONCLUSIVE,

@@ -52,7 +52,7 @@ class DecompositionInconclusive(RuntimeError):
 
 
 class ExtensionCapError(RuntimeError):
-    """An extension-class enumeration would exceed the configured cap."""
+    """An extension-class enumeration would exceed MIDDLE_CAP classes."""
 
 
 DECOMPOSE_BUDGET = 40
@@ -557,8 +557,7 @@ def _fitting_split(M: Representation, g) -> tuple[Representation, Representation
     return part1, part2
 
 
-def decompose(M: Representation, rng: np.random.Generator,
-              budget: int = DECOMPOSE_BUDGET) -> list[Representation]:
+def decompose(M: Representation, rng: np.random.Generator) -> list[Representation]:
     """Full direct-sum decomposition into indecomposables.
 
     Fitting's lemma: an endomorphism phi is shifted by every scalar in turn,
@@ -583,11 +582,11 @@ def decompose(M: Representation, rng: np.random.Generator,
     if end.dim == 1:
         return [M]
     p = M.p
-    basis = end.basis[:budget]
+    basis = end.basis[:DECOMPOSE_BUDGET]
     # every random coefficient vector is drawn up front, as many as the budget
     # needs, so the random stream does not depend on where a split is found
     # or whether locality is proved; a sample is built only when its turn comes
-    draws = [rng.integers(0, p, size=end.dim) for _ in range(budget - len(basis))]
+    draws = [rng.integers(0, p, size=end.dim) for _ in range(DECOMPOSE_BUDGET - len(basis))]
     samples = itertools.chain(basis, map(end.element, draws))
     ids = [la.identity(d) for d in M.dims]
     certificate_ok = True
@@ -601,7 +600,7 @@ def decompose(M: Representation, rng: np.random.Generator,
             eig_seen = True
             split = _fitting_split(M, shifted)
             if split is not None:
-                return decompose(split[0], rng, budget) + decompose(split[1], rng, budget)
+                return decompose(split[0], rng) + decompose(split[1], rng)
             if k <= end.dim and any(m.any() for m in shifted):
                 nilpotents.append(shifted)
             break   # nilpotent shift: phi is scalar plus nilpotent
@@ -614,12 +613,11 @@ def decompose(M: Representation, rng: np.random.Generator,
     if certificate_ok:
         return [M]
     raise DecompositionInconclusive(
-        f"budget {budget} exhausted on dims {M.dims}: sampled endomorphisms "
+        f"budget {DECOMPOSE_BUDGET} exhausted on dims {M.dims}: sampled endomorphisms "
         "without F_p eigenvalues and found no splitting")
 
 
-def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator,
-                  tries: int = ISO_TRIES) -> bool:
+def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator) -> bool:
     """Isomorphism test, exact when Hom(X, Y) has dimension at most one.
 
     With no maps the answer is no.  With a one-dimensional Hom every map is a
@@ -628,7 +626,7 @@ def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator
     randomized and exact-negative: a found invertible intertwiner is a proof;
     a miss after the retry budget falls back to decomposing both sides and
     matching summands, and only for a pair of indecomposables does the
-    randomized miss decide (the failure probability decays like p^-tries).
+    randomized miss decide (the failure probability decays like p^-ISO_TRIES).
     """
     if X.quiver != Y.quiver or X.p != Y.p:
         return False
@@ -641,7 +639,7 @@ def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator
         return False
     if h.dim == 1:
         return is_invertible_morphism(h.basis[0], X.p)
-    for _ in range(tries):
+    for _ in range(ISO_TRIES):
         f = h.random_element(rng)
         if is_invertible_morphism(f, X.p):
             return True
@@ -653,15 +651,14 @@ def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator
         return False
     remaining = list(py)
     for part in px:
-        idx = _iso_index(part, remaining, rng, tries)
+        idx = _iso_index(part, remaining, rng)
         if idx is None:
             return False
         remaining.pop(idx)
     return True
 
 
-def _iso_index(M: Representation, candidates, rng: np.random.Generator,
-               tries: int = ISO_TRIES) -> int | None:
+def _iso_index(M: Representation, candidates, rng: np.random.Generator) -> int | None:
     """Position of the first candidate isomorphic to M, or None.
 
     Candidates are tried in list order, and only those with the dimension
@@ -669,7 +666,7 @@ def _iso_index(M: Representation, candidates, rng: np.random.Generator,
     because its random draws depend on the order of its arguments.
     """
     for idx, cand in enumerate(candidates):
-        if cand.dims == M.dims and is_isomorphic(M, cand, rng, tries):
+        if cand.dims == M.dims and is_isomorphic(M, cand, rng):
             return idx
     return None
 
@@ -870,8 +867,7 @@ def _projective_class_lines(p: int, e: int):
             yield vec
 
 
-def middle_terms(B: Representation, A: Representation, rng,
-                 cap: int = MIDDLE_CAP, hom=None) -> list[Representation]:
+def middle_terms(B: Representation, A: Representation, rng, hom=None) -> list[Representation]:
     """All middle terms of extensions of B by A (0 -> A -> E -> B -> 0).
 
     Classes are enumerated up to scalar, as combinations of the basis
@@ -894,8 +890,8 @@ def middle_terms(B: Representation, A: Representation, rng,
     split = direct_sum([A, B]) if A.total and B.total else (A if B.total == 0 else B)
     if e == 0:
         return [split]
-    if p ** e > cap:
-        raise ExtensionCapError(f"p^e = {p}^{e} exceeds the cap {cap}")
+    if p ** e > MIDDLE_CAP:
+        raise ExtensionCapError(f"p^e = {p}^{e} exceeds the cap {MIDDLE_CAP}")
     # a single line needs no deduplication; by the hereditary identity,
     # Hom(B, A) = 0 exactly when e = -<dim B, dim A>
     dedup = e >= 2 and not (

@@ -38,6 +38,9 @@ sampled Kronecker universe of the bounded check is not closed under
 extensions, so its membership test stays the peeling test, which needs no
 universe; the fixpoint torsion_closure needs every middle term of two
 members to be a sum of members.
+
+Extension cycles, from a tube mouth or a double-extension pair, have one
+check (validate_ext_cycle) and one builder of serial objects (serial_object).
 """
 
 from __future__ import annotations
@@ -366,7 +369,7 @@ def lattice_check(u: ModuleUniverse, classes: list[frozenset] | None = None) -> 
 
 @dataclass(frozen=True, eq=False)
 class TwoVertexReport:
-    verdict: str                      # "lattice", "consistent", "inconclusive"
+    verdict: str                      # "consistent", "failed", "inconclusive"
     universe_size: int
     class_count: int
     covered_count: int
@@ -432,12 +435,12 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
                      rng: np.random.Generator) -> TwoVertexReport:
     """Meet/join consistency for torsion classes of a two-vertex algebra.
 
-    Representation-finite inputs get the exact lattice check.  The tame
-    two-arrow algebra is checked inside a bounded sampled universe: classes
-    are the closures of single modules, and for every pair of classes the
-    meet (intersection) and join (closure of the union) are certified to be
-    classes again.  Wild two-vertex algebras are reported inconclusive
-    rather than guessed at.
+    Representation-finite inputs raise ValueError: lattice_check over
+    finite_universe decides them exactly.  The tame two-arrow algebra is
+    checked inside a bounded sampled universe: classes are the closures of
+    single modules, and for every pair of classes the meet (intersection)
+    and join (closure of the union) are certified to be classes again.  Wild
+    two-vertex algebras are reported inconclusive rather than guessed at.
 
     Every class met here has a cover inside the bound, so covered_count is
     class_count.  Each class, meet and join is a peeled closure T(G) ∩ U.
@@ -450,15 +453,7 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
         raise ValueError("this check is for two-vertex quivers")
     qt = classify_type(q)
     if qt.representation_finite:
-        u = finite_universe(q, p, rng)
-        classes = enumerate_torsion_classes(u)
-        report = lattice_check(u, classes)
-        covered = sum(find_cover(u, t) is not None for t in classes)
-        return TwoVertexReport(
-            "lattice" if report.is_lattice else "failed",
-            len(u), report.class_count, covered, 0,
-            report.meet_failures + report.join_failures,
-            "exact finite-type enumeration")
+        raise ValueError("a representation-finite quiver gets the exact lattice check")
     if qt.family == "wild" or not q.is_path_algebra():
         return TwoVertexReport(
             "inconclusive", 0, 0, 0, 0, (),
@@ -510,7 +505,6 @@ class FiltrationUniverse:
     cycle: tuple[Representation, ...]
     bound: int
     objects: list[FiltrationObject]
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,22 +561,19 @@ def validate_ext_cycle(cycle) -> None:
     Every entry must be a brick, distinct entries must have no homomorphisms
     either way, and each entry must extend the next one cyclically.  A single
     module without self-extensions fails the last condition, as does any
-    family drawn from a representation-finite algebra.
+    family drawn from a representation-finite algebra.  Cycles are computed,
+    so a failure is a failed self-check: VerificationError.
     """
     cycle = tuple(cycle)
-    if not cycle:
-        raise ValueError("an extension cycle needs at least one module")
+    require(cycle, "an extension cycle needs at least one module")
     for i, X in enumerate(cycle):
-        if hom_dim(X, X) != 1:
-            raise ValueError(f"cycle entry {i} is not a brick")
+        require(hom_dim(X, X) == 1, f"cycle entry {i} is not a brick")
         for j in range(i + 1, len(cycle)):
-            if hom_dim(X, cycle[j]) or hom_dim(cycle[j], X):
-                raise ValueError(f"cycle entries {i} and {j} are not orthogonal")
+            require(hom_dim(X, cycle[j]) == 0 and hom_dim(cycle[j], X) == 0,
+                    f"cycle entries {i} and {j} are not orthogonal")
     for i, X in enumerate(cycle):
-        nxt = cycle[(i + 1) % len(cycle)]
-        if ext_dim(X, nxt) == 0:
-            raise ValueError(
-                f"cycle entry {i} has no extension by entry {(i + 1) % len(cycle)}")
+        nxt = (i + 1) % len(cycle)
+        require(ext_dim(X, cycle[nxt]) > 0, f"cycle entry {i} has no extension by entry {nxt}")
 
 
 def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> FiltrationUniverse:
@@ -632,14 +623,17 @@ def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> Filtrati
         for M, length in found
     ]
     objects.sort(key=lambda o: (o.module.total, o.module.dims))
-    return FiltrationUniverse(cycle, bound, objects, rng)
+    return FiltrationUniverse(cycle, bound, objects)
 
 
-def serial_filtration_object(fu: FiltrationUniverse, top_index: int,
-                             length: int) -> Representation:
-    """The serial object with the given top and length, built upward by
-    picking at each step the first nonsplit middle that stays serial."""
-    cycle, rng = fu.cycle, fu.rng
+def serial_object(cycle, top_index: int, length: int,
+                  rng: np.random.Generator) -> Representation:
+    """The serial object with layers cycle[top_index], cycle[top_index + 1],
+    ... from the top, built upward by picking at each step the first nonsplit
+    middle that stays serial.  On a tube mouth these are the regular
+    uniserials (Ringel, LNM 1099, 3.1)."""
+    if length < 1:
+        raise ValueError("a serial object has at least one layer")
     r = len(cycle)
     current = cycle[(top_index + length - 1) % r]
     for k in range(length - 2, -1, -1):
@@ -670,7 +664,7 @@ def no_cover_evidence(cycle, bound: int, rng: np.random.Generator) -> NoCoverEvi
     monotone_ok = True
     for r in range(1, bound):
         lower = [o.module for o in fu.objects if o.loewy <= r]
-        serial = serial_filtration_object(fu, 0, r + 1)
+        serial = serial_object(fu.cycle, 0, r + 1, rng)
         gen = generates(lower, serial)
         witnesses.append((r, serial.dims, bool(gen)))
         for o in fu.objects:

@@ -6,7 +6,8 @@ roots of defect zero lying strictly inside the radical vector.  Modules are
 realized by generic sampling certified by the brick test (a brick whose
 dimension vector is a real root is the unique indecomposable for that root),
 with a thin zero/one fallback.  Translate orbits of the found simples are the
-tubes; rank, dimension sums and the cyclic extension pattern are checked.
+tubes; rank and dimension sums are checked, and each mouth is an extension
+cycle, checked and built on by tors (validate_ext_cycle, serial_object).
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import numpy as np
 
 from .modules import (
     Representation,
-    ext_dim,
     hom_dim,
     make_rep,
-    middle_terms,
     random_rep,
     require,
 )
@@ -31,6 +30,7 @@ from .roots import (
     quadratic_form,
     radical_vector,
 )
+from .tors import serial_object, validate_ext_cycle
 from . import linalg as la
 
 GENERIC_TRIES = 20
@@ -144,45 +144,12 @@ def find_regular_simples(q: ValuedQuiver, p: int,
         total = tuple(int(s) for s in np.sum([np.array(d) for d in orbit], axis=0))
         require(total == delta, f"tube through {x} sums to {total}, not {delta}")
         tube = Tube(q, p, rank, tuple(modules[d] for d in orbit))
-        _check_tube(tube)
+        validate_ext_cycle(tube.simples)
         tubes.append(tube)
 
     excess = sum(t.rank - 1 for t in tubes)
     require(excess <= q.n - 2, "too many exceptional tubes for a tame algebra")
     return sorted(tubes, key=lambda t: (t.rank, t.dims))
-
-
-def _check_tube(tube: Tube) -> None:
-    r = tube.rank
-    for i in range(r):
-        nxt = tube.simples[(i + 1) % r]
-        cur = tube.simples[i]
-        require(hom_dim(cur, cur) == 1, f"entry {i} is not a brick")
-        require(ext_dim(cur, nxt) >= 1, f"entry {i} has no extension by its translate")
-        if r >= 2:
-            require(hom_dim(cur, nxt) == 0, f"entry {i} maps to its translate")
-
-
-def tube_serial_module(tube: Tube, top_index: int, length: int,
-                       rng: np.random.Generator) -> Representation:
-    """The serial regular with the given top and number of simple layers.
-
-    Layers from the top are successive translates of the top entry.  Built
-    from the socle upward; every step is a one-dimensional extension space,
-    which is checked, so the middle term is forced.
-    """
-    r = tube.rank
-    if not 1 <= length <= r:
-        raise ValueError("serial length must be between 1 and the tube rank")
-    layers = [tube.simples[(top_index + k) % r] for k in range(length)]
-    current = layers[-1]
-    for k in range(length - 2, -1, -1):
-        top = layers[k]
-        require(ext_dim(top, current) == 1, "serial step is not unique")
-        middles = middle_terms(top, current, rng)
-        require(len(middles) == 2, "expected exactly the split and one nonsplit middle")
-        current = middles[1]
-    return current
 
 
 def tube_mouth_pair(tube: Tube, rng: np.random.Generator):
@@ -192,5 +159,5 @@ def tube_mouth_pair(tube: Tube, rng: np.random.Generator):
     remaining rank - 1 simples (top at the translate of the omitted one).
     """
     y = tube.simples[0]
-    x = tube_serial_module(tube, 1, tube.rank - 1, rng)
+    x = serial_object(tube.simples, 1, tube.rank - 1, rng)
     return x, y

@@ -369,9 +369,10 @@ TWO_THREE = str(QDIR / "twothree.txt")
 
 
 @pytest.mark.parametrize("patch, argv, prefix", [
-    # every tube extension read as zero: the cyclic extension check fails
-    ("from ftors import tubes\ntubes.ext_dim = lambda *args: 0",
-     ("run", "nocover", A2TILDE), "entry 0 has no extension by its translate"),
+    # every cycle extension read as zero: the computed tube mouth fails its
+    # cycle check, which is a failed self-check (exit 5), not bad input
+    ("from ftors import tors\ntors.ext_dim = lambda *args: 0",
+     ("run", "nocover", A2TILDE), "cycle entry 0 has no extension by entry 1"),
     # every Hom space of the pair read as two-dimensional
     ("from ftors import ext_pairs\next_pairs.hom_dim = lambda *args: 2",
      ("run", "extpair", TWO_THREE), "case 3 verification failed: "),

@@ -27,7 +27,7 @@ from ftors.modules import (
     middle_terms,
     simple,
 )
-from ftors.quiver import load_quiver, parse_quiver
+from ftors.quiver import VerificationError, load_quiver, parse_quiver
 from ftors.roots import euler_form
 from ftors.tors import (
     enumerate_torsion_classes,
@@ -41,7 +41,7 @@ from ftors.tors import (
     lattice_check,
     no_cover_evidence,
     relative_loewy_length,
-    serial_filtration_object,
+    serial_object,
     torsion_closure,
     two_vertex_check,
     validate_ext_cycle,
@@ -164,11 +164,11 @@ def test_validate_ext_cycle_rejections():
     S1, S2 = simple(A2, 5, 0), simple(A2, 5, 1)
     from ftors.modules import projective
 
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         validate_ext_cycle([S1])                       # no self extensions
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         validate_ext_cycle([S1, S2])                   # ext one way only
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         validate_ext_cycle([projective(A2, 5, 0), S1])  # hom not orthogonal
     rng = np.random.default_rng(0)
     x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5, rng)[0], rng)
@@ -183,7 +183,7 @@ def test_filtration_universe_and_loewy():
     assert {o.module.dims for o in fu.objects if o.length == 1} == {x.dims, y.dims}
     for o in fu.objects:
         assert relative_loewy_length(o.module, (x, y), rng) == o.loewy
-    two = serial_filtration_object(fu, 0, 2)
+    two = serial_object(fu.cycle, 0, 2, rng)
     assert two.dims == tuple(a + b for a, b in zip(x.dims, y.dims))
     assert relative_loewy_length(two, (x, y), rng) == 2
     # the first two levels get their length from the proof, not the series
@@ -207,18 +207,17 @@ def test_no_cover_evidence_cycle3():
 
 def test_no_cover_evidence_rejects_bad_cycles():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         no_cover_evidence([simple(A2, 5, 0)], 3, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         no_cover_evidence([simple(A2, 5, 0), simple(A2, 5, 1)], 3, rng)
 
 
 def test_two_vertex_check_finite():
-    report = two_vertex_check(A2, 5, 12, np.random.default_rng(0))
-    assert report.verdict == "lattice"
-    assert report.class_count == 5
-    assert report.covered_count == 5
-    assert report.failures == ()
+    """A2 is representation finite: its classes come from the exact lattice
+    check (test_tors_exact_json), not from the bounded check."""
+    with pytest.raises(ValueError, match="exact lattice check"):
+        two_vertex_check(A2, 5, 12, np.random.default_rng(0))
 
 
 def test_two_vertex_check_tame_bounded():
@@ -378,9 +377,9 @@ def test_middle_terms_scans_pairs_that_are_not_orthogonal_bricks(monkeypatch):
     scanned = []
     real = modules._iso_index
 
-    def spy(M, candidates, rng, tries=modules.ISO_TRIES):
+    def spy(M, candidates, rng):
         scanned.append(M)
-        return real(M, candidates, rng, tries)
+        return real(M, candidates, rng)
 
     monkeypatch.setattr(modules, "_iso_index", spy)
     rng = np.random.default_rng(3)

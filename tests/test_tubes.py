@@ -1,17 +1,23 @@
 """Tubes of tame quivers: regular simples, serial modules, mouth pairs."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ftors.ext_pairs import verify_ext_pair
-from ftors.modules import ar_translate, ext_dim, hom_dim, is_isomorphic
-from ftors.quiver import parse_quiver, radical_vector
+from ftors.modules import ar_translate, ext_dim, hom_dim, is_isomorphic, middle_terms
+from ftors.quiver import load_quiver, parse_quiver, radical_vector, require
 from ftors.roots import defect
-from ftors.tubes import find_regular_simples, tube_mouth_pair, tube_serial_module
+from ftors.tors import serial_object
+from ftors.tubes import find_regular_simples, tube_mouth_pair
 
 CYCLE3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\narrow 1 3\n")
 D4TILDE = parse_quiver("vertices 5\narrow 2 1\narrow 3 1\narrow 4 1\narrow 5 1\n")
 KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\n")
+QDIR = Path(__file__).resolve().parent.parent / "quivers"
+A2TILDE = load_quiver(QDIR / "a2tilde.txt")
+A5CYCLE = load_quiver(QDIR / "a5cycle.txt")     # tubes of rank 2 and 3
 
 
 def test_cycle3_single_rank2_tube():
@@ -84,15 +90,53 @@ def test_tube_order_is_the_translate():
 def test_tube_serial_module_layers():
     rng = np.random.default_rng(6)
     t = find_regular_simples(CYCLE3, 5, rng)[0]
-    one = tube_serial_module(t, 0, 1, rng)
+    one = serial_object(t.simples, 0, 1, rng)
     assert one.dims == t.simples[0].dims
-    two = tube_serial_module(t, 0, 2, rng)
+    two = serial_object(t.simples, 0, 2, rng)
     assert two.dims == (1, 1, 1)
     assert hom_dim(two, two) == 1
     with pytest.raises(ValueError):
-        tube_serial_module(t, 0, 3, rng)
-    with pytest.raises(ValueError):
-        tube_serial_module(t, 0, 0, rng)
+        serial_object(t.simples, 0, 0, rng)
+
+
+def reference_tube_serial(tube, top_index, length, rng):
+    """The tube's own serial builder, kept as the reference: layers from the
+    top are successive translates of the top entry, built from the socle
+    upward, and every step must be a one-dimensional extension space, so
+    the middle term is forced."""
+    r = tube.rank
+    if not 1 <= length <= r:
+        raise ValueError("serial length must be between 1 and the tube rank")
+    layers = [tube.simples[(top_index + k) % r] for k in range(length)]
+    current = layers[-1]
+    for k in range(length - 2, -1, -1):
+        top = layers[k]
+        require(ext_dim(top, current) == 1, "serial step is not unique")
+        middles = middle_terms(top, current, rng)
+        require(len(middles) == 2, "expected exactly the split and one nonsplit middle")
+        current = middles[1]
+    return current
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("q, seed", [(CYCLE3, 0), (D4TILDE, 1), (A2TILDE, 2), (A5CYCLE, 3)],
+                         ids=["cycle3", "d4tilde", "a2tilde", "a5cycle"])
+def test_serial_object_matches_the_tube_reference(q, seed, p):
+    """On every tube, for every top and every length up to the rank, the
+    cycle builder returns the reference's module matrix for matrix and
+    leaves the generator where the reference leaves it."""
+    compared = 0
+    for t in find_regular_simples(q, p, np.random.default_rng((seed, p))):
+        for top in range(t.rank):
+            for length in range(1, t.rank + 1):
+                rng, ref_rng = np.random.default_rng(length), np.random.default_rng(length)
+                got = serial_object(t.simples, top, length, rng)
+                want = reference_tube_serial(t, top, length, ref_rng)
+                assert got.dims == want.dims
+                assert all(np.array_equal(x, y) for x, y in zip(got.mats, want.mats))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                compared += 1
+    assert compared
 
 
 def test_tube_mouth_pair_verifies():
