@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
-
-import numpy as np
 
 from . import linalg as la
 from .quiver import (
@@ -207,7 +206,7 @@ def cmd_tors(args) -> int:
 
     q = _load(args.quiver)
     qt = classify_type(q)
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
 
     if qt.representation_finite:
         u = finite_universe(q, args.prime, rng)
@@ -296,7 +295,7 @@ def cmd_extpair(args) -> int:
             EXIT_BAD_INPUT,
             "double-extension pairs need a representation-infinite quiver "
             "on at least three vertices (none exist otherwise)")
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     cert = find_ext_pair(q, args.prime, rng)
     data = {
         "type": qt.display(),
@@ -336,7 +335,7 @@ def cmd_nocover(args) -> int:
     _text_or_json("nocover", args)
     q = _load(args.quiver)
     qt = classify_type(q)
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     if qt.representation_finite or q.n <= 2:
         raise CliError(
             EXIT_BAD_INPUT,

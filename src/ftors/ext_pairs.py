@@ -24,10 +24,9 @@ from the construction itself.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .modules import (
     Representation,
@@ -282,7 +281,7 @@ def construct_case3(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int):
 
 
 def construct_case4(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int,
-                    rng: np.random.Generator):
+                    rng: random.Random):
     """Parallel arrows on the first edge only: the projective at the source
     truncated at the sink vertex, against its translate.
 
@@ -353,7 +352,7 @@ def _tame_subtree(q: ValuedQuiver) -> list[int] | None:
     return None
 
 
-def construct_case1(q: ValuedQuiver, p: int, rng: np.random.Generator):
+def construct_case1(q: ValuedQuiver, p: int, rng: random.Random):
     vs = _tame_subtree(q)
     if vs is None:
         raise ExtPairInconclusive("no tame induced subtree found")
@@ -379,7 +378,7 @@ def construct_case1(q: ValuedQuiver, p: int, rng: np.random.Generator):
 # the driver
 
 def find_ext_pair(q: ValuedQuiver, p: int,
-                  rng: np.random.Generator) -> ExtPairCertificate:
+                  rng: random.Random) -> ExtPairCertificate:
     """A verified double-extension pair for a representation-infinite path
     algebra on at least three vertices.
 

@@ -14,6 +14,7 @@ range.  No floats are ever involved.
 
 from __future__ import annotations
 
+import random
 from functools import cache
 
 import numpy as np
@@ -202,8 +203,8 @@ def is_invertible(a, p: int) -> bool:
     return rows == cols and rank(a, p) == rows
 
 
-def random_matrix(rows: int, cols: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random matrix; the generator is always passed in, never global."""
+def random_matrix(rows: int, cols: int, p: int, rng: random.Random) -> np.ndarray:
+    """Uniform random matrix drawn row by row; the generator is passed in, never global."""
     check_prime(p)
-    return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    return np.array([rng.randrange(p) for _ in range(rows * cols)], np.int64).reshape(rows, cols)
 

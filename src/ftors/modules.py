@@ -21,6 +21,7 @@ accepted here; valued arrows live purely at the numerical level.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -199,7 +200,7 @@ def dual(M: Representation) -> Representation:
     return make_rep(rq, M.p, M.dims, mats)
 
 
-def random_rep(q: ValuedQuiver, p: int, dims, rng: np.random.Generator) -> Representation:
+def random_rep(q: ValuedQuiver, p: int, dims, rng: random.Random) -> Representation:
     dims = tuple(int(d) for d in dims)
     mats = [la.random_matrix(dims[ar.target], dims[ar.source], p, rng) for ar in q.arrows]
     return make_rep(q, p, dims, mats)
@@ -283,7 +284,7 @@ class HomSpace:
         return tuple(out)
 
     def random_element(self, rng) -> tuple[np.ndarray, ...]:
-        return self.element(rng.integers(0, self.source.p, size=self.dim))
+        return self.element([rng.randrange(self.source.p) for _ in range(self.dim)])
 
 
 def _intertwiner_rows(X: Representation, Y: Representation) -> tuple[list[list[int]], list[int]]:
@@ -557,7 +558,7 @@ def _fitting_split(M: Representation, g) -> tuple[Representation, Representation
     return part1, part2
 
 
-def decompose(M: Representation, rng: np.random.Generator) -> list[Representation]:
+def decompose(M: Representation, rng: random.Random) -> list[Representation]:
     """Full direct-sum decomposition into indecomposables.
 
     Fitting's lemma: an endomorphism phi is shifted by every scalar in turn,
@@ -586,7 +587,8 @@ def decompose(M: Representation, rng: np.random.Generator) -> list[Representatio
     # every random coefficient vector is drawn up front, as many as the budget
     # needs, so the random stream does not depend on where a split is found
     # or whether locality is proved; a sample is built only when its turn comes
-    draws = [rng.integers(0, p, size=end.dim) for _ in range(DECOMPOSE_BUDGET - len(basis))]
+    draws = [[rng.randrange(p) for _ in range(end.dim)]
+             for _ in range(DECOMPOSE_BUDGET - len(basis))]
     samples = itertools.chain(basis, map(end.element, draws))
     ids = [la.identity(d) for d in M.dims]
     certificate_ok = True
@@ -617,7 +619,7 @@ def decompose(M: Representation, rng: np.random.Generator) -> list[Representatio
         "without F_p eigenvalues and found no splitting")
 
 
-def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator) -> bool:
+def is_isomorphic(X: Representation, Y: Representation, rng: random.Random) -> bool:
     """Isomorphism test, exact when Hom(X, Y) has dimension at most one.
 
     With no maps the answer is no.  With a one-dimensional Hom every map is a
@@ -658,7 +660,7 @@ def is_isomorphic(X: Representation, Y: Representation, rng: np.random.Generator
     return True
 
 
-def _iso_index(M: Representation, candidates, rng: np.random.Generator) -> int | None:
+def _iso_index(M: Representation, candidates, rng: random.Random) -> int | None:
     """Position of the first candidate isomorphic to M, or None.
 
     Candidates are tried in list order, and only those with the dimension

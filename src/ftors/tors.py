@@ -45,6 +45,7 @@ check (validate_ext_cycle) and one builder of serial objects (serial_object).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,7 @@ class ModuleUniverse:
     quiver: ValuedQuiver
     p: int
     modules: tuple[Representation, ...]
-    rng: np.random.Generator
+    rng: random.Random
     _middles: dict = field(default_factory=dict)
     _closure: dict = field(default_factory=dict)
     _gen: dict = field(default_factory=dict)
@@ -210,7 +211,7 @@ class ModuleUniverse:
         return result
 
 
-def finite_universe(q: ValuedQuiver, p: int, rng: np.random.Generator) -> ModuleUniverse:
+def finite_universe(q: ValuedQuiver, p: int, rng: random.Random) -> ModuleUniverse:
     """Every indecomposable, sorted by (total dimension, dims), with the Hom
     table the knitting built between all of them: the spaces with <x, y> > 0
     solved and checked against the Euler form, the others the zero spaces
@@ -382,7 +383,7 @@ KRONECKER_SAMPLES = 4   # random (k, k) representations decomposed for each k
 
 
 def _kronecker_universe(q: ValuedQuiver, p: int, bound: int,
-                        rng: np.random.Generator) -> list[Representation]:
+                        rng: random.Random) -> list[Representation]:
     """Bounded universe for the two-vertex two-arrow quiver.
 
     The translate orbits of the projectives and injectives are exact; the
@@ -432,7 +433,7 @@ def _prune(u: ModuleUniverse, gens: frozenset) -> frozenset:
 
 
 def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
-                     rng: np.random.Generator) -> TwoVertexReport:
+                     rng: random.Random) -> TwoVertexReport:
     """Meet/join consistency for torsion classes of a two-vertex algebra.
 
     Representation-finite inputs raise ValueError: lattice_check over
@@ -503,7 +504,6 @@ class FiltrationObject:
 @dataclass(eq=False)
 class FiltrationUniverse:
     cycle: tuple[Representation, ...]
-    bound: int
     objects: list[FiltrationObject]
 
 
@@ -576,7 +576,7 @@ def validate_ext_cycle(cycle) -> None:
         require(ext_dim(X, cycle[nxt]) > 0, f"cycle entry {i} has no extension by entry {nxt}")
 
 
-def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> FiltrationUniverse:
+def filtration_universe(cycle, bound: int, rng: random.Random) -> FiltrationUniverse:
     """Indecomposable iterated extensions of the cycle members, up to the
     given number of factors.
 
@@ -623,11 +623,11 @@ def filtration_universe(cycle, bound: int, rng: np.random.Generator) -> Filtrati
         for M, length in found
     ]
     objects.sort(key=lambda o: (o.module.total, o.module.dims))
-    return FiltrationUniverse(cycle, bound, objects)
+    return FiltrationUniverse(cycle, objects)
 
 
 def serial_object(cycle, top_index: int, length: int,
-                  rng: np.random.Generator) -> Representation:
+                  rng: random.Random) -> Representation:
     """The serial object with layers cycle[top_index], cycle[top_index + 1],
     ... from the top, built upward by picking at each step the first nonsplit
     middle that stays serial.  On a tube mouth these are the regular
@@ -651,7 +651,7 @@ def serial_object(cycle, top_index: int, length: int,
     return current
 
 
-def no_cover_evidence(cycle, bound: int, rng: np.random.Generator) -> NoCoverEvidence:
+def no_cover_evidence(cycle, bound: int, rng: random.Random) -> NoCoverEvidence:
     """Evidence that the filtration chain admits no covering step.
 
     For each r below the bound, the serial object with r + 1 layers is shown

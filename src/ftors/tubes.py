@@ -12,9 +12,8 @@ cycle, checked and built on by tors (validate_ext_cycle, serial_object).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .modules import (
     Representation,
@@ -41,10 +40,11 @@ class Tube:
     """A translate orbit of regular simples; entry i+1 is the translate of
     entry i, cyclically."""
 
-    quiver: ValuedQuiver
-    p: int
-    rank: int
     simples: tuple[Representation, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.simples)
 
     @property
     def dims(self) -> tuple[tuple[int, ...], ...]:
@@ -85,7 +85,7 @@ def _thin_module(q: ValuedQuiver, p: int, x) -> Representation | None:
 
 
 def module_for_real_root(q: ValuedQuiver, p: int, x,
-                         rng: np.random.Generator) -> Representation:
+                         rng: random.Random) -> Representation:
     """The unique indecomposable with real-root dimension vector x.
 
     A brick with these dimensions is that indecomposable, so sampling needs
@@ -103,7 +103,7 @@ def module_for_real_root(q: ValuedQuiver, p: int, x,
 
 
 def find_regular_simples(q: ValuedQuiver, p: int,
-                         rng: np.random.Generator) -> list[Tube]:
+                         rng: random.Random) -> list[Tube]:
     """All tubes of rank at least two, each as a translate-ordered orbit."""
     qt = classify_type(q)
     if qt.family != "euclidean":
@@ -139,11 +139,10 @@ def find_regular_simples(q: ValuedQuiver, p: int,
             orbit.append(y)
             y = tuple(int(c) for c in coxeter_transform(q, y))
         used.update(orbit)
-        rank = len(orbit)
-        require(rank >= 2, f"orbit of {x} is a fixed point below the radical vector")
-        total = tuple(int(s) for s in np.sum([np.array(d) for d in orbit], axis=0))
+        require(len(orbit) >= 2, f"orbit of {x} is a fixed point below the radical vector")
+        total = tuple(map(sum, zip(*orbit)))
         require(total == delta, f"tube through {x} sums to {total}, not {delta}")
-        tube = Tube(q, p, rank, tuple(modules[d] for d in orbit))
+        tube = Tube(tuple(modules[d] for d in orbit))
         validate_ext_cycle(tube.simples)
         tubes.append(tube)
 
@@ -152,7 +151,7 @@ def find_regular_simples(q: ValuedQuiver, p: int,
     return sorted(tubes, key=lambda t: (t.rank, t.dims))
 
 
-def tube_mouth_pair(tube: Tube, rng: np.random.Generator):
+def tube_mouth_pair(tube: Tube, rng: random.Random):
     """The Hom-orthogonal double-extension pair supported on one tube.
 
     One side is the first regular simple, the other the serial module on the

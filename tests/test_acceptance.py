@@ -7,6 +7,7 @@ are asserted, not just observed.
 
 import hashlib
 import itertools
+import random
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -69,7 +70,7 @@ def knitted(q):
 
 @lru_cache(maxsize=None)
 def universe(q):
-    return finite_universe(q, 5, np.random.default_rng(0))
+    return finite_universe(q, 5, random.Random(0))
 
 
 def ext_oracle(X, Y):
@@ -133,7 +134,7 @@ def test_criterion_2_torsion_class_counts():
 
 
 def test_criterion_3_covers_and_single_generators():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     checked = 0
     for q in FINITE_RUNS:
         u = universe(q)
@@ -166,9 +167,9 @@ def test_criterion_4_normalization_uniqueness():
         picks = [same[int(picker.integers(0, len(same)))] for _ in range(count)]
         M = direct_sum(picks)
         try:
-            n1 = normalize(M, np.random.default_rng(1000 + i))
-            n2 = normalize(M, np.random.default_rng(2000 + i))
-            assert is_isomorphic(n1, n2, np.random.default_rng(3000 + i))
+            n1 = normalize(M, random.Random(1000 + i))
+            n2 = normalize(M, random.Random(2000 + i))
+            assert is_isomorphic(n1, n2, random.Random(3000 + i))
             agreements += 1
         except DecompositionInconclusive:
             inconclusive += 1
@@ -182,7 +183,7 @@ def test_criterion_5_ext_pair_certificates():
     start = time.monotonic()
     expect = ((A2TILDE, 2), (TWO_TWO, 3), (TWO_ONE, 4), (D4TILDE, 1))
     for q, case in expect:
-        cert = find_ext_pair(q, 5, np.random.default_rng(0))
+        cert = find_ext_pair(q, 5, random.Random(0))
         assert cert.case == case
         fresh = verify_ext_pair(cert.X, cert.Y)
         assert fresh.ok, (case, fresh.failures)
@@ -208,9 +209,9 @@ def test_criterion_6_finite_type_negative_control():
 
 
 def test_criterion_7_filtration_no_cover_evidence():
-    cert = find_ext_pair(A2TILDE, 5, np.random.default_rng(0))
+    cert = find_ext_pair(A2TILDE, 5, random.Random(0))
     assert cert.case == 2
-    ev = no_cover_evidence((cert.X, cert.Y), 3, np.random.default_rng(0))
+    ev = no_cover_evidence((cert.X, cert.Y), 3, random.Random(0))
     assert [w[0] for w in ev.witnesses] == [1, 2]
     # the serial object at level r stacks r+1 alternating cycle layers
     expected = {
@@ -228,7 +229,7 @@ def test_criterion_7_filtration_no_cover_evidence():
 
 
 def test_criterion_8_two_simples_bounded_check():
-    report = two_vertex_check(KRONECKER, 5, 12, np.random.default_rng(0))
+    report = two_vertex_check(KRONECKER, 5, 12, random.Random(0))
     assert report.verdict == "consistent"
     assert report.failures == ()
     assert report.covered_count > 0
@@ -262,11 +263,11 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         "9a07cf923499b0a9baa3945ff32722fe94581826c993f28968f40e3d244d5055",
         "1870fc6f91cf89605c6ece0850afbc8a67260f5645da3a646e4a2c4b2a22edf6",
         "7531ecdb82905a7023f96173aaf533fcef85978d42b616b00ed7e16529f6d539",
-        "14c9a09566ef230e579e8796f1d0e55e3e79196c08f37d03b6135134de36026d",
+        "b5f0330ce9f56708f90a737d522a66b026c7ff5935abac7db9239557c2e5eb04",
         "d91383e18dda72a0abd90b614bdcb35237e6071cd7d815285691f005f3c48246",
         "4f0d7c20f8ca2bc4453094c607b62da3557163aefdf60f8136e13b7025a5a651",
         "754c36db623d999f3fbc1d05d33a3ff5a5dcb4b17bf94378f181a0f18863bf5a",
-        "9655f5b1fb36aeced76e5ba63c9261d4632001ec96dc9cd718da406b4c783cff",
+        "1ad7ac38ae3f54e895de929895c04798104a378763a5dfdc12821c8ac92149fe",
         "b40264a1750e42db0fb8894959d8fb0f8d93d3a0dc759a3a7f8aa353d211159d",
     ]
     assert len(digests) == len(runs)

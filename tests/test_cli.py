@@ -399,6 +399,36 @@ def test_no_assert_in_the_package():
                     f"{path.name}:{node.lineno}")
 
 
+def test_no_run_imports_numpy_random(tmp_path):
+    """The random stream is random.Random(seed), so no command loads
+    numpy.random, which numpy imports lazily on first use: one fresh
+    interpreter runs a command of every kind and then checks sys.modules."""
+    runs = [
+        ["classify", A2TILDE],
+        ["run", "knit", str(QDIR / "d4.txt")],
+        ["run", "tors", A3],
+        ["run", "tors", KRONECKER, "--dim-bound", "6"],
+        ["run", "extpair", str(QDIR / "twothree.txt")],
+        ["run", "nocover", A2TILDE],
+    ]
+    runs = [[*argv, "--out", str(tmp_path / f"{n}.out")] for n, argv in enumerate(runs)]
+    script = ("import json, sys\n"
+              "from ftors.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'numpy' in sys.modules, 'numpy.random' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(runs), True, False]
+
+
+def test_no_numpy_random_in_the_package():
+    for path in sorted((ROOT / "src" / "ftors").glob("*.py")):
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path.name
+
+
 def _referenced_names(tree) -> Counter:
     names = Counter()
     for node in ast.walk(tree):

@@ -1,6 +1,7 @@
 """Exact mod-p linear algebra: hand-checked cases plus brute-force oracles."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_rref_matches_numpy_reference(p):
 
 
 def test_rref_is_idempotent():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for p in (2, 5):
         for _ in range(25):
             a = la.random_matrix(4, 5, p, rng)
@@ -103,11 +104,11 @@ def test_rank_matches_row_count_of_rref():
 
 
 def test_kernel_basis_annihilates_and_has_right_size():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for p in (2, 3, 5):
         for _ in range(30):
-            rows = int(rng.integers(1, 5))
-            cols = int(rng.integers(1, 6))
+            rows = rng.randrange(1, 5)
+            cols = rng.randrange(1, 6)
             a = la.random_matrix(rows, cols, p, rng)
             k = la.kernel_basis(a, p)
             assert k.shape[0] == cols
@@ -140,7 +141,7 @@ def test_solve_exhaustive_mod2():
 
 
 def test_solve_random_consistent_systems_mod5():
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     for _ in range(40):
         a = la.random_matrix(4, 3, 5, rng)
         x = la.random_matrix(3, 2, 5, rng)
@@ -155,7 +156,7 @@ def _solve_cases(rng):
     is zero while b's is not; b is a matrix or a vector."""
     for p in (2, 5):
         for _ in range(30):
-            rows, cols, rhs = (int(v) for v in rng.integers(0, 5, size=3))
+            rows, cols, rhs = (rng.randrange(5) for _ in range(3))
             a = la.random_matrix(rows, cols, p, rng)
             b = la.matmul(a, la.random_matrix(cols, rhs, p, rng), p)
             yield a, b, p, True
@@ -179,7 +180,7 @@ def test_solve_takes_one_elimination(monkeypatch):
         return rref(a, p)
 
     outcomes = set()
-    for a, b, p, consistent in _solve_cases(np.random.default_rng(29)):
+    for a, b, p, consistent in _solve_cases(random.Random(29)):
         kernel = la.kernel_basis(a, p)
         monkeypatch.setattr(la, "rref", counting)
         calls.clear()
@@ -214,7 +215,7 @@ def test_complement_indices_complete_a_basis():
 
 
 def test_is_invertible_matches_rank():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(30):
         a = la.random_matrix(3, 3, 5, rng)
         assert la.is_invertible(a, 5) == (la.rank(a, 5) == 3)
@@ -226,3 +227,14 @@ def test_inv_scalar():
     for p in (2, 3, 5, 7):
         for x in range(1, p):
             assert la.inv_scalar(x, p) * x % p == 1
+
+
+def test_random_matrix_draws_row_major_from_randrange():
+    rng, replay = random.Random(3), random.Random(3)
+    a = la.random_matrix(2, 3, 7, rng)
+    assert a.dtype == np.int64 and a.shape == (2, 3)
+    assert a.tolist() == [[replay.randrange(7) for _ in range(3)] for _ in range(2)]
+    assert rng.getstate() == replay.getstate()
+    assert la.random_matrix(0, 4, 7, rng).shape == (0, 4)
+    assert la.random_matrix(4, 0, 7, rng).shape == (4, 0)
+    assert rng.getstate() == replay.getstate()

@@ -7,6 +7,7 @@ classes breadth-first the way the library does.
 
 import gc
 import itertools
+import random
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -77,7 +78,7 @@ def powerset_classes(u):
 
 
 def universe(q, seed=0):
-    return finite_universe(q, 5, np.random.default_rng(seed))
+    return finite_universe(q, 5, random.Random(seed))
 
 
 def test_membership_predicates_a2():
@@ -170,13 +171,13 @@ def test_validate_ext_cycle_rejections():
         validate_ext_cycle([S1, S2])                   # ext one way only
     with pytest.raises(VerificationError):
         validate_ext_cycle([projective(A2, 5, 0), S1])  # hom not orthogonal
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5, rng)[0], rng)
     validate_ext_cycle([x, y])                         # the real thing passes
 
 
 def test_filtration_universe_and_loewy():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5, rng)[0], rng)
     fu = filtration_universe((x, y), 3, rng)
     assert all(1 <= o.loewy <= 3 for o in fu.objects)
@@ -195,7 +196,7 @@ def test_filtration_universe_and_loewy():
 
 
 def test_no_cover_evidence_cycle3():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5, rng)[0], rng)
     ev = no_cover_evidence((x, y), 3, rng)
     assert ev.ok
@@ -206,7 +207,7 @@ def test_no_cover_evidence_cycle3():
 
 
 def test_no_cover_evidence_rejects_bad_cycles():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     with pytest.raises(VerificationError):
         no_cover_evidence([simple(A2, 5, 0)], 3, rng)
     with pytest.raises(VerificationError):
@@ -217,11 +218,11 @@ def test_two_vertex_check_finite():
     """A2 is representation finite: its classes come from the exact lattice
     check (test_tors_exact_json), not from the bounded check."""
     with pytest.raises(ValueError, match="exact lattice check"):
-        two_vertex_check(A2, 5, 12, np.random.default_rng(0))
+        two_vertex_check(A2, 5, 12, random.Random(0))
 
 
 def test_two_vertex_check_tame_bounded():
-    report = two_vertex_check(KRONECKER, 5, 6, np.random.default_rng(0))
+    report = two_vertex_check(KRONECKER, 5, 6, random.Random(0))
     assert report.verdict == "consistent"
     assert report.failures == ()
     assert 0 < report.covered_count <= report.class_count
@@ -229,13 +230,13 @@ def test_two_vertex_check_tame_bounded():
 
 
 def test_two_vertex_check_wild_is_inconclusive():
-    report = two_vertex_check(WILD2, 5, 6, np.random.default_rng(0))
+    report = two_vertex_check(WILD2, 5, 6, random.Random(0))
     assert report.verdict == "inconclusive"
 
 
 def test_two_vertex_check_needs_two_vertices():
     with pytest.raises(ValueError):
-        two_vertex_check(A3_LINE, 5, 6, np.random.default_rng(0))
+        two_vertex_check(A3_LINE, 5, 6, random.Random(0))
 
 
 def count_homs(monkeypatch) -> tuple[Counter, list]:
@@ -312,7 +313,7 @@ def test_hom_table_computes_each_member_pair_once_kronecker(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(tors, "ModuleUniverse", Recorded)
-    report = two_vertex_check(KRONECKER, 5, 6, np.random.default_rng(0))
+    report = two_vertex_check(KRONECKER, 5, 6, random.Random(0))
     assert report.verdict == "consistent"
     [u] = built
     assert report.universe_size == len(u)
@@ -342,7 +343,7 @@ def pairwise_nonisomorphic(mods, rng) -> bool:
 
 def audited_cycles():
     """The twothree ext pair over F_3 and the a2tilde tube simples over F_5."""
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     cert = find_ext_pair(load_quiver(QDIR / "twothree.txt"), 3, rng)
     assert (cert.report.numbers["ext_xy"], cert.report.numbers["ext_yx"]) == (3, 3)
     tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5, rng)[0]
@@ -350,7 +351,7 @@ def audited_cycles():
 
 
 def test_orthogonal_brick_middles_are_pairwise_nonisomorphic():
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     for p, cycle in audited_cycles():
         middles = []
         for A in cycle:
@@ -364,7 +365,7 @@ def test_orthogonal_brick_middles_are_pairwise_nonisomorphic():
 
 
 def test_filtration_level_two_is_pairwise_nonisomorphic():
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     for p, cycle in audited_cycles():
         fu = filtration_universe(cycle, 2, rng)
         expected = len(cycle) + sum(lines(p, ext_dim(B, A)) for A in cycle for B in cycle
@@ -382,7 +383,7 @@ def test_middle_terms_scans_pairs_that_are_not_orthogonal_bricks(monkeypatch):
         return real(M, candidates, rng)
 
     monkeypatch.setattr(modules, "_iso_index", spy)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     S1, S2 = simple(A2, 3, 0), simple(A2, 3, 1)
     # End(S2 + S2) is not a field: all four lines give P1 + S2
     assert len(middle_terms(S1, direct_sum([S2, S2]), rng)) == 2
@@ -445,7 +446,7 @@ def test_bounded_check_matches_unbounded_peeling(monkeypatch, bound, seed):
             built.append(self)
 
     monkeypatch.setattr(tors, "ModuleUniverse", Recorded)
-    report = two_vertex_check(KRONECKER, 5, bound, np.random.default_rng(seed))
+    report = two_vertex_check(KRONECKER, 5, bound, random.Random(seed))
     assert report.verdict == "consistent"
     assert report.covered_count == report.class_count
     [u] = built
@@ -497,7 +498,7 @@ def test_middle_summands_match_decomposed_middle_terms(q):
     """The split middle term is recorded as (i, j) without a decomposition;
     every entry equals decomposing each middle term and matching its parts."""
     u = universe(q)
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     nonsplit = 0
     for i in range(len(u)):
         for j in range(len(u)):
