@@ -21,18 +21,15 @@ vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-import numpy as np
-
-from .linalg import grow_rank
+from .linalg import grow_rank, transpose
 from .modules import (
     HomSpace,
     Representation,
     ar_translate_inverse,
-    compose,
     hom_basis,
     injective,
-    morphism_flat,
     projective,
     require,
 )
@@ -138,8 +135,10 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
     # dim Hom(X, Y) = max(<x, y>, 0) (see the docstring): only the pairs
     # with <x, y> > 0 are solved, each against the form.  <x, x> = 1 for a
     # root, so on the diagonal this is the check that every node is a brick
-    dims = np.array([node.dims for node in nodes], dtype=np.int64)
-    euler = (dims @ euler_matrix(q) @ dims.T).tolist()
+    e = euler_matrix(q)
+    dims = [node.dims for node in nodes]
+    xe = [[sum(map(mul, x, col)) for col in zip(*e)] for x in dims]
+    euler = [[sum(map(mul, row, y)) for y in dims] for row in xe]
     homs: dict[tuple[int, int], HomSpace] = {}
     for i, x in enumerate(nodes):
         for j, y in enumerate(nodes):
@@ -155,9 +154,9 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
     # between nonisomorphic indecomposables rad is all of Hom, and rad(X, X)
     # vanishes because End(X) is one dimensional.  rad^2 is spanned by the
     # composites through the modules k with Hom(i, k) and Hom(k, j) nonzero;
-    # each k's composites are reduced into the echelon rows kept so far.
-    # rad^2 lies in Hom, so once they span all of Hom the multiplicity is 0
-    # and the scan stops
+    # each k's composites are formed as flat rows, vertex by vertex, and
+    # reduced into the echelon rows kept so far.  rad^2 lies in Hom, so once
+    # they span all of Hom the multiplicity is 0 and the scan stops
     arrows: dict[tuple[int, int], int] = {}
     after = [[k for k, e in enumerate(row) if e > 0] for row in euler]
     for i, succ in enumerate(after):
@@ -170,8 +169,10 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
             for k in succ:
                 if k == i or k == j or euler[k][j] <= 0:
                     continue
-                comps = [morphism_flat(compose(g, f, p)).tolist()
-                         for g in homs[(k, j)].basis for f in homs[(i, k)].basis]
+                fts = [[transpose(m) for m in f] for f in homs[(i, k)].basis]
+                comps = [[sum(map(mul, row, col)) % p for gv, ftv in zip(g, ft)
+                          for row in gv for col in ftv]
+                         for g in homs[(k, j)].basis for ft in fts]
                 r2 = grow_rank(echelon, comps, p)
                 if r2 >= h.dim:
                     break
@@ -188,13 +189,12 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
 def _check_meshes(ar: ARQuiver) -> None:
     """Mesh identity: dims of tau Y plus Y equal the weighted middle dims."""
     for y, ty in ar.translate.items():
-        lhs = np.array(ar.nodes[y].dims) + np.array(ar.nodes[ty].dims)
-        mid = np.zeros(ar.quiver.n, dtype=np.int64)
+        lhs = tuple(a + b for a, b in zip(ar.nodes[y].dims, ar.nodes[ty].dims))
+        mid = [0] * ar.quiver.n
         for (i, j), mult in ar.arrows.items():
             if j == y:
-                mid += mult * np.array(ar.nodes[i].dims)
-        require(np.array_equal(lhs, mid),
-                f"mesh at node {y}: {tuple(lhs)} != {tuple(mid)}")
+                mid = [m + mult * d for m, d in zip(mid, ar.nodes[i].dims)]
+        require(lhs == tuple(mid), f"mesh at node {y}: {lhs} != {tuple(mid)}")
 
 
 def ar_quiver_dot(ar: ARQuiver) -> str:

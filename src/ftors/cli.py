@@ -64,8 +64,6 @@ def _emit(payload, fmt: str, out: str | None) -> None:
 def _load(path: str) -> ValuedQuiver:
     try:
         return load_quiver(path)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     except QuiverError as exc:

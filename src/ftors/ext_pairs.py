@@ -300,7 +300,7 @@ def construct_case4(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int,
     y_trunc = isotypic_socle(Y, snk).quot
     detail = {
         "projective_dims": list(P.dims),
-        "truncation_drop": int(P.dims[snk]),
+        "truncation_drop": P.dims[snk],
         "parallel_count": len(_edge_arrows(q3, src, mid)),
         "truncation_matches_parallel_count": P.dims[snk] == len(_edge_arrows(q3, src, mid)),
     }

@@ -1,25 +1,31 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices at the interface are numpy int64 arrays with entries reduced into
-[0, p).  The modulus is passed explicitly everywhere.  Row reduction runs
-on Python int lists in _eliminate, the one Gauss-Jordan elimination of the
-package: every routine here is built on it, and modules.hom_basis feeds it
-its intertwiner system directly, row by row.  The matrices met in practice
-are so small (most have no side longer than 4) that numpy's per-call
-overhead would outweigh the arithmetic.  matmul stays in
-numpy, so p must still be a prime below 2**15: products of entries, summed
-over any inner dimension we meet in practice, then stay far inside the int64
-range.  No floats are ever involved.
+A matrix is a Matrix: a row-major tuple of rows, each a tuple of Python ints
+in [0, p).  Its column count is read off its first row, and a matrix with no
+rows records it, so 0 x n and n x 0 keep their shapes.  The modulus is
+passed explicitly everywhere.  _eliminate, run on list copies of the rows,
+is the one Gauss-Jordan elimination of the package: every routine here is
+built on it, and modules.hom_basis feeds it its intertwiner system directly.
+Python ints never overflow, so the modulus is bounded only by the trial
+division of check_prime: below 2^31 that is at most 46341 divisions, once
+per modulus.  No floats are ever involved.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache
+from operator import mul
 
-import numpy as np
 
-MAX_PRIME = 1 << 15
+class Matrix(tuple):
+    """An F_p matrix: a tuple of rows, each a tuple of ints in [0, p)."""
+
+    cols = 0    # the column count of a matrix with no rows
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), (len(self[0]) if self else self.cols)
 
 
 @cache
@@ -27,8 +33,8 @@ def check_prime(p: int) -> None:
     """Reject moduli that are out of range or composite.
 
     Memoized: every constructed representation checks its modulus."""
-    if not 1 < p < MAX_PRIME:
-        raise ValueError(f"modulus {p} out of range (need a prime below 2^15)")
+    if not 1 < p < 1 << 31:
+        raise ValueError(f"modulus {p} out of range (need a prime below 2^31)")
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -36,20 +42,50 @@ def check_prime(p: int) -> None:
         d += 1
 
 
-def fparray(a, p: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) % p
+def from_rows(rows, cols: int) -> Matrix:
+    """The Matrix of rows already reduced mod p; cols is read only if there are none."""
+    m = Matrix(rows)
+    if not m:
+        m.cols = cols
+    return m
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
+def matrix(rows, p: int, cols: int = 0) -> Matrix:
+    """The Matrix of rows of any integers, reduced mod p; cols as in from_rows."""
+    m = from_rows((tuple(int(x) % p for x in row) for row in rows), cols)
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("matrix rows have different lengths")
+    return m
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+def zeros(rows: int, cols: int) -> Matrix:
+    return from_rows(((0,) * cols,) * rows, cols)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
+def identity(n: int) -> Matrix:
+    return Matrix(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def transpose(a: Matrix) -> Matrix:
+    if a and a[0]:
+        return Matrix(zip(*a))
+    return from_rows(((),) * a.shape[1], len(a))
+
+
+def matmul(a: Matrix, b: Matrix, p: int) -> Matrix:
+    cols = transpose(b)
+    return from_rows([tuple(sum(map(mul, row, col)) % p for col in cols) for row in a], len(cols))
+
+
+def hstack(blocks) -> Matrix:
+    """The blocks side by side; they all have the same number of rows."""
+    rows = [sum(parts, ()) for parts in zip(*blocks)]
+    return Matrix(rows) if rows else zeros(0, sum(b.shape[1] for b in blocks))
+
+
+def vstack(blocks) -> Matrix:
+    """The blocks one above the other; they all have the same number of columns."""
+    return from_rows([row for b in blocks for row in b], blocks[0].shape[1])
 
 
 def inv_scalar(x: int, p: int) -> int:
@@ -91,26 +127,22 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int) -> list[int]:
     return pivots
 
 
-def rref(a, p: int):
+def rref(a: Matrix, p: int):
     """Reduced row echelon form.
 
-    Returns (r, rank, pivots) where r is the echelon matrix, an int64 array of
-    the input's shape, rank the number of pivots and pivots the list of pivot
-    column indices.  The result is a canonical representative of the row
-    space, so every routine built on it (kernels, column bases, solutions) is
-    deterministic.  The input is reduced mod p once; _eliminate then runs on
-    its rows as lists.
+    Returns (r, rank, pivots) where r is the echelon matrix, of the input's
+    shape, rank the number of pivots and pivots the list of pivot column
+    indices.  The result is a canonical representative of the row space, so
+    every routine built on it (kernels, column bases, solutions) is
+    deterministic.
     """
-    r = fparray(a, p)
-    nrows, ncols = r.shape
-    if not nrows or not ncols:
-        return r, 0, []
-    rows = r.tolist()
+    ncols = a.shape[1]
+    rows = [list(row) for row in a]
     pivots = _eliminate(rows, ncols, p)
-    return np.array(rows, dtype=np.int64), len(pivots), pivots
+    return from_rows(map(tuple, rows), ncols), len(pivots), pivots
 
 
-def rank(a, p: int) -> int:
+def rank(a: Matrix, p: int) -> int:
     return rref(a, p)[1]
 
 
@@ -126,85 +158,80 @@ def grow_rank(echelon: list[list[int]], vectors: list[list[int]], p: int) -> int
     return len(echelon)
 
 
-def _kernel(rows, pivots, ncols: int, p: int) -> np.ndarray:
+def _null_vectors(rows, pivots, ncols: int, p: int) -> list[tuple[int, ...]]:
     """Null space basis of the first ncols columns of a reduced echelon form.
 
-    rows are the echelon rows as lists and pivots the pivot columns below
-    ncols, so rows[i] belongs to pivots[i]; column j of the result is the
-    solution with free unknown free[j] set to 1 and the other free ones 0.
+    rows are the echelon rows and pivots the pivot columns below ncols, so
+    rows[i] belongs to pivots[i]; vector j is the solution with the j-th
+    free unknown set to 1 and the other free ones 0.
     """
-    free = [c for c in range(ncols) if c not in pivots]
-    k = [None] * ncols
-    for j, f in enumerate(free):
-        k[f] = [0] * len(free)
-        k[f][j] = 1
-    for row, c in zip(rows, pivots):
-        k[c] = [-row[f] % p for f in free]
-    return np.array(k, dtype=np.int64).reshape(ncols, len(free))
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(rows, pivots):
+                v[c] = -row[f] % p
+            out.append(tuple(v))
+    return out
 
 
-def kernel_basis(a, p: int) -> np.ndarray:
+def kernel_basis(a: Matrix, p: int) -> Matrix:
     """Columns form the canonical (echelon-derived) basis of the null space."""
     r, _, pivots = rref(a, p)
-    return _kernel(r.tolist(), pivots, r.shape[1], p)
+    return transpose(from_rows(_null_vectors(r, pivots, a.shape[1], p), a.shape[1]))
 
 
-def column_space_basis(a, p: int) -> np.ndarray:
+def column_space_basis(a: Matrix, p: int) -> Matrix:
     """Canonical basis of the column space, one basis vector per column."""
-    r, rk, _ = rref(np.asarray(a, dtype=np.int64).T, p)
-    return r[:rk].T.copy()
+    r, rk, _ = rref(transpose(a), p)
+    return transpose(from_rows(r[:rk], len(a)))
 
 
-def solve(a, b, p: int):
+def solve(a: Matrix, b, p: int):
     """Solve a @ x = b exactly.
 
-    b may be a vector or a matrix of stacked right-hand sides.  Returns
-    (particular, kernel) where particular is None when the system is
-    inconsistent; kernel columns span the homogeneous solution space.  One
-    elimination of [a | b] gives both: its left block is the reduced echelon
-    form of a.
+    b is a Matrix of stacked right-hand sides, or a vector: any other
+    sequence of ints, for which x is a tuple.  Returns (particular, kernel)
+    where particular is None when the system is inconsistent; kernel columns
+    span the homogeneous solution space.  One elimination of [a | b] gives
+    both: its left block is the reduced echelon form of a.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b2 = np.asarray(b, dtype=np.int64)
-    vec = b2.ndim == 1
+    vec = not isinstance(b, Matrix)
     if vec:
-        b2 = b2.reshape(-1, 1)
-    if a.shape[0] != b2.shape[0]:
+        b = from_rows([(x,) for x in b], 1)
+    if len(a) != len(b):
         raise ValueError("incompatible shapes in solve")
-    ncols = a.shape[1]
-    r, rk, pivots = rref(np.concatenate((a, b2), axis=1), p)
-    rows = r.tolist()
+    ncols, nrhs = a.shape[1], b.shape[1]
+    r, rk, pivots = rref(hstack([a, b]), p)
     head = [c for c in pivots if c < ncols]
-    kernel = _kernel(rows, head, ncols, p)
+    kernel = transpose(from_rows(_null_vectors(r, head, ncols, p), ncols))
     if len(head) < rk:
         return None, kernel
-    x = [[0] * b2.shape[1] for _ in range(ncols)]
-    for row, c in zip(rows, pivots):
+    x = [(0,) * nrhs] * ncols
+    for row, c in zip(r, pivots):
         x[c] = row[ncols:]
-    x = np.array(x, dtype=np.int64).reshape(ncols, b2.shape[1])
     if vec:
-        x = x[:, 0]
-    return x, kernel
+        return tuple(row[0] for row in x), kernel
+    return from_rows(x, nrhs), kernel
 
 
-def complement_indices(basis, p: int) -> list[int]:
+def complement_indices(basis: Matrix, p: int) -> list[int]:
     """Indices of standard basis vectors completing independent columns."""
-    d, k = np.shape(basis)
-    aug = np.hstack([basis, identity(d)])
-    _, _, pivots = rref(aug, p)
+    d, k = basis.shape
+    _, _, pivots = rref(hstack([basis, identity(d)]), p)
     head = [c for c in pivots if c < k]
     if len(head) != k:
         raise ValueError("basis columns are not independent")
     return [c - k for c in pivots if c >= k]
 
 
-def is_invertible(a, p: int) -> bool:
-    rows, cols = np.shape(a)
+def is_invertible(a: Matrix, p: int) -> bool:
+    rows, cols = a.shape
     return rows == cols and rank(a, p) == rows
 
 
-def random_matrix(rows: int, cols: int, p: int, rng: random.Random) -> np.ndarray:
+def random_matrix(rows: int, cols: int, p: int, rng: random.Random) -> Matrix:
     """Uniform random matrix drawn row by row; the generator is passed in, never global."""
     check_prime(p)
-    return np.array([rng.randrange(p) for _ in range(rows * cols)], np.int64).reshape(rows, cols)
-
+    return from_rows([tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows)], cols)

@@ -25,9 +25,8 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-import numpy as np
-
 from . import linalg as la
+from .linalg import Matrix
 from .quiver import (
     ValuedQuiver,
     arrows_in,
@@ -53,7 +52,9 @@ class DecompositionInconclusive(RuntimeError):
 
 
 class ExtensionCapError(RuntimeError):
-    """An extension-class enumeration would exceed MIDDLE_CAP classes."""
+    """An extension-class enumeration would exceed MIDDLE_CAP classes up to
+    scalar, the (p^e - 1) / (p - 1) lines of Ext; for p <= 5 that is p^e >
+    MIDDLE_CAP, and a single class (e = 1) passes at every p."""
 
 
 DECOMPOSE_BUDGET = 40
@@ -69,7 +70,7 @@ class Representation:
     quiver: ValuedQuiver
     p: int
     dims: tuple[int, ...]
-    mats: tuple[np.ndarray, ...]
+    mats: tuple[Matrix, ...]
 
     @property
     def total(self) -> int:
@@ -90,12 +91,11 @@ def make_rep(q: ValuedQuiver, p: int, dims, mats) -> Representation:
         raise ValueError("need one matrix per arrow")
     fixed = []
     for ar, m in zip(q.arrows, mats):
-        m = la.fparray(m, p)
+        m = la.matrix(m, p, dims[ar.source])
         if m.shape != (dims[ar.target], dims[ar.source]):
             raise ValueError(
                 f"arrow {ar.source + 1}->{ar.target + 1}: matrix shape {m.shape} "
                 f"does not match ({dims[ar.target]}, {dims[ar.source]})")
-        m.setflags(write=False)
         fixed.append(m)
     return Representation(q, p, dims, tuple(fixed))
 
@@ -135,10 +135,10 @@ def standard_module(q: ValuedQuiver, p: int, kind: str, i: int) -> Representatio
         dims = tuple(len(ps) for ps in basis)
         mats = []
         for k, ar in enumerate(q.arrows):
-            m = la.zeros(dims[ar.target], dims[ar.source])
+            m = [[0] * dims[ar.source] for _ in range(dims[ar.target])]
             pos = {path: r for r, path in enumerate(basis[ar.target])}
             for c, path in enumerate(basis[ar.source]):
-                m[pos[path + (k,)], c] = 1
+                m[pos[path + (k,)]][c] = 1
             mats.append(m)
         return make_rep(q, p, dims, mats)
     if kind == "injective":
@@ -146,12 +146,12 @@ def standard_module(q: ValuedQuiver, p: int, kind: str, i: int) -> Representatio
         mats = []
         for k, ar in enumerate(q.arrows):
             u, w = ar.source, ar.target
-            m = la.zeros(dims[w], dims[u])
+            m = [[0] * dims[u] for _ in range(dims[w])]
             pos = {path: c for c, path in enumerate(paths_from(q, u)[i])}
             for r, path in enumerate(paths_from(q, w)[i]):
                 full = (k,) + path
                 if full in pos:
-                    m[r, pos[full]] = 1
+                    m[r][pos[full]] = 1
             mats.append(m)
         return make_rep(q, p, dims, mats)
     raise ValueError(f"unknown standard module kind {kind!r}")
@@ -178,12 +178,10 @@ def direct_sum(parts: list[Representation]) -> Representation:
     dims = tuple(sum(part.dims[v] for part in parts) for v in range(q.n))
     mats = []
     for k, ar in enumerate(q.arrows):
-        m = la.zeros(dims[ar.target], dims[ar.source])
-        ro = co = 0
+        m, co, width = [], 0, dims[ar.source]
         for part in parts:
-            dr, dc = part.dims[ar.target], part.dims[ar.source]
-            m[ro:ro + dr, co:co + dc] = part.mats[k]
-            ro += dr
+            dc = part.dims[ar.source]
+            m.extend((0,) * co + row + (0,) * (width - co - dc) for row in part.mats[k])
             co += dc
         mats.append(m)
     return make_rep(q, p, dims, mats)
@@ -196,7 +194,7 @@ def dual(M: Representation) -> Representation:
     rq = ValuedQuiver(M.quiver.n, arrows, M.quiver.labels)
     mats: list = [None] * len(raw)
     for k, m in enumerate(M.mats):
-        mats[perm[k]] = m.T
+        mats[perm[k]] = la.transpose(m)
     return make_rep(rq, M.p, M.dims, mats)
 
 
@@ -211,23 +209,17 @@ def rep_to_json(M: Representation) -> dict:
         "dim": list(M.dims),
         "arrows": [
             {"from": ar.source + 1, "to": ar.target + 1,
-             "matrix": [[int(x) for x in row] for row in M.mats[k]]}
+             "matrix": [list(row) for row in M.mats[k]]}
             for k, ar in enumerate(M.quiver.arrows)
         ],
     }
 
 
 def rep_from_json(q: ValuedQuiver, p: int, data: dict) -> Representation:
-    dims = data["dim"]
-    mats = []
-    for k, ar in enumerate(q.arrows):
-        entry = data["arrows"][k]
-        if entry["from"] != ar.source + 1 or entry["to"] != ar.target + 1:
-            raise ValueError("arrow order in JSON does not match the quiver")
-        m = np.array(entry["matrix"], dtype=np.int64)
-        m = m.reshape(dims[ar.target], dims[ar.source])
-        mats.append(m)
-    return make_rep(q, p, dims, mats)
+    entries = data["arrows"]
+    if any((e["from"], e["to"]) != (a.source + 1, a.target + 1) for a, e in zip(q.arrows, entries)):
+        raise ValueError("arrow order in JSON does not match the quiver")
+    return make_rep(q, p, data["dim"], [e["matrix"] for e in entries])
 
 
 def extend_by_zero(M: Representation, sub: Subquiver) -> Representation:
@@ -267,23 +259,21 @@ def restrict_module(M: Representation, sub: Subquiver) -> Representation:
 class HomSpace:
     source: Representation
     target: Representation
-    basis: tuple[tuple[np.ndarray, ...], ...]
+    basis: tuple[tuple[Matrix, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def element(self, coeffs) -> tuple[np.ndarray, ...]:
+    def element(self, coeffs) -> tuple[Matrix, ...]:
         X, Y, p = self.source, self.target, self.source.p
-        out = [la.zeros(Y.dims[v], X.dims[v]) for v in range(X.quiver.n)]
+        flat = [0] * sum(x * y for x, y in zip(X.dims, Y.dims))
         for c, f in zip(coeffs, self.basis):
-            if int(c) % p == 0:
-                continue
-            for v in range(X.quiver.n):
-                out[v] = (out[v] + int(c) * f[v]) % p
-        return tuple(out)
+            for i, x in enumerate(morphism_flat(f)):
+                flat[i] += int(c) * x
+        return _unflatten([x % p for x in flat], list(zip(Y.dims, X.dims)))
 
-    def random_element(self, rng) -> tuple[np.ndarray, ...]:
+    def random_element(self, rng) -> tuple[Matrix, ...]:
         return self.element([rng.randrange(self.source.p) for _ in range(self.dim)])
 
 
@@ -309,13 +299,13 @@ def _intertwiner_rows(X: Representation, Y: Representation) -> tuple[list[list[i
     for k, ar in enumerate(q.arrows):
         s, t = ar.source, ar.target
         xs, xt, ys = X.dims[s], X.dims[t], Y.dims[s]
-        xk, yk = X.mats[k].tolist(), Y.mats[k].tolist()
+        xk, yk = X.mats[k], Y.mats[k]
         for i in range(Y.dims[t]):
             ft = offs[t] + i * xt
             for a in range(xs):
                 row = [0] * cols
                 for b in range(xt):
-                    row[ft + b] = xk[b][a] % p
+                    row[ft + b] = xk[b][a]
                 for j in range(ys):
                     row[offs[s] + j * xs + a] = -yk[i][j] % p
                 rows.append(row)
@@ -325,20 +315,19 @@ def _intertwiner_rows(X: Representation, Y: Representation) -> tuple[list[list[i
 def hom_basis(X: Representation, Y: Representation) -> HomSpace:
     """Canonical echelonized basis of the intertwiner space Hom(X, Y).
 
-    The system of _intertwiner_rows is eliminated by linalg._eliminate; the
-    median system is 2 x 3, too small for numpy.
+    The system of _intertwiner_rows is eliminated by linalg._eliminate in
+    place, and each null vector is cut into the per-vertex matrices.
     """
     rows, offs = _intertwiner_rows(X, Y)
-    q, p, cols = X.quiver, X.p, offs[-1]
+    p, cols = X.p, offs[-1]
     if not cols:
         return HomSpace(X, Y, ())
     pivots = la._eliminate(rows, cols, p)
     if len(pivots) == cols:
         return HomSpace(X, Y, ())
-    ker = la._kernel(rows, pivots, cols, p)
-    return HomSpace(X, Y, tuple(
-        tuple(ker[offs[v]:offs[v + 1], j].reshape(Y.dims[v], X.dims[v]) for v in range(q.n))
-        for j in range(ker.shape[1])))
+    shapes = list(zip(Y.dims, X.dims))
+    return HomSpace(X, Y, tuple(_unflatten(vec, shapes)
+                                for vec in la._null_vectors(rows, pivots, cols, p)))
 
 
 def hom_dim(X, Y) -> int:
@@ -356,11 +345,22 @@ def ext_dim(X: Representation, Y: Representation, hom=None) -> int:
     return e
 
 
-def morphism_flat(f: tuple[np.ndarray, ...]) -> np.ndarray:
-    return np.concatenate([m.ravel() for m in f]) if f else np.zeros(0, dtype=np.int64)
+def morphism_flat(f: tuple[Matrix, ...]) -> tuple[int, ...]:
+    """The entries of a morphism, vertex by vertex and row by row."""
+    return tuple(x for m in f for row in m for x in row)
 
 
-def compose(g: tuple[np.ndarray, ...], f: tuple[np.ndarray, ...], p: int) -> tuple[np.ndarray, ...]:
+def _unflatten(flat, shapes) -> tuple[Matrix, ...]:
+    """The morphism whose entries morphism_flat lists, one matrix per shape."""
+    out, off = [], 0
+    for rows, cols in shapes:
+        out.append(la.from_rows([tuple(flat[off + r * cols:off + (r + 1) * cols])
+                                 for r in range(rows)], cols))
+        off += rows * cols
+    return tuple(out)
+
+
+def compose(g: tuple[Matrix, ...], f: tuple[Matrix, ...], p: int) -> tuple[Matrix, ...]:
     """Composite g after f, per vertex."""
     return tuple(la.matmul(g[v], f[v], p) for v in range(len(f)))
 
@@ -382,10 +382,10 @@ class Subquotient:
 
     ambient: Representation
     sub: Representation
-    incl: tuple[np.ndarray, ...]
+    incl: tuple[Matrix, ...]
 
     @cached_property
-    def _quotient(self) -> tuple[Representation, tuple[np.ndarray, ...]]:
+    def _quotient(self) -> tuple[Representation, tuple[Matrix, ...]]:
         """The quotient, built on the complementary standard coordinates,
         and the projections onto it."""
         M, q, p = self.ambient, self.ambient.quiver, self.ambient.p
@@ -402,11 +402,11 @@ class Subquotient:
         return self._quotient[0]
 
     @property
-    def proj(self) -> tuple[np.ndarray, ...]:
+    def proj(self) -> tuple[Matrix, ...]:
         return self._quotient[1]
 
 
-def _complement(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _complement(basis: Matrix, p: int) -> tuple[Matrix, Matrix]:
     """Section and projection of the complement of independent columns.
 
     The complement is spanned by standard basis vectors; the section c embeds
@@ -416,13 +416,12 @@ def _complement(basis: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     of [basis | c], whose rows below the basis are the projection.
     """
     d, k = basis.shape
-    r, _, pivots = la.rref(np.hstack([basis, la.identity(d)]), p)
+    r, _, pivots = la.rref(la.hstack([basis, la.identity(d)]), p)
     if pivots[:k] != list(range(k)):
         raise ValueError("basis columns are not independent")
-    c = la.zeros(d, d - k)
-    for j, col in enumerate(pivots[k:]):
-        c[col - k, j] = 1
-    return c, r[k:, k:]
+    units = la.identity(d)
+    c = la.transpose(la.from_rows([units[col - k] for col in pivots[k:]], d))
+    return c, la.from_rows([row[k:] for row in r[k:]], d)
 
 
 def carve(M: Representation, spaces) -> Subquotient:
@@ -451,7 +450,7 @@ class TraceResult:
     ranks decide full and zero; the submodule is carved on first read."""
 
     ambient: Representation
-    bases: tuple[np.ndarray, ...]
+    bases: tuple[Matrix, ...]
 
     @property
     def full(self) -> bool:
@@ -482,7 +481,7 @@ def trace_submodule(gens, M: Representation, hom=None) -> TraceResult:
     if hom is None:
         hom = hom_basis
     maps = [f for G in gens for f in hom(G, M).basis]
-    bases = tuple(la.column_space_basis(np.hstack([f[v] for f in maps]), M.p) if maps
+    bases = tuple(la.column_space_basis(la.hstack([f[v] for f in maps]), M.p) if maps
                   else la.zeros(M.dims[v], 0) for v in range(M.quiver.n))
     return TraceResult(M, bases)
 
@@ -495,10 +494,7 @@ def isotypic_socle(M: Representation, i: int) -> Subquotient:
     """Largest submodule that is a sum of copies of S(i), with its quotient."""
     q, p = M.quiver, M.p
     outs = [M.mats[k] for k, _ in arrows_out(q, i)]
-    if outs:
-        space_i = la.kernel_basis(np.vstack(outs), p)
-    else:
-        space_i = la.identity(M.dims[i])
+    space_i = la.kernel_basis(la.vstack(outs), p) if outs else la.identity(M.dims[i])
     spaces = [space_i if v == i else la.zeros(M.dims[v], 0) for v in range(q.n)]
     return carve(M, spaces)
 
@@ -528,12 +524,10 @@ def _nilpotent_algebra(gens, p: int) -> bool:
     if not gens:
         return True
     shapes = [m.shape for m in gens[0]]
-    cuts = np.cumsum([a * b for a, b in shapes])[:-1]
 
     def echelon(morphisms):
-        r, rk, _ = la.rref(np.vstack([morphism_flat(f) for f in morphisms]), p)
-        return [tuple(m.reshape(shape) for m, shape in zip(np.split(row, cuts), shapes))
-                for row in r[:rk]]
+        r, rk, _ = la.rref(la.Matrix(morphism_flat(f) for f in morphisms), p)
+        return [_unflatten(row, shapes) for row in r[:rk]]
 
     span = w = echelon(gens)
     for _ in range(sum(a for a, _ in shapes)):
@@ -590,20 +584,21 @@ def decompose(M: Representation, rng: random.Random) -> list[Representation]:
     draws = [[rng.randrange(p) for _ in range(end.dim)]
              for _ in range(DECOMPOSE_BUDGET - len(basis))]
     samples = itertools.chain(basis, map(end.element, draws))
-    ids = [la.identity(d) for d in M.dims]
     certificate_ok = True
     nilpotents = []
     for k, phi in enumerate(samples, 1):
         eig_seen = False
         for lam in range(p):
-            shifted = tuple((f - lam * i) % p for f, i in zip(phi, ids))
+            shifted = tuple(la.Matrix(tuple((x - lam) % p if i == j else x
+                                            for j, x in enumerate(row))
+                                      for i, row in enumerate(f)) for f in phi)
             if all(la.is_invertible(m, p) for m in shifted):
                 continue
             eig_seen = True
             split = _fitting_split(M, shifted)
             if split is not None:
                 return decompose(split[0], rng) + decompose(split[1], rng)
-            if k <= end.dim and any(m.any() for m in shifted):
+            if k <= end.dim and any(map(any, itertools.chain(*shifted))):
                 nilpotents.append(shifted)
             break   # nilpotent shift: phi is scalar plus nilpotent
         if not eig_seen:
@@ -729,26 +724,26 @@ def reflection_functor_apply(M: Representation, v: int) -> Representation:
     if is_sink(q, v):
         ins = arrows_in(q, v)
         blocks = [M.mats[k] for k, _ in ins]
-        assembled = np.hstack(blocks) if blocks else la.zeros(M.dims[v], 0)
+        assembled = la.hstack(blocks) if blocks else la.zeros(M.dims[v], 0)
         ker = la.kernel_basis(assembled, p)
         new_dims[v] = ker.shape[1]
         off = 0
         for k, ar in ins:
             d = M.dims[ar.source]
-            new_mats[perm[k]] = ker[off:off + d, :] % p
+            new_mats[perm[k]] = ker[off:off + d]
             off += d
     else:
         outs = arrows_out(q, v)
         blocks = [M.mats[k] for k, _ in outs]
-        assembled = np.vstack(blocks) if blocks else la.zeros(0, M.dims[v])
+        assembled = la.vstack(blocks) if blocks else la.zeros(0, M.dims[v])
         # the reduced echelon basis of the left null space: the projection
         # _complement would build, from fewer and narrower eliminations
-        proj = la.rref(la.kernel_basis(assembled.T, p).T, p)[0]
-        new_dims[v] = proj.shape[0]
+        proj = la.rref(la.transpose(la.kernel_basis(la.transpose(assembled), p)), p)[0]
+        new_dims[v] = len(proj)
         off = 0
         for k, ar in outs:
             d = M.dims[ar.target]
-            new_mats[perm[k]] = proj[:, off:off + d] % p
+            new_mats[perm[k]] = [row[off:off + d] for row in proj]
             off += d
     for k in range(q.m):
         if new_mats[perm[k]] is None:
@@ -771,7 +766,7 @@ def _twisted_coxeter(M: Representation, order, undefined: str) -> Representation
         M = reflection_functor_apply(M, v)
     if M.total == 0:
         raise ValueError(undefined)
-    return make_rep(M.quiver, M.p, M.dims, [(-m) % M.p for m in M.mats])
+    return make_rep(M.quiver, M.p, M.dims, [[[-x for x in row] for row in m] for m in M.mats])
 
 
 def ar_translate(M: Representation) -> Representation:
@@ -793,8 +788,9 @@ def ar_translate_inverse(M: Representation) -> Representation:
 # ---------------------------------------------------------------------------
 # universal extensions and middle terms
 
-def _ext_classes(B: Representation, A: Representation) -> np.ndarray:
-    """Cocycles whose classes form a basis of Ext(B, A), one per row.
+def _ext_classes(B: Representation, A: Representation) -> Matrix:
+    """Cocycles whose classes form a basis of Ext(B, A), one per row of the
+    matrix returned.
 
     Ext(B, A) is the cokernel of the map of _intertwiner_rows from the
     vertex blocks to the arrow blocks (Ringel's standard resolution), so
@@ -802,8 +798,9 @@ def _ext_classes(B: Representation, A: Representation) -> np.ndarray:
     represent a basis of it.
     """
     rows, offs = _intertwiner_rows(B, A)
-    image = la.column_space_basis(np.array(rows, dtype=np.int64).reshape(len(rows), offs[-1]), B.p)
-    return la.identity(len(rows))[la.complement_indices(image, B.p)]
+    image = la.column_space_basis(la.from_rows(map(tuple, rows), offs[-1]), B.p)
+    units = la.identity(len(rows))
+    return la.from_rows([units[i] for i in la.complement_indices(image, B.p)], len(rows))
 
 
 def _glue(A: Representation, B: Representation, cocycles) -> Representation:
@@ -819,9 +816,10 @@ def _glue(A: Representation, B: Representation, cocycles) -> Representation:
     for k, ar in enumerate(q.arrows):
         s, t = ar.source, ar.target
         size = A.dims[t] * B.dims[s]
-        etas = [c[off:off + size].reshape(A.dims[t], B.dims[s]) for c in cocycles]
+        etas = [_unflatten(c[off:off + size], [(A.dims[t], B.dims[s])])[0] for c in cocycles]
         off += size
-        mats.append(np.block([[A.mats[k], *etas], [la.zeros(Bm.dims[t], A.dims[s]), Bm.mats[k]]]))
+        mats.append(la.vstack([la.hstack([A.mats[k], *etas]),
+                               la.hstack([la.zeros(Bm.dims[t], A.dims[s]), Bm.mats[k]])]))
     return make_rep(q, p, [a + b for a, b in zip(A.dims, Bm.dims)], mats)
 
 
@@ -834,9 +832,9 @@ def _universal_extension_above(M: Representation, i: int) -> Representation:
     q, p = M.quiver, M.p
     S = simple(q, p, i)
     classes = _ext_classes(S, M)
-    if not len(classes):
+    if not classes:
         return M
-    E = _glue(M, S, list(classes))
+    E = _glue(M, S, classes)
     require(ext_dim(S, E) == 0, "universal extension above leaves an extension")
     return E
 
@@ -861,12 +859,9 @@ def universal_extension(M: Representation, i: int, where: str) -> Representation
 
 def _projective_class_lines(p: int, e: int):
     """Representatives of nonzero classes up to scalar: leading entry one."""
-    from itertools import product as iproduct
-
     for lead in range(e):
-        for rest in iproduct(range(p), repeat=e - lead - 1):
-            vec = [0] * lead + [1] + list(rest)
-            yield vec
+        for rest in itertools.product(range(p), repeat=e - lead - 1):
+            yield (0,) * lead + (1,) + rest
 
 
 def middle_terms(B: Representation, A: Representation, rng, hom=None) -> list[Representation]:
@@ -892,8 +887,10 @@ def middle_terms(B: Representation, A: Representation, rng, hom=None) -> list[Re
     split = direct_sum([A, B]) if A.total and B.total else (A if B.total == 0 else B)
     if e == 0:
         return [split]
-    if p ** e > MIDDLE_CAP:
-        raise ExtensionCapError(f"p^e = {p}^{e} exceeds the cap {MIDDLE_CAP}")
+    lines = (p ** e - 1) // (p - 1)
+    if lines > MIDDLE_CAP:
+        raise ExtensionCapError(f"{lines} extension classes up to scalar (p^e = {p}^{e}) "
+                                f"exceed the cap {MIDDLE_CAP}")
     # a single line needs no deduplication; by the hereditary identity,
     # Hom(B, A) = 0 exactly when e = -<dim B, dim A>
     dedup = e >= 2 and not (
@@ -904,7 +901,7 @@ def middle_terms(B: Representation, A: Representation, rng, hom=None) -> list[Re
 
     kept: list[Representation] = []
     for line in _projective_class_lines(p, e):
-        E = _glue(A, B, [la.matmul(np.array(line), classes, p)])
+        E = _glue(A, B, la.matmul(la.Matrix([line]), classes, p))
         if not dedup or _iso_index(E, kept, rng) is None:
             kept.append(E)
     return [split] + kept

@@ -13,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd
-
-import numpy as np
+from operator import mul
 
 from .quiver import (
     QuiverError,
@@ -27,76 +26,79 @@ from .quiver import (
 )
 
 DimVector = tuple[int, ...]
+IntMatrix = tuple[tuple[int, ...], ...]
+
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
+def _vector(q: ValuedQuiver, x) -> DimVector:
+    x = tuple(int(v) for v in x)
+    if len(x) != q.n:
+        raise ValueError("dimension vector length does not match the quiver")
+    return x
+
+
+def _apply(m: IntMatrix, x) -> DimVector:
+    return tuple(_dot(row, x) for row in m)
 
 
 @cache
-def euler_matrix(q: ValuedQuiver) -> np.ndarray:
+def euler_matrix(q: ValuedQuiver) -> IntMatrix:
     """E with E[i][i] = 1 and E[i][j] = -sum of first valuation components."""
-    e = np.eye(q.n, dtype=np.int64)
+    e = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
     for ar in q.arrows:
-        e[ar.source, ar.target] -= ar.a
-    e.setflags(write=False)
-    return e
+        e[ar.source][ar.target] -= ar.a
+    return tuple(map(tuple, e))
 
 
 def euler_form(q: ValuedQuiver, x, y) -> int:
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape != (q.n,) or y.shape != (q.n,):
-        raise ValueError("dimension vector length does not match the quiver")
-    return int(x @ euler_matrix(q) @ y)
+    x, y = _vector(q, x), _vector(q, y)
+    return _dot(x, _apply(euler_matrix(q), y))
 
 
 def quadratic_form(q: ValuedQuiver, x) -> int:
     return euler_form(q, x, x)
 
 
-def _int_inverse(m: np.ndarray) -> np.ndarray:
+def _int_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix that is unimodular over Z."""
-    n = m.shape[0]
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = gauss_jordan([[Fraction(int(x)) for x in m[i]] + eye[i] for i in range(n)])
-    right = [x for row in rows for x in row[n:]]
-    if pivots != list(range(n)) or any(x.denominator != 1 for x in right):
+    n = len(m)
+    rows, pivots = gauss_jordan([[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+                                 for i, row in enumerate(m)])
+    if pivots != list(range(n)) or any(x.denominator != 1 for row in rows for x in row[n:]):
         raise ValueError("matrix is not unimodular over the integers")
-    return np.array([int(x) for x in right], dtype=np.int64).reshape(n, n)
+    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
 
 
 @cache
-def coxeter_matrix(q: ValuedQuiver) -> np.ndarray:
+def coxeter_matrix(q: ValuedQuiver) -> IntMatrix:
     """Phi with <y, Phi x> = -<x, y>; dim tau M = Phi (dim M) off projectives."""
     e = euler_matrix(q)
-    phi = (-_int_inverse(np.array(e)) @ e.T).astype(np.int64)
-    phi.setflags(write=False)
-    return phi
+    return tuple(tuple(-_dot(row, col) for col in e) for row in _int_inverse(e))
 
 
 @cache
-def coxeter_inverse(q: ValuedQuiver) -> np.ndarray:
-    inv = _int_inverse(np.array(coxeter_matrix(q)))
-    inv.setflags(write=False)
-    return inv
+def coxeter_inverse(q: ValuedQuiver) -> IntMatrix:
+    return _int_inverse(coxeter_matrix(q))
 
 
 def coxeter_transform(q: ValuedQuiver, x, inverse: bool = False) -> DimVector:
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (q.n,):
-        raise ValueError("dimension vector length does not match the quiver")
-    m = coxeter_inverse(q) if inverse else coxeter_matrix(q)
-    return tuple(int(v) for v in m @ x)
+    return _apply(coxeter_inverse(q) if inverse else coxeter_matrix(q), _vector(q, x))
 
 
 def reflection_transform(q: ValuedQuiver, x, v: int) -> DimVector:
     """Simple reflection s_v of a dimension vector in the symmetrized form."""
-    c = np.zeros((q.n,), dtype=np.int64)
+    c = [0] * q.n
     for ar in q.arrows:
         if ar.source == v:
             c[ar.target] += ar.a
         if ar.target == v:
             c[ar.source] += ar.a
-    x = np.asarray(x, dtype=np.int64).copy()
-    x[v] = -x[v] + int(c @ x)
-    return tuple(int(t) for t in x)
+    x = [int(t) for t in x]
+    x[v] = -x[v] + _dot(c, x)
+    return tuple(x)
 
 
 def positive_roots(q: ValuedQuiver) -> list[DimVector]:
@@ -133,24 +135,17 @@ def defect_linear_form(q: ValuedQuiver) -> tuple[int, ...]:
     of every projective non-positive (and negative somewhere), which is
     checked against path-count dimension vectors.
     """
-    delta = np.asarray(radical_vector(q), dtype=np.int64)
-    form = delta @ euler_matrix(q)
-    g = 0
-    for x in form:
-        g = gcd(g, abs(int(x)))
+    form = _apply(tuple(zip(*euler_matrix(q))), radical_vector(q))
+    g = gcd(*form)
     if g == 0:
         raise QuiverError("degenerate defect form")
-    form = form // g
-    proj = [int(form @ np.asarray(projective_dimvec(q, i), dtype=np.int64)) for i in range(q.n)]
+    form = tuple(x // g for x in form)
+    proj = [_dot(form, projective_dimvec(q, i)) for i in range(q.n)]
     if q.is_path_algebra():
         require(all(d <= 0 for d in proj) and any(d < 0 for d in proj),
                 "defect sign convention violated on projectives")
-    return tuple(int(x) for x in form)
+    return form
 
 
 def defect(q: ValuedQuiver, x) -> int:
-    form = np.asarray(defect_linear_form(q), dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (q.n,):
-        raise ValueError("dimension vector length does not match the quiver")
-    return int(form @ x)
+    return _dot(defect_linear_form(q), _vector(q, x))

@@ -48,8 +48,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .modules import (
     DecompositionInconclusive,
     HomSpace,
@@ -520,20 +518,9 @@ class NoCoverEvidence:
 
 
 def _relative_radical(M: Representation, cycle):
-    p = M.p
-    q = M.quiver
-    blocks: list[list[np.ndarray]] = [[] for _ in range(q.n)]
-    for X in cycle:
-        for f in hom_basis(M, X).basis:
-            for v in range(q.n):
-                blocks[v].append(f[v])
-    spaces = []
-    for v in range(q.n):
-        if blocks[v]:
-            spaces.append(la.kernel_basis(np.vstack(blocks[v]), p))
-        else:
-            spaces.append(la.identity(M.dims[v]))
-    return carve(M, spaces)
+    maps = [f for X in cycle for f in hom_basis(M, X).basis]
+    return carve(M, [la.kernel_basis(la.vstack([f[v] for f in maps]), M.p) if maps
+                     else la.identity(M.dims[v]) for v in range(M.quiver.n)])
 
 
 def relative_loewy_length(M: Representation, cycle, rng) -> int:

@@ -75,13 +75,8 @@ def _real_regular_roots_inside_delta(q: ValuedQuiver) -> list[tuple[int, ...]]:
 def _thin_module(q: ValuedQuiver, p: int, x) -> Representation | None:
     if any(c > 1 for c in x):
         return None
-    mats = []
-    for ar in q.arrows:
-        if x[ar.source] and x[ar.target]:
-            mats.append([[1]])
-        else:
-            mats.append(la.zeros(x[ar.target], x[ar.source]))
-    return make_rep(q, p, x, mats)
+    return make_rep(q, p, x, [[[1]] if x[ar.source] and x[ar.target]
+                              else la.zeros(x[ar.target], x[ar.source]) for ar in q.arrows])
 
 
 def module_for_real_root(q: ValuedQuiver, p: int, x,
@@ -132,12 +127,12 @@ def find_regular_simples(q: ValuedQuiver, p: int,
         if x in used:
             continue
         orbit = [x]
-        y = tuple(int(c) for c in coxeter_transform(q, x))
+        y = coxeter_transform(q, x)
         while y != x:
             require(y in modules and y in simple_roots,
                     f"translate orbit of {x} leaves the regular simples at {y}")
             orbit.append(y)
-            y = tuple(int(c) for c in coxeter_transform(q, y))
+            y = coxeter_transform(q, y)
         used.update(orbit)
         require(len(orbit) >= 2, f"orbit of {x} is a fixed point below the radical vector")
         total = tuple(map(sum, zip(*orbit)))

@@ -68,6 +68,11 @@ def knitted(q):
     return knit_ar_quiver(q, 5)
 
 
+def arr(m):
+    """A matrix as a numpy array of its shape, for the numpy oracles."""
+    return np.array(m, dtype=np.int64).reshape(m.shape)
+
+
 @lru_cache(maxsize=None)
 def universe(q):
     return finite_universe(q, 5, random.Random(0))
@@ -79,7 +84,7 @@ def ext_oracle(X, Y):
     q, p = X.quiver, X.p
     rows = sum(X.dims[a.source] * Y.dims[a.target] for a in q.arrows)
     cols = sum(X.dims[v] * Y.dims[v] for v in range(q.n))
-    m = la.zeros(rows, cols)
+    m = np.zeros((rows, cols), dtype=np.int64)
     coff = np.concatenate(
         [[0], np.cumsum([X.dims[v] * Y.dims[v] for v in range(q.n)])])
     r0 = 0
@@ -87,11 +92,11 @@ def ext_oracle(X, Y):
         nr = X.dims[a.source] * Y.dims[a.target]
         if nr:
             m[r0:r0 + nr, coff[a.target]:coff[a.target + 1]] += np.kron(
-                la.identity(Y.dims[a.target]), X.mats[k].T)
+                np.eye(Y.dims[a.target], dtype=np.int64), arr(X.mats[k]).T)
             m[r0:r0 + nr, coff[a.source]:coff[a.source + 1]] -= np.kron(
-                Y.mats[k], la.identity(X.dims[a.source]))
+                arr(Y.mats[k]), np.eye(X.dims[a.source], dtype=np.int64))
         r0 += nr
-    return rows - la.rank(m % p, p)
+    return rows - la.rank(la.matrix(m, p, cols), p)
 
 
 def test_criterion_1_euler_identity_sweep():

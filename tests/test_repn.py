@@ -53,6 +53,28 @@ from ftors.tors import filtration_universe, in_gen_closure, in_torsion_closure
 from ftors.tubes import find_regular_simples
 
 
+def arr(m):
+    """A matrix as a numpy array of its shape, for the numpy oracles."""
+    return np.array(m, dtype=np.int64).reshape(m.shape)
+
+
+def mat(a, p):
+    """A numpy array as a matrix over F_p."""
+    return la.matrix(a, p, np.shape(a)[1])
+
+
+def same(a, b):
+    return np.array_equal(arr(a), arr(b))
+
+
+def aslist(m):
+    return [list(row) for row in m]
+
+
+def neg(m, p):
+    return la.matrix([[-x for x in row] for row in m], p, m.shape[1])
+
+
 def projective_cover(M):
     """Minimal epi from a projective: (P0, component vertices, g: P0 -> M).
 
@@ -63,11 +85,11 @@ def projective_cover(M):
     comps, tops = [], []
     for v in range(q.n):
         blocks = [M.mats[k] for k, _ in arrows_in(q, v)]
-        rad = (la.column_space_basis(np.hstack(blocks), p) if blocks and M.dims[v]
+        rad = (la.column_space_basis(la.hstack(blocks), p) if blocks and M.dims[v]
                else la.zeros(M.dims[v], 0))
         for idx in la.complement_indices(rad, p):
             comps.append(v)
-            tops.append(la.identity(M.dims[v])[:, idx])
+            tops.append(np.eye(M.dims[v], dtype=np.int64)[:, idx])
     if not comps:
         assert M.total == 0
         return zero_rep(q, p), [], tuple(la.identity(d) for d in M.dims)
@@ -79,9 +101,9 @@ def projective_cover(M):
             for path in modules.paths_from(q, v)[w]:
                 vec = top
                 for k in path:
-                    vec = M.mats[k] @ vec % p
+                    vec = arr(M.mats[k]) @ vec % p
                 cols.append(vec)
-        g.append(np.stack(cols, axis=1) if cols else la.zeros(M.dims[w], 0))
+        g.append(mat(np.stack(cols, axis=1), p) if cols else la.zeros(M.dims[w], 0))
         assert la.rank(g[w], p) == M.dims[w]
     return p0, comps, tuple(g)
 
@@ -121,9 +143,9 @@ def reference_middle_terms(B, A, rng):
         and hom_dim(A, A) == 1 and hom_dim(B, B) == 1)
     p0, p1, f = minimal_presentation(B)
     h1, h0 = hom_basis(p1, A), hom_basis(p0, A)
-    flat1 = np.stack([modules.morphism_flat(m) for m in h1.basis], axis=1)
+    flat1 = mat(np.array([modules.morphism_flat(m) for m in h1.basis]).reshape(h1.dim, -1).T, p)
     pulled = [modules.morphism_flat(modules.compose(eta, f, p)) for eta in h0.basis]
-    coords = (la.solve(flat1, np.stack(pulled, axis=1), p)[0] if pulled
+    coords = (la.solve(flat1, mat(np.stack(pulled, axis=1), p), p)[0] if pulled
               else la.zeros(h1.dim, 0))
     reps_idx = la.complement_indices(la.column_space_basis(coords, p), p)
     assert len(reps_idx) == e
@@ -133,7 +155,7 @@ def reference_middle_terms(B, A, rng):
         coeffs = np.zeros(h1.dim, dtype=np.int64)
         coeffs[reps_idx] = line
         xi = h1.element(coeffs)
-        E = carve(target, [np.vstack([xi[v], -f[v] % p]) for v in range(q.n)]).quot
+        E = carve(target, [la.vstack([xi[v], neg(f[v], p)]) for v in range(q.n)]).quot
         if not dedup or modules._iso_index(E, kept, rng) is None:
             kept.append(E)
     return [split] + kept
@@ -170,7 +192,7 @@ def hom_ext_oracle(X, Y):
     q, p = X.quiver, X.p
     rows = sum(X.dims[a.source] * Y.dims[a.target] for a in q.arrows)
     cols = sum(X.dims[v] * Y.dims[v] for v in range(q.n))
-    m = la.zeros(rows, cols)
+    m = np.zeros((rows, cols), dtype=np.int64)
     coff = np.concatenate([[0], np.cumsum([X.dims[v] * Y.dims[v] for v in range(q.n)])])
     r0 = 0
     for k, a in enumerate(q.arrows):
@@ -178,12 +200,11 @@ def hom_ext_oracle(X, Y):
         if nr:
             # f_v viewed as the flattened matrix Y_v x X_v, row-major
             m[r0:r0 + nr, coff[a.target]:coff[a.target + 1]] += np.kron(
-                la.identity(Y.dims[a.target]), X.mats[k].T)
+                np.eye(Y.dims[a.target], dtype=np.int64), arr(X.mats[k]).T)
             m[r0:r0 + nr, coff[a.source]:coff[a.source + 1]] -= np.kron(
-                Y.mats[k], la.identity(X.dims[a.source]))
+                arr(Y.mats[k]), np.eye(X.dims[a.source], dtype=np.int64))
         r0 += nr
-    m %= p
-    r = la.rank(m, p)
+    r = la.rank(mat(m, p), p)
     return cols - r, rows - r
 
 
@@ -201,14 +222,14 @@ def test_standard_module_maps_compose_along_paths():
     P = projective(D4, 5, 0)
     assert P.dims == (1, 1, 1, 1)
     for m in P.mats:
-        assert m.shape == (1, 1) and m[0, 0] == 1
+        assert m.shape == (1, 1) and m[0][0] == 1
 
 
 def test_make_rep_validates_shapes_and_reduces():
     with pytest.raises(ValueError):
         make_rep(A2, 5, (1, 1), [np.zeros((2, 1), dtype=np.int64)])
     M = make_rep(A2, 5, (1, 1), [np.array([[7]])])
-    assert M.mats[0][0, 0] == 2
+    assert M.mats[0][0][0] == 2
 
 
 def test_hom_ext_hand_cases_a2():
@@ -245,7 +266,7 @@ def test_hom_basis_members_intertwine():
         for k, a in enumerate(A3.arrows):
             lhs = la.matmul(f[a.target], X.mats[k], 5)
             rhs = la.matmul(Y.mats[k], f[a.source], 5)
-            assert np.array_equal(lhs, rhs)
+            assert same(lhs, rhs)
 
 
 def hom_basis_by_kron(X, Y):
@@ -253,16 +274,18 @@ def hom_basis_by_kron(X, Y):
     q, p = X.quiver, X.p
     offs = np.concatenate([[0], np.cumsum([Y.dims[v] * X.dims[v] for v in range(q.n)])])
     rows = sum(Y.dims[a.target] * X.dims[a.source] for a in q.arrows)
-    m = la.zeros(rows, int(offs[-1]))
+    m = np.zeros((rows, int(offs[-1])), dtype=np.int64)
     r0 = 0
     for k, a in enumerate(q.arrows):
         s, t = a.source, a.target
         nr = Y.dims[t] * X.dims[s]
         if nr:
-            m[r0:r0 + nr, offs[t]:offs[t + 1]] = np.kron(la.identity(Y.dims[t]), X.mats[k].T)
-            m[r0:r0 + nr, offs[s]:offs[s + 1]] -= np.kron(Y.mats[k], la.identity(X.dims[s]))
+            m[r0:r0 + nr, offs[t]:offs[t + 1]] = np.kron(np.eye(Y.dims[t], dtype=np.int64),
+                                                         arr(X.mats[k]).T)
+            m[r0:r0 + nr, offs[s]:offs[s + 1]] -= np.kron(arr(Y.mats[k]),
+                                                          np.eye(X.dims[s], dtype=np.int64))
         r0 += nr
-    ker = la.kernel_basis(m % p, p)
+    ker = arr(la.kernel_basis(mat(m, p), p))
     return [[ker[offs[v]:offs[v + 1], j].reshape(Y.dims[v], X.dims[v]) for v in range(q.n)]
             for j in range(ker.shape[1])]
 
@@ -278,15 +301,15 @@ def test_hom_basis_matches_kronecker_system():
             dx[rng.randrange(q.n)] = 0
             X, Y = random_rep(q, 3, dx, rng), random_rep(q, 3, dy, rng)
             # mostly zero maps, so that the Hom spaces are not all zero
-            masks = [np.array([rng.random() < 0.3 for _ in range(m.size)], bool) for m in X.mats]
-            X = make_rep(q, 3, X.dims, [m * k.reshape(m.shape) for m, k in zip(X.mats, masks)])
+            masks = [np.array([rng.random() < 0.3 for _ in range(arr(m).size)], bool) for m in X.mats]
+            X = make_rep(q, 3, X.dims, [arr(m) * k.reshape(m.shape) for m, k in zip(X.mats, masks)])
             want = hom_basis_by_kron(X, Y)
             got = hom_basis(X, Y).basis
             assert len(got) == len(want)
             for f, g in zip(got, want):
                 assert len(f) == q.n
                 for a, b in zip(f, g):
-                    assert a.shape == b.shape and np.array_equal(a, b)
+                    assert a.shape == b.shape and same(a, b)
 
 
 def test_trace_submodule_a2():
@@ -320,9 +343,9 @@ def test_carve_is_a_short_exact_sequence():
             sq = trace_submodule(G, M).carved
             for k, a in enumerate(q.arrows):
                 s, t = a.source, a.target
-                assert np.array_equal(la.matmul(sq.incl[t], sq.sub.mats[k], 5),
+                assert same(la.matmul(sq.incl[t], sq.sub.mats[k], 5),
                                       la.matmul(M.mats[k], sq.incl[s], 5))
-                assert np.array_equal(la.matmul(sq.proj[t], M.mats[k], 5),
+                assert same(la.matmul(sq.proj[t], M.mats[k], 5),
                                       la.matmul(sq.quot.mats[k], sq.proj[s], 5))
             for v in range(q.n):
                 assert la.rank(sq.incl[v], 5) == sq.sub.dims[v]
@@ -359,7 +382,7 @@ def carved_trace(gens, M):
     spaces = []
     for v in range(M.quiver.n):
         cols = [f[v] for G in gens for f in hom_basis(G, M).basis]
-        spaces.append(np.hstack(cols) if cols else la.zeros(M.dims[v], 0))
+        spaces.append(la.hstack(cols) if cols else la.zeros(M.dims[v], 0))
     return carve(M, spaces).sub
 
 
@@ -384,7 +407,7 @@ def test_rank_trace_agrees_with_the_carved_trace(q):
         assert tr.full == (sub.dims == M.dims) == generates(gens, M)
         assert tr.zero == (sub.total == 0)
         assert tr.sub.dims == sub.dims
-        assert all(np.array_equal(a, b) for a, b in zip(tr.sub.mats, sub.mats))
+        assert all(same(a, b) for a, b in zip(tr.sub.mats, sub.mats))
         kinds.add("full" if tr.full else "zero" if tr.zero else "proper")
     assert kinds == {"full", "zero", "proper"}
 
@@ -454,7 +477,7 @@ def test_decompose_draws_its_whole_budget(monkeypatch):
     X = make_rep(A3, 5, (1, 1, 0), [[[1]], la.zeros(0, 1)])
     Y = make_rep(A3, 5, (0, 1, 1), [la.zeros(1, 0), [[1]]])
     split_middle = base_changed(direct_sum([X, Y]), random.Random(4))
-    assert [m.tolist() for m in split_middle.mats] == [[[2], [3]], [[2, 2]]]
+    assert [aslist(m) for m in split_middle.mats] == [[[2], [3]], [[2, 2]]]
     cases = [
         (direct_sum([S1, S1, S2]), 3, [((0, 1), [[[]], [[]]]), ((1, 0), [[], []]), ((1, 0), [[], []])]),
         (split_middle, 5, [((0, 1, 1), [[[]], [[2]]]), ((1, 1, 0), [[[2]], []])]),
@@ -463,7 +486,7 @@ def test_decompose_draws_its_whole_budget(monkeypatch):
         calls.clear()
         rng = random.Random(seed)
         parts = modules.decompose(M, rng)
-        assert [(P.dims, [m.tolist() for m in P.mats]) for P in parts] == summands
+        assert [(P.dims, [aslist(m) for m in P.mats]) for P in parts] == summands
         assert len(calls) > 1
         replay = random.Random(seed)
         for N in calls:
@@ -488,12 +511,12 @@ def reference_decompose(M, rng, budget=modules.DECOMPOSE_BUDGET):
     p = M.p
     basis = end.basis[:budget]
     draws = [[rng.randrange(p) for _ in range(end.dim)] for _ in range(budget - len(basis))]
-    ids = [la.identity(d) for d in M.dims]
+    ids = [np.eye(d, dtype=np.int64) for d in M.dims]
     certificate_ok = True
     for phi in itertools.chain(basis, map(end.element, draws)):
         eig_seen = False
         for lam in range(p):
-            shifted = tuple((f - lam * i) % p for f, i in zip(phi, ids))
+            shifted = tuple(mat((arr(f) - lam * i) % p, p) for f, i in zip(phi, ids))
             if all(la.is_invertible(m, p) for m in shifted):
                 continue
             eig_seen = True
@@ -515,8 +538,8 @@ def glued(A, B, rng):
     mats = []
     for k, a in enumerate(q.arrows):
         corner = la.random_matrix(A.dims[a.target], B.dims[a.source], p, rng)
-        mats.append(np.block([[A.mats[k], corner],
-                              [la.zeros(B.dims[a.target], A.dims[a.source]), B.mats[k]]]))
+        mats.append(la.vstack([la.hstack([A.mats[k], corner]),
+                               la.hstack([la.zeros(B.dims[a.target], A.dims[a.source]), B.mats[k]])]))
     return make_rep(q, p, [a + b for a, b in zip(A.dims, B.dims)], mats)
 
 
@@ -524,14 +547,14 @@ def test_nilpotent_algebra_needs_products():
     """E12 and E21 are nilpotent, but E12 E21 = E11 is idempotent, so their
     span generates no nilpotent algebra; strictly upper-triangular blocks
     always do."""
-    e12, e21 = np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])
+    e12, e21 = la.matrix([[0, 1], [0, 0]], 5), la.matrix([[0, 0], [1, 0]], 5)
     assert not modules._nilpotent_algebra([(e12,), (e21,)], 5)
     assert not modules._nilpotent_algebra([(la.zeros(0, 0), e12), (la.zeros(0, 0), e21)], 5)
     assert modules._nilpotent_algebra([(e12,)], 5)
     rng = random.Random(67)
     for _ in range(60):
         sizes = random_dims(rng, rng.randrange(1, 4), 5)
-        gens = [tuple(np.triu(la.random_matrix(n, n, 5, rng), 1) for n in sizes)
+        gens = [tuple(mat(np.triu(arr(la.random_matrix(n, n, 5, rng)), 1), 5) for n in sizes)
                 for _ in range(rng.randrange(1, 5))]
         assert modules._nilpotent_algebra(gens, 5)
 
@@ -598,7 +621,7 @@ def test_decompose_agrees_with_the_sampling_reference(name):
             for fn in (decompose, reference_decompose):
                 rng = random.Random(seed)
                 try:
-                    parts = [(P.dims, [m.tolist() for m in P.mats]) for P in fn(M, rng)]
+                    parts = [(P.dims, [aslist(m) for m in P.mats]) for P in fn(M, rng)]
                 except DecompositionInconclusive:
                     parts = None
                 outcomes.append((parts, rng.getstate()))
@@ -613,7 +636,7 @@ def test_complement_is_one_elimination(monkeypatch):
     calls = []
 
     def counting(a, p):
-        calls.append(np.shape(a))
+        calls.append(a.shape)
         return real(a, p)
 
     monkeypatch.setattr(la, "rref", counting)
@@ -627,14 +650,14 @@ def test_complement_is_one_elimination(monkeypatch):
             calls.clear()
             c, proj = modules._complement(basis, p)
             assert len(calls) == 1
-            ref_c = la.zeros(d, d - k)
+            ref_c = np.zeros((d, d - k), dtype=np.int64)
             for j, idx in enumerate(la.complement_indices(basis, p)):
                 ref_c[idx, j] = 1
-            inv, _ = la.solve(np.hstack([basis, ref_c]), la.identity(d), p)
-            assert np.array_equal(c, ref_c)
-            assert np.array_equal(proj, inv[k:, :])
+            inv, _ = la.solve(la.hstack([basis, mat(ref_c, p)]), la.identity(d), p)
+            assert same(c, ref_c)
+            assert same(proj, arr(inv)[k:, :])
     with pytest.raises(ValueError, match="not independent"):
-        modules._complement(np.array([[1, 2], [2, 4]]), 5)
+        modules._complement(la.matrix([[1, 2], [2, 4]], 5), 5)
 
 
 def test_is_isomorphic_detects_base_change_and_rejects_fakes():
@@ -667,7 +690,7 @@ def test_is_isomorphic_is_exact_on_one_dimensional_hom():
     fake, P1 = direct_sum([simple(A2, 5, 0), simple(A2, 5, 1)]), projective(A2, 5, 0)
     X = projective(TWO_ONE, 5, 0)
     Y = base_changed(X, random.Random(60))
-    assert X.dims == (1, 2, 2) and not any(np.array_equal(a, b) for a, b in zip(X.mats, Y.mats))
+    assert X.dims == (1, 2, 2) and not any(same(a, b) for a, b in zip(X.mats, Y.mats))
     for first, second, iso in ((fake, P1, False), (P1, fake, False), (X, Y, True), (Y, X, True)):
         assert hom_dim(first, second) == 1
         state = rng.getstate()
@@ -713,7 +736,7 @@ def assert_same_middle_terms(got, want, rng):
     """The same split term first, then the same nonsplit terms up to
     isomorphism, counted with multiplicity."""
     assert got[0].dims == want[0].dims
-    assert all(np.array_equal(x, y) for x, y in zip(got[0].mats, want[0].mats))
+    assert all(same(x, y) for x, y in zip(got[0].mats, want[0].mats))
     assert len(got) == len(want)
     rest = list(want[1:])
     for E in got[1:]:
@@ -907,7 +930,7 @@ def test_rep_json_roundtrip():
     back = rep_from_json(TWO_ONE, 5, rep_to_json(M))
     assert back.dims == M.dims
     for a, b in zip(back.mats, M.mats):
-        assert np.array_equal(a, b)
+        assert same(a, b)
 
 
 def test_dual_is_an_involution():
