@@ -1,11 +1,20 @@
 """Command line interface.
 
-Subcommands:
-  classify FILE            exact type of the quiver (finite / tame / wild)
-  run knit FILE            knit the full AR quiver (finite type)
-  run tors FILE            torsion class poset and lattice check
-  run extpair FILE         find and verify a double-extension pair
-  run nocover FILE         no-cover evidence along an extension cycle
+Subcommands and the flags each one reads (every one takes --out FILE):
+  classify FILE        exact type of the quiver (finite / tame / wild);
+                       --format {text,json}
+  run knit FILE        knit the full AR quiver (finite type);
+                       --prime, --seed, --format {text,json,dot}
+  run tors FILE        torsion class poset and lattice check;
+                       --prime, --seed, --dim-bound, --format {text,json,dot}
+  run extpair FILE     find and verify a double-extension pair;
+                       --prime, --seed, --format {text,json}
+  run nocover FILE     no-cover evidence along an extension cycle;
+                       --prime, --seed, --loewy-bound, --format {text,json}
+
+A flag that a subcommand does not read, or --format dot where there is no
+graph, makes argparse exit 2 before any quiver is loaded; a --prime,
+--dim-bound or --loewy-bound out of range exits 2 at the same point.
 
 Exit codes: 0 verified, 1 verification failed, 2 bad input, 3 inconclusive,
 4 input/output error, 5 internal error (a bug, such as a failed self-check).
@@ -70,17 +79,10 @@ def _load(path: str) -> ValuedQuiver:
         raise CliError(EXIT_BAD_INPUT, f"bad quiver file {path}: {exc}") from exc
 
 
-def _text_or_json(command: str, args) -> None:
-    """Reject --format dot before any work, for commands without a graph."""
-    if args.format not in ("text", "json"):
-        raise CliError(EXIT_BAD_INPUT, f"{command} supports text and json only")
-
-
 # ---------------------------------------------------------------------------
 # classify
 
 def cmd_classify(args) -> int:
-    _text_or_json("classify", args)
     q = _load(args.quiver)
     qt = classify_type(q)
     lattice = qt.representation_finite or q.n <= 2
@@ -220,7 +222,7 @@ def cmd_tors(args) -> int:
             "type": qt.display(),
             "universe": [list(m.dims) for m in u.modules],
             "classes": [sorted(c) for c in classes],
-            "covers": [list(c.dims) if c is not None else None for c in covers],
+            "covers": [list(c.dims) for c in covers],
             "class_count": report.class_count,
             "hasse_edges": [list(e) for e in edges],
             "edge_count": report.edge_count,
@@ -239,10 +241,8 @@ def cmd_tors(args) -> int:
                      f"edges {report.edge_count}  lattice {report.is_lattice}"]
             for idx, c in enumerate(classes):
                 dims = ["(" + ",".join(map(str, u.modules[m].dims)) + ")" for m in sorted(c)]
-                cov = covers[idx]
-                tail = (f"  cover ({','.join(map(str, cov.dims))})"
-                        if cov is not None else "  cover none")
-                lines.append(f"class {idx}  " + (" ".join(dims) if dims else "empty") + tail)
+                lines.append(f"class {idx}  " + (" ".join(dims) if dims else "empty")
+                             + f"  cover ({','.join(map(str, covers[idx].dims))})")
             for a, b in edges:
                 lines.append(f"edge {a} -> {b}")
             _emit("\n".join(lines) + "\n", "text", args.out)
@@ -258,8 +258,6 @@ def cmd_tors(args) -> int:
             "verdict": report.verdict,
             "universe_size": report.universe_size,
             "class_count": report.class_count,
-            "covered_classes": report.covered_count,
-            "pair_count": report.pair_count,
             "failures": [list(f) for f in report.failures],
             "notes": report.notes,
         }
@@ -267,8 +265,7 @@ def cmd_tors(args) -> int:
             _emit(data, "json", args.out)
         else:
             lines = [f"type {qt.display()}  verdict {report.verdict}",
-                     f"universe {report.universe_size}  classes {report.class_count}  "
-                     f"covered {report.covered_count}  pairs {report.pair_count}",
+                     f"universe {report.universe_size}  classes {report.class_count}",
                      f"notes: {report.notes}"]
             _emit("\n".join(lines) + "\n", "text", args.out)
         if report.verdict == "inconclusive":
@@ -285,7 +282,6 @@ def cmd_tors(args) -> int:
 # run extpair
 
 def cmd_extpair(args) -> int:
-    _text_or_json("extpair", args)
     q = _load(args.quiver)
     qt = classify_type(q)
     if qt.representation_finite or q.n <= 2:
@@ -330,7 +326,6 @@ def cmd_nocover(args) -> int:
     from .tors import no_cover_evidence
     from .tubes import find_regular_simples
 
-    _text_or_json("nocover", args)
     q = _load(args.quiver)
     qt = classify_type(q)
     rng = random.Random(args.seed)
@@ -378,53 +373,68 @@ def cmd_nocover(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+FLAGS = {
+    "--prime": dict(type=int, default=5, help="field size (default 5)"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--dim-bound": dict(type=int, default=12,
+                        help="total dimension bound for bounded checks, at least 1 "
+                             "(default 12)"),
+    "--loewy-bound": dict(type=int, default=4,
+                          help="layer bound for no-cover evidence, at least 2 (default 4)"),
+}
+TEXT_JSON = ("text", "json")
+WITH_DOT = ("text", "json", "dot")
+
+# (name, handler, help, formats, flags): each handler reads exactly its flags,
+# except that knit never reads --seed; it keeps it because the benchmark
+# appends --seed to every command it runs.
+RUN_TASKS = (
+    ("knit", cmd_knit, "knit the AR quiver", WITH_DOT, ("--prime", "--seed")),
+    ("tors", cmd_tors, "torsion class poset and lattice check", WITH_DOT,
+     ("--prime", "--seed", "--dim-bound")),
+    ("extpair", cmd_extpair, "find a verified double-extension pair", TEXT_JSON,
+     ("--prime", "--seed")),
+    ("nocover", cmd_nocover, "no-cover evidence along a cycle", TEXT_JSON,
+     ("--prime", "--seed", "--loewy-bound")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftors",
         description="exact torsion-class toolkit for quiver representations over F_p")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def declare(p, func, formats, flags):
         p.add_argument("quiver", help="quiver file (text or JSON)")
-        p.add_argument("--prime", type=int, default=5, help="field size (default 5)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--dim-bound", type=int, default=12,
-                       help="total dimension bound for bounded checks, at least 1 "
-                            "(default 12)")
-        p.add_argument("--loewy-bound", type=int, default=4,
-                       help="layer bound for no-cover evidence, at least 2 (default 4)")
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
+        p.set_defaults(func=func)
 
-    pc = sub.add_parser("classify", help="exact representation type")
-    common(pc)
-    pc.set_defaults(func=cmd_classify)
-
-    pr = sub.add_parser("run", help="run a verification task")
-    runsub = pr.add_subparsers(dest="task", required=True)
-    for name, func, text in (
-            ("knit", cmd_knit, "knit the AR quiver"),
-            ("tors", cmd_tors, "torsion class poset and lattice check"),
-            ("extpair", cmd_extpair, "find a verified double-extension pair"),
-            ("nocover", cmd_nocover, "no-cover evidence along a cycle")):
-        pt = runsub.add_parser(name, help=text)
-        common(pt)
-        pt.set_defaults(func=func)
+    declare(sub.add_parser("classify", help="exact representation type"),
+            cmd_classify, TEXT_JSON, ())
+    runsub = sub.add_parser("run", help="run a verification task").add_subparsers(
+        dest="task", required=True)
+    for name, func, text, formats, flags in RUN_TASKS:
+        declare(runsub.add_parser(name, help=text), func, formats, flags)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        la.check_prime(args.prime)
-    except ValueError as exc:
-        print(f"error: --prime: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    for flag, value, least in (("--dim-bound", args.dim_bound, 1),
-                               ("--loewy-bound", args.loewy_bound, 2)):
-        if value < least:
-            print(f"error: {flag} must be at least {least}", file=sys.stderr)
+    if "prime" in args:
+        try:
+            la.check_prime(args.prime)
+        except ValueError as exc:
+            print(f"error: --prime: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+    for flag, least in (("dim_bound", 1), ("loewy_bound", 2)):
+        if getattr(args, flag, least) < least:
+            print(f"error: --{flag.replace('_', '-')} must be at least {least}",
+                  file=sys.stderr)
             return EXIT_BAD_INPUT
     try:
         return args.func(args)

@@ -116,57 +116,52 @@ def paths_from(q: ValuedQuiver, i: int) -> tuple[tuple[tuple[int, ...], ...], ..
     return tuple(tuple(ps) for ps in out)
 
 
-def standard_module(q: ValuedQuiver, p: int, kind: str, i: int) -> Representation:
-    """The simple, indecomposable projective or indecomposable injective at i.
-
-    Projectives and injectives use path bases: P(i) at v is spanned by the
-    paths i -> v, I(i) at v by the paths v -> i, with arrows acting by path
-    concatenation (transposed for the injective, which is the dual of the
-    projective over the opposite quiver).
-    """
+def _check_vertex(q: ValuedQuiver, i: int) -> None:
     if not 0 <= i < q.n:
         raise ValueError(f"vertex {i + 1} out of range")
-    if kind == "simple":
-        dims = tuple(int(v == i) for v in range(q.n))
-        mats = [la.zeros(dims[ar.target], dims[ar.source]) for ar in q.arrows]
-        return make_rep(q, p, dims, mats)
-    if kind == "projective":
-        basis = paths_from(q, i)
-        dims = tuple(len(ps) for ps in basis)
-        mats = []
-        for k, ar in enumerate(q.arrows):
-            m = [[0] * dims[ar.source] for _ in range(dims[ar.target])]
-            pos = {path: r for r, path in enumerate(basis[ar.target])}
-            for c, path in enumerate(basis[ar.source]):
-                m[pos[path + (k,)]][c] = 1
-            mats.append(m)
-        return make_rep(q, p, dims, mats)
-    if kind == "injective":
-        dims = tuple(len(paths_from(q, v)[i]) for v in range(q.n))
-        mats = []
-        for k, ar in enumerate(q.arrows):
-            u, w = ar.source, ar.target
-            m = [[0] * dims[u] for _ in range(dims[w])]
-            pos = {path: c for c, path in enumerate(paths_from(q, u)[i])}
-            for r, path in enumerate(paths_from(q, w)[i]):
-                full = (k,) + path
-                if full in pos:
-                    m[r][pos[full]] = 1
-            mats.append(m)
-        return make_rep(q, p, dims, mats)
-    raise ValueError(f"unknown standard module kind {kind!r}")
 
 
-def simple(q, p, i):
-    return standard_module(q, p, "simple", i)
+def simple(q: ValuedQuiver, p: int, i: int) -> Representation:
+    """The simple module at i."""
+    _check_vertex(q, i)
+    dims = tuple(int(v == i) for v in range(q.n))
+    return make_rep(q, p, dims, [la.zeros(dims[ar.target], dims[ar.source])
+                                 for ar in q.arrows])
 
 
-def projective(q, p, i):
-    return standard_module(q, p, "projective", i)
+def projective(q: ValuedQuiver, p: int, i: int) -> Representation:
+    """The indecomposable projective at i, in the path basis: P(i) at v is
+    spanned by the paths i -> v, and arrows act by path concatenation."""
+    _check_vertex(q, i)
+    basis = paths_from(q, i)
+    dims = tuple(len(ps) for ps in basis)
+    mats = []
+    for k, ar in enumerate(q.arrows):
+        m = [[0] * dims[ar.source] for _ in range(dims[ar.target])]
+        pos = {path: r for r, path in enumerate(basis[ar.target])}
+        for c, path in enumerate(basis[ar.source]):
+            m[pos[path + (k,)]][c] = 1
+        mats.append(m)
+    return make_rep(q, p, dims, mats)
 
 
-def injective(q, p, i):
-    return standard_module(q, p, "injective", i)
+def injective(q: ValuedQuiver, p: int, i: int) -> Representation:
+    """The indecomposable injective at i, in the path basis: I(i) at v is
+    spanned by the paths v -> i, with arrows acting by the transposed
+    concatenation (it is the dual of the projective over the opposite quiver)."""
+    _check_vertex(q, i)
+    dims = tuple(len(paths_from(q, v)[i]) for v in range(q.n))
+    mats = []
+    for k, ar in enumerate(q.arrows):
+        u, w = ar.source, ar.target
+        m = [[0] * dims[u] for _ in range(dims[w])]
+        pos = {path: c for c, path in enumerate(paths_from(q, u)[i])}
+        for r, path in enumerate(paths_from(q, w)[i]):
+            full = (k,) + path
+            if full in pos:
+                m[r][pos[full]] = 1
+        mats.append(m)
+    return make_rep(q, p, dims, mats)
 
 
 def direct_sum(parts: list[Representation]) -> Representation:
@@ -191,7 +186,7 @@ def dual(M: Representation) -> Representation:
     """The dual representation over the reversed quiver."""
     raw = [ar.reversed() for ar in M.quiver.arrows]
     arrows, perm = sorted_with_perm(raw)
-    rq = ValuedQuiver(M.quiver.n, arrows, M.quiver.labels)
+    rq = ValuedQuiver(M.quiver.n, arrows)
     mats: list = [None] * len(raw)
     for k, m in enumerate(M.mats):
         mats[perm[k]] = la.transpose(m)

@@ -62,14 +62,11 @@ class Arrow:
 class ValuedQuiver:
     n: int
     arrows: tuple[Arrow, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
         if self.n < 1:
             raise QuiverError("a quiver needs at least one vertex")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise QuiverError("label count does not match vertex count")
         for ar in self.arrows:
             if not (0 <= ar.source < self.n and 0 <= ar.target < self.n):
                 raise QuiverError(f"arrow {ar} out of vertex range")
@@ -86,14 +83,11 @@ class ValuedQuiver:
     def m(self) -> int:
         return len(self.arrows)
 
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels else str(v + 1)
-
     def is_path_algebra(self) -> bool:
         return all(ar.unit for ar in self.arrows)
 
     def reverse(self) -> "ValuedQuiver":
-        return ValuedQuiver(self.n, tuple(ar.reversed() for ar in self.arrows), self.labels)
+        return ValuedQuiver(self.n, tuple(ar.reversed() for ar in self.arrows))
 
 
 def sorted_with_perm(raw: list[Arrow]) -> tuple[tuple[Arrow, ...], list[int]]:
@@ -171,8 +165,7 @@ def parse_quiver_json(data) -> ValuedQuiver:
             raise QuiverError(f"arrow entry {entry!r}: vertex index out of range 1..{n}")
         a, b = (entry[2], entry[3]) if len(entry) == 4 else (1, 1)
         arrows.append(Arrow(i - 1, j - 1, a, b))
-    labels = tuple(data["labels"]) if "labels" in data and data["labels"] else None
-    return ValuedQuiver(n, tuple(arrows), labels)
+    return ValuedQuiver(n, tuple(arrows))
 
 
 def load_quiver(path: str) -> ValuedQuiver:
@@ -535,7 +528,7 @@ def reflect_with_perm(q: ValuedQuiver, v: int) -> tuple[ValuedQuiver, tuple[int,
         raise QuiverError(f"vertex {v + 1} is neither a sink nor a source")
     raw = [ar.reversed() if v in (ar.source, ar.target) else ar for ar in q.arrows]
     arrows, perm = sorted_with_perm(raw)
-    return ValuedQuiver(q.n, arrows, q.labels), tuple(perm)
+    return ValuedQuiver(q.n, arrows), tuple(perm)
 
 
 @dataclass(frozen=True)
@@ -576,6 +569,5 @@ def subquiver_restrict(q: ValuedQuiver, vertices) -> Subquiver:
     arrow_map = [0] * len(raw)
     for raw_k, new_pos in enumerate(perm):
         arrow_map[new_pos] = old_idx[raw_k]
-    labels = tuple(q.label(v) for v in vs)
-    sub = ValuedQuiver(len(vs), arrows, labels)   # raises if disconnected
+    sub = ValuedQuiver(len(vs), arrows)   # raises if disconnected
     return Subquiver(q, sub, tuple(vs), tuple(arrow_map))

@@ -286,18 +286,19 @@ def enumerate_torsion_classes(u: ModuleUniverse) -> list[frozenset]:
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def find_cover(u: ModuleUniverse, t: frozenset) -> Representation | None:
+def find_cover(u: ModuleUniverse, t: frozenset) -> Representation:
     """A single module whose generated quotients are exactly the class.
 
     The candidate is the direct sum of one copy of each member with summands
-    generated by the rest dropped, so the result is normal.  Returns None
-    when the candidate fails the generation test; over a complete finite
-    universe it never does.
+    generated by the rest dropped, so the result is normal.  Over a complete
+    finite universe it always passes the generation test, so a failure is a
+    bug and raises VerificationError.
     """
     members = sorted(t)
     kept = [members[k] for k in _drop_generated([u.modules[m] for m in members], u.hom)]
-    if gen_closure(u, frozenset(kept)) != t:
-        return None
+    generated = gen_closure(u, frozenset(kept))
+    require(generated == t, f"the cover of class {members} generates "
+                            f"{sorted(generated)}")
     if not kept:
         return zero_rep(u.quiver, u.p)
     return direct_sum([u.modules[k] for k in kept])
@@ -371,8 +372,6 @@ class TwoVertexReport:
     verdict: str                      # "consistent", "failed", "inconclusive"
     universe_size: int
     class_count: int
-    covered_count: int
-    pair_count: int
     failures: tuple
     notes: str
 
@@ -441,12 +440,9 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
     and join (closure of the union) are certified to be classes again.  Wild
     two-vertex algebras are reported inconclusive rather than guessed at.
 
-    Every class met here has a cover inside the bound, so covered_count is
-    class_count.  Each class, meet and join is a peeled closure T(G) ∩ U.
-    _prune keeps generators that generate every member it drops, and
-    generation is transitive, so the sum of the kept generators of such a
-    class generates all its members and, as they lie in it, nothing outside
-    it.
+    Each class, meet and join is a peeled closure T(G) ∩ U.  _prune drops
+    only generators that the kept ones generate, so it leaves the closure
+    unchanged.
     """
     if q.n != 2:
         raise ValueError("this check is for two-vertex quivers")
@@ -455,7 +451,7 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
         raise ValueError("a representation-finite quiver gets the exact lattice check")
     if qt.family == "wild" or not q.is_path_algebra():
         return TwoVertexReport(
-            "inconclusive", 0, 0, 0, 0, (),
+            "inconclusive", 0, 0, (),
             "no bounded certificate is attempted for a wild two-vertex algebra")
 
     u = ModuleUniverse(q, p, tuple(_kronecker_universe(q, p, bound, rng)), rng)
@@ -471,10 +467,8 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
     gens_of.setdefault(frozenset(range(len(u))), frozenset(range(len(u))))
 
     failures = []
-    pairs = 0
     for a, t in enumerate(classes):
         for s in classes[a + 1:]:
-            pairs += 1
             inter = t & s
             # the meet must be the closure of its own members
             if u.peeled_closure(_prune(u, inter)) != inter:
@@ -484,8 +478,7 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
             if any(t <= c and s <= c and not join <= c for c in class_set):
                 failures.append(("join", sorted(t), sorted(s)))
     verdict = "consistent" if not failures else "failed"
-    return TwoVertexReport(verdict, len(u), len(classes), len(classes),
-                           pairs, tuple(failures),
+    return TwoVertexReport(verdict, len(u), len(classes), tuple(failures),
                            f"sampled universe, total dimension bound {bound}")
 
 

@@ -1,6 +1,8 @@
 """The command line surface: exit codes, formats, determinism."""
 
+import argparse
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ftors.cli import main
+from ftors.cli import build_parser, main
 from ftors.modules import rep_from_json
 from ftors.ext_pairs import verify_ext_pair
 from ftors.quiver import load_quiver
@@ -60,10 +62,19 @@ def test_classify_json_kronecker_is_lattice(capsys):
     assert data["valuations"] == [{"from": 1, "to": 2, "v": 4}]
 
 
+def rejected(capsys, *argv) -> str:
+    """argparse refuses the arguments with exit 2; returns its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    return out.err
+
+
 def test_classify_rejects_dot(capsys):
-    code, _, err = run(capsys, "classify", A2, "--format", "dot")
-    assert code == 2
-    assert "text and json" in err
+    err = rejected(capsys, "classify", A2, "--format", "dot")
+    assert "invalid choice: 'dot'" in err
 
 
 def test_knit_formats(capsys):
@@ -118,7 +129,9 @@ def test_tors_bounded_kronecker(capsys):
     assert data["mode"] == "bounded"
     assert data["verdict"] == "consistent"
     assert data["failures"] == []
-    assert 0 < data["covered_classes"] <= data["class_count"]
+    assert data["class_count"] > 2
+    assert set(data) == {"mode", "type", "verdict", "universe_size", "class_count",
+                         "failures", "notes"}
 
 
 def _never_called(*args, **kwargs):
@@ -135,19 +148,73 @@ def test_tors_bounded_rejects_dot(capsys, monkeypatch, path):
 
 def test_extpair_rejects_dot(capsys, monkeypatch):
     monkeypatch.setattr("ftors.cli.find_ext_pair", _never_called)
-    code, out, err = run(capsys, "run", "extpair", A2TILDE, "--format", "dot")
-    assert code == 2
-    assert out == ""
-    assert err == "error: extpair supports text and json only\n"
+    err = rejected(capsys, "run", "extpair", A2TILDE, "--format", "dot")
+    assert "argument --format: invalid choice: 'dot'" in err
 
 
 def test_nocover_rejects_dot(capsys, monkeypatch):
     monkeypatch.setattr("ftors.tors.no_cover_evidence", _never_called)
     monkeypatch.setattr("ftors.tubes.find_regular_simples", _never_called)
-    code, out, err = run(capsys, "run", "nocover", A2TILDE, "--format", "dot")
-    assert code == 2
-    assert out == ""
-    assert err == "error: nocover supports text and json only\n"
+    err = rejected(capsys, "run", "nocover", A2TILDE, "--format", "dot")
+    assert "argument --format: invalid choice: 'dot'" in err
+
+
+def subcommands():
+    """(name, parser) of each subcommand: classify and every run task."""
+    def children(parser):
+        [action] = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+        return action.choices.items()
+
+    for name, parser in children(build_parser()):
+        if name == "run":
+            yield from ((f"run {task}", p) for task, p in children(parser))
+        else:
+            yield name, parser
+
+
+def args_read(func) -> set:
+    """The attributes of `args` that the handler's source reads."""
+    tree = ast.parse(inspect.getsource(func))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_each_subcommand_declares_exactly_the_flags_it_reads():
+    """A declared flag that the handler never reads would be accepted and
+    ignored.  The one exception is --seed of run knit, which the benchmark
+    appends to every command."""
+    options = formats = 0
+    for name, parser in subcommands():
+        dests = {a.dest for a in parser._actions if a.dest not in ("help", "quiver")}
+        reads = args_read(parser.get_default("func"))
+        assert "quiver" in reads and reads - {"quiver"} <= dests, name
+        assert dests - reads == ({"seed"} if name == "run knit" else set()), name
+        options += len(dests)
+        formats += len(parser._option_string_actions["--format"].choices)
+    assert (options, formats) == (20, 12)
+
+
+UNREAD = [
+    ("classify", "--prime", "5"), ("classify", "--seed", "0"),
+    ("classify", "--dim-bound", "6"), ("classify", "--loewy-bound", "3"),
+    ("classify", "--format", "dot"),
+    ("run knit", "--dim-bound", "6"), ("run knit", "--loewy-bound", "3"),
+    ("run tors", "--loewy-bound", "3"),
+    ("run extpair", "--dim-bound", "6"), ("run extpair", "--loewy-bound", "3"),
+    ("run extpair", "--format", "dot"),
+    ("run nocover", "--dim-bound", "6"), ("run nocover", "--format", "dot"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD,
+                         ids=[f"{c}{f}={v}".replace(" ", "-") for c, f, v in UNREAD])
+def test_unread_flag_exits_2_before_load(capsys, monkeypatch, command, flag, value):
+    monkeypatch.setattr("ftors.cli._load", _never_called)
+    err = rejected(capsys, *command.split(), A2TILDE, flag, value)
+    assert (f"unrecognized arguments: {flag} {value}" in err
+            or f"invalid choice: '{value}'" in err)
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
@@ -169,7 +236,7 @@ def test_nocover_rejects_loewy_bound_below_two(capsys, monkeypatch, bound):
 
 
 @pytest.mark.parametrize("prime", ["4", "25", "32768"])
-@pytest.mark.parametrize("command", [("classify",), ("run", "knit"), ("run", "tors"),
+@pytest.mark.parametrize("command", [("run", "knit"), ("run", "tors"),
                                      ("run", "extpair"), ("run", "nocover")])
 def test_every_command_rejects_a_bad_prime(capsys, monkeypatch, command, prime):
     monkeypatch.setattr("ftors.cli._load", _never_called)
@@ -281,7 +348,7 @@ def test_bad_quiver_file(tmp_path, capsys):
 
 
 def test_bad_prime(capsys):
-    code, _, err = run(capsys, "classify", A2, "--prime", "1")
+    code, _, err = run(capsys, "run", "knit", A2, "--prime", "1")
     assert code == 2
     assert "prime" in err
 
@@ -334,6 +401,15 @@ def test_extension_class_count_survives_python_O():
              "linalg.complement_indices = lambda basis, p: real(basis, p)[:-1]")
     proc = run_optimized(patch, "run", "nocover", A2TILDE)
     assert_verification_failure(proc, "extension classes do not match the Ext dimension")
+
+
+def test_cover_check_survives_python_O():
+    """With the generation test of the covers one member short, the first
+    nonempty class fails its cover check and run tors exits 5."""
+    patch = ("real = tors.gen_closure\n"
+             "tors.gen_closure = lambda u, gens: frozenset(sorted(real(u, gens))[1:])")
+    proc = run_optimized(patch, "run", "tors", A3)
+    assert_verification_failure(proc, "the cover of class ")
 
 
 def test_closure_agreement_survives_python_O():
@@ -425,7 +501,7 @@ def test_no_run_imports_numpy(tmp_path):
     ]
     runs = [[*argv, "--out", str(tmp_path / f"{n}.out")] for n, argv in enumerate(runs)]
     script = ("import json, sys\n"
-              "from ftors.cli import main\n"
+              "from ftors.cli import build_parser, main\n"
               "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
               "print(json.dumps([codes, 'numpy' in sys.modules, 'numpy.random' in sys.modules]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

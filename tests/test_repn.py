@@ -42,7 +42,6 @@ from ftors.modules import (
     rep_from_json,
     rep_to_json,
     simple,
-    standard_module,
     trace_submodule,
     universal_extension,
     zero_rep,
