@@ -60,9 +60,17 @@ class ExtPairInconclusive(RuntimeError):
     """The case analysis does not cover this quiver shape."""
 
 
-CHECK_ORDER = (
-    "end_x", "end_y", "ext_xx", "ext_yy",
-    "hom_xy", "hom_yx", "ext_xy", "ext_yx",
+# The eight defining conditions in report order: the name, Hom or Ext, the
+# two modules (0 for X, 1 for Y) and what the dimension must satisfy.
+CONDITIONS = (
+    ("end_x", "hom", 0, 0, lambda d: d == 1),
+    ("end_y", "hom", 1, 1, lambda d: d == 1),
+    ("ext_xx", "ext", 0, 0, lambda d: d == 0),
+    ("ext_yy", "ext", 1, 1, lambda d: d == 0),
+    ("hom_xy", "hom", 0, 1, lambda d: d == 0),
+    ("hom_yx", "hom", 1, 0, lambda d: d == 0),
+    ("ext_xy", "ext", 0, 1, lambda d: d >= 1),
+    ("ext_yx", "ext", 1, 0, lambda d: d >= 1),
 )
 
 
@@ -76,25 +84,7 @@ class ExtPairReport:
 
     @property
     def failures(self) -> tuple[str, ...]:
-        n = self.numbers
-        bad = []
-        if n["end_x"] != 1:
-            bad.append("end_x")
-        if n["end_y"] != 1:
-            bad.append("end_y")
-        if n["ext_xx"] != 0:
-            bad.append("ext_xx")
-        if n["ext_yy"] != 0:
-            bad.append("ext_yy")
-        if n["hom_xy"] != 0:
-            bad.append("hom_xy")
-        if n["hom_yx"] != 0:
-            bad.append("hom_yx")
-        if n["ext_xy"] < 1:
-            bad.append("ext_xy")
-        if n["ext_yx"] < 1:
-            bad.append("ext_yx")
-        return tuple(bad)
+        return tuple(name for name, *_, holds in CONDITIONS if not holds(self.numbers[name]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,18 +97,11 @@ class ExtPairCertificate:
 
 
 def verify_ext_pair(X: Representation, Y: Representation) -> ExtPairReport:
-    """All eight defining conditions, computed exactly, in a fixed order."""
-    numbers = {
-        "end_x": hom_dim(X, X),
-        "end_y": hom_dim(Y, Y),
-        "ext_xx": ext_dim(X, X),
-        "ext_yy": ext_dim(Y, Y),
-        "hom_xy": hom_dim(X, Y),
-        "hom_yx": hom_dim(Y, X),
-        "ext_xy": ext_dim(X, Y),
-        "ext_yx": ext_dim(Y, X),
-    }
-    return ExtPairReport(numbers)
+    """All eight defining conditions, computed exactly, in table order."""
+    pair = (X, Y)
+    dim = {"hom": hom_dim, "ext": ext_dim}
+    return ExtPairReport({name: dim[kind](pair[a], pair[b])
+                          for name, kind, a, b, _ in CONDITIONS})
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +357,41 @@ def construct_case1(q: ValuedQuiver, p: int, rng: random.Random):
     return X, Y, detail
 
 
+def _parallel_pair(q: ValuedQuiver, p: int, multi: list[tuple[int, int]],
+                   rng: random.Random):
+    """Cases 3 and 4 on the first three vertex path through one of the edges
+    with parallel arrows: (case, X, Y, detail) over the input quiver."""
+    adj = neighbors(q)
+    for u, v in sorted(multi):
+        thirds = sorted((adj[u] ^ adj[v]) - {u, v})
+        for w in thirds:
+            mid = u if w in adj[u] else v
+            far = v if mid == u else u
+            sub = subquiver_restrict(q, [u, v, w])
+            s_first, s_mid, s_last = (sub.new_vertex(far), sub.new_vertex(mid),
+                                      sub.new_vertex(w))
+            m_first = len(_edge_arrows(sub.quiver, s_first, s_mid))
+            m_last = len(_edge_arrows(sub.quiver, s_mid, s_last))
+            if m_last >= 2 and m_first < 2:
+                s_first, s_last = s_last, s_first
+                m_first, m_last = m_last, m_first
+            oriented, seq = _orient_path(sub, s_first, s_mid, s_last)
+            if m_first >= 2 and m_last >= 2:
+                case = 3
+                x_o, y_o, detail = construct_case3(oriented, p, s_first, s_mid, s_last)
+            else:
+                case = 4
+                x_o, y_o, detail = construct_case4(oriented, p, s_first, s_mid, s_last, rng)
+            x_local = _transport_back(x_o, seq)
+            y_local = _transport_back(y_o, seq)
+            require(x_local.quiver == sub.quiver and y_local.quiver == sub.quiver,
+                    "transport did not return to the input orientation")
+            detail["support"] = [x + 1 for x in sorted((u, v, w))]
+            detail["reflections"] = [sub.old_vertex(s) + 1 for s in seq]
+            return case, extend_by_zero(x_local, sub), extend_by_zero(y_local, sub), detail
+    raise ExtPairInconclusive("parallel arrows found but no three vertex path contains them")
+
+
 # ---------------------------------------------------------------------------
 # the driver
 
@@ -397,51 +415,13 @@ def find_ext_pair(q: ValuedQuiver, p: int,
             "double-extension pairs need at least three vertices")
 
     cycle = shortest_cycle(q)
-    if cycle is not None:
-        X, Y, detail = construct_case2(q, p, cycle)
-        report = verify_ext_pair(X, Y)
-        require(report.ok, f"case 2 verification failed: {report.failures}")
-        return ExtPairCertificate(2, X, Y, report, detail)
-
     multi = [tuple(sorted(pair)) for pair, ks in underlying_edges(q) if len(ks) >= 2]
-    if multi:
-        adj = neighbors(q)
-        for u, v in sorted(multi):
-            thirds = sorted((adj[u] ^ adj[v]) - {u, v})
-            for w in thirds:
-                mid = u if w in adj[u] else v
-                far = v if mid == u else u
-                sub = subquiver_restrict(q, [u, v, w])
-                s_first, s_mid, s_last = (sub.new_vertex(far), sub.new_vertex(mid),
-                                          sub.new_vertex(w))
-                m_first = len(_edge_arrows(sub.quiver, s_first, s_mid))
-                m_last = len(_edge_arrows(sub.quiver, s_mid, s_last))
-                if m_last >= 2 and m_first < 2:
-                    s_first, s_last = s_last, s_first
-                    m_first, m_last = m_last, m_first
-                oriented, seq = _orient_path(sub, s_first, s_mid, s_last)
-                if m_first >= 2 and m_last >= 2:
-                    case = 3
-                    x_o, y_o, detail = construct_case3(oriented, p, s_first, s_mid, s_last)
-                else:
-                    case = 4
-                    x_o, y_o, detail = construct_case4(oriented, p, s_first, s_mid, s_last, rng)
-                x_local = _transport_back(x_o, seq)
-                y_local = _transport_back(y_o, seq)
-                require(x_local.quiver == sub.quiver and y_local.quiver == sub.quiver,
-                        "transport did not return to the input orientation")
-                X = extend_by_zero(x_local, sub)
-                Y = extend_by_zero(y_local, sub)
-                report = verify_ext_pair(X, Y)
-                require(report.ok, f"case {case} verification failed: {report.failures}")
-                detail = dict(detail)
-                detail["support"] = [x + 1 for x in sorted((u, v, w))]
-                detail["reflections"] = [sub.old_vertex(s) + 1 for s in seq]
-                return ExtPairCertificate(case, X, Y, report, detail)
-        raise ExtPairInconclusive(
-            "parallel arrows found but no three vertex path contains them")
-
-    X, Y, detail = construct_case1(q, p, rng)
+    if cycle is not None:
+        case, (X, Y, detail) = 2, construct_case2(q, p, cycle)
+    elif multi:
+        case, X, Y, detail = _parallel_pair(q, p, multi, rng)
+    else:
+        case, (X, Y, detail) = 1, construct_case1(q, p, rng)
     report = verify_ext_pair(X, Y)
-    require(report.ok, f"case 1 verification failed: {report.failures}")
-    return ExtPairCertificate(1, X, Y, report, detail)
+    require(report.ok, f"case {case} verification failed: {report.failures}")
+    return ExtPairCertificate(case, X, Y, report, detail)

@@ -188,18 +188,14 @@ def column_space_basis(a: Matrix, p: int) -> Matrix:
     return transpose(from_rows(r[:rk], len(a)))
 
 
-def solve(a: Matrix, b, p: int):
-    """Solve a @ x = b exactly.
+def solve(a: Matrix, b: Matrix, p: int):
+    """Solve a @ x = b exactly for a Matrix b of stacked right-hand sides.
 
-    b is a Matrix of stacked right-hand sides, or a vector: any other
-    sequence of ints, for which x is a tuple.  Returns (particular, kernel)
-    where particular is None when the system is inconsistent; kernel columns
-    span the homogeneous solution space.  One elimination of [a | b] gives
-    both: its left block is the reduced echelon form of a.
+    Returns (particular, kernel) where particular is None when the system is
+    inconsistent; kernel columns span the homogeneous solution space.  One
+    elimination of [a | b] gives both: its left block is the reduced echelon
+    form of a.
     """
-    vec = not isinstance(b, Matrix)
-    if vec:
-        b = from_rows([(x,) for x in b], 1)
     if len(a) != len(b):
         raise ValueError("incompatible shapes in solve")
     ncols, nrhs = a.shape[1], b.shape[1]
@@ -211,8 +207,6 @@ def solve(a: Matrix, b, p: int):
     x = [(0,) * nrhs] * ncols
     for row, c in zip(r, pivots):
         x[c] = row[ncols:]
-    if vec:
-        return tuple(row[0] for row in x), kernel
     return from_rows(x, nrhs), kernel
 
 

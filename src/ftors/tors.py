@@ -1,20 +1,12 @@
 """Torsion classes of path algebras: closures, enumeration, covers, lattices.
 
-Two complementary engines live here.
-
-For representation-finite quivers the indecomposables form a finite universe
-and every torsion class is a subset of it; closures are computed as honest
-fixpoints under quotients (trace tests) and extensions (middle-term tables),
-and the whole poset is generated breadth-first.  Meets and joins are then
-checked, not assumed.
-
-For infinite types no finite universe exists, but membership in the smallest
-torsion class containing a set of generators is still decidable module by
-module: peel the trace of the generators off the candidate and recurse on
-the quotient.  A candidate lies in the closure exactly when the peeling
-reaches zero, because traces are generated quotients and torsion classes are
-closed under extensions upward along the peeled chain.  The bounded
-two-vertex check and the filtration evidence are built on that test.
+One engine decides membership: peel the trace of the generators off the
+candidate and recurse on the quotient.  A candidate lies in the smallest
+torsion class containing the generators exactly when the peeling reaches
+zero, because traces are generated quotients and torsion classes are closed
+under extensions upward along the peeled chain.  A trace is read as full or
+zero off its ranks at each vertex; only a peeling step through a proper
+nonzero trace carves it and builds the quotient.
 
 Taking the torsion closure T is monotone: K ⊆ G gives T(K) ⊆ T(G).  A
 universe caches each peeled closure as exactly T(K) ∩ U, so for new
@@ -24,20 +16,22 @@ members these bounds leave open are peeled.  The bounds are sound only
 because every cached value is exact; a value from a weaker test would carry
 its error into every later closure.
 
-Both engines read a trace as full or zero off its ranks at each vertex;
-only a peeling step through a proper nonzero trace carves it and builds the
-quotient.  The middle-term table records the split middle term of members
-i and j as (i, j) and decomposes only the nonsplit ones.
+For representation-finite quivers the indecomposables form a finite
+universe, closed under extensions, and every torsion class is a subset of
+it.  torsion_closure certifies each peeled closure closed under quotients
+(generation tests) and extensions (the middle-term table, which records the
+split middle term of members i and j as (i, j) and decomposes only the
+nonsplit ones); the whole poset is generated breadth-first, and the lattice
+is read off the enumerated classes by their intersections.  For infinite
+types the bounded two-vertex check peels inside a sampled universe, which
+is not closed under extensions, and the filtration evidence tests
+generation module by module.
 
 Each ModuleUniverse keeps a table of the Hom spaces between its members,
 filled on first use (a finite universe starts with the table its knitting
 built, where the Euler form decides the zero spaces), so the generation
 tests and the first peeling step compute each member pair at most once;
-only peeled quotients and outside modules reach hom_basis again.  The
-sampled Kronecker universe of the bounded check is not closed under
-extensions, so its membership test stays the peeling test, which needs no
-universe; the fixpoint torsion_closure needs every middle term of two
-members to be a sum of members.
+only peeled quotients and outside modules reach hom_basis again.
 
 Extension cycles, from a tube mouth or a double-extension pair, have one
 check (validate_ext_cycle) and one builder of serial objects (serial_object).
@@ -119,6 +113,7 @@ class ModuleUniverse:
     rng: random.Random
     _middles: dict = field(default_factory=dict)
     _closure: dict = field(default_factory=dict)
+    _closed: set = field(default_factory=set)
     _gen: dict = field(default_factory=dict)
     _peeled: dict = field(default_factory=dict)
     _homs: dict = field(default_factory=dict)
@@ -174,8 +169,8 @@ class ModuleUniverse:
 
     def peeled_closure(self, gens: frozenset) -> frozenset:
         """Members that the peeling test puts in the torsion closure of the
-        given members.  Unlike torsion_closure it needs no extension-closed
-        universe, so the sampled universe of the bounded check uses it.
+        given members.  It needs no extension-closed universe, so the
+        sampled universe of the bounded check uses it directly.
 
         T is monotone, so the cache bounds the answer: it contains every
         cached T(K) with K ⊆ gens and misses every member outside a cached
@@ -233,34 +228,32 @@ def gen_closure(u: ModuleUniverse, gens: frozenset) -> frozenset:
 
 
 def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
-    """Smallest subset containing gens closed under quotients and middle
-    terms; for a complete universe this is the torsion class they generate."""
+    """The torsion class the given members generate, as universe indices.
+
+    The peeled closure is certified before it is returned: it contains gens,
+    it generates no member outside it, and it holds every summand of every
+    middle term of two of its members.  Peeling proves what lies inside (a
+    filtration by traces) and what lies outside (a nonzero quotient with
+    zero trace); closedness proves that nothing smaller would do, because
+    the answer contains the least closed superset of gens.  Closedness is a
+    property of the result alone, so each distinct result is checked once.
+    """
     gens = frozenset(gens)
     if gens in u._closure:
         return u._closure[gens]
-    current = set(gens)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = frozenset(current)
-        for m in range(len(u)):
-            if m not in current and u.generated(snapshot, m):
-                current.add(m)
-                changed = True
-        snapshot = frozenset(current)
-        for i in sorted(snapshot):
-            for j in sorted(snapshot):
-                for parts in u.middle_summands(i, j):
-                    for part in parts:
-                        if part not in current:
-                            current.add(part)
-                            changed = True
-    result = frozenset(current)
+    result = u.peeled_closure(gens)
+    require(gens <= result, f"the closure of {sorted(gens)} misses generators "
+                            f"{sorted(gens - result)}")
+    if result not in u._closed:
+        members = sorted(result)
+        generated = [m for m in range(len(u)) if m not in result and u.generated(result, m)]
+        require(not generated, f"the closure {members} generates members {generated}")
+        missing = {part for i in members for j in members
+                   for parts in u.middle_summands(i, j) for part in parts} - result
+        require(not missing, f"the closure {members} misses the extension summands "
+                             f"{sorted(missing)}")
+        u._closed.add(result)
     u._closure[gens] = result
-    # the membership engine must agree with the fixpoint
-    peeled = u.peeled_closure(gens)
-    require(result == peeled,
-            f"closure engines disagree at members {sorted(result ^ peeled)}")
     return result
 
 
@@ -335,33 +328,24 @@ class LatticeReport:
 
 
 def lattice_check(u: ModuleUniverse, classes: list[frozenset] | None = None) -> LatticeReport:
-    """Verify that every pair of torsion classes has a meet and a join.
+    """Verify that the enumerated torsion classes form a lattice.
 
-    Meets are checked by closing the intersection (it must already be
-    closed) and joins by closing the union and confirming no enumerated
-    class sits strictly between the union and its closure.
+    The family must hold the empty class and the whole universe, and the
+    intersection of any two classes must be a class again; a pair whose
+    intersection is missing is a meet failure.  A finite family closed under
+    intersection with a top element is a lattice: the join of two classes is
+    the intersection of all classes above both, so no join can fail.
     """
     if classes is None:
         classes = enumerate_torsion_classes(u)
     class_set = set(classes)
-    meet_failures = []
-    join_failures = []
-    for a, t in enumerate(classes):
-        for s in classes[a + 1:]:
-            inter = t & s
-            if torsion_closure(u, inter) != inter or inter not in class_set:
-                meet_failures.append((sorted(t), sorted(s)))
-                continue
-            union_closure = torsion_closure(u, t | s)
-            if union_closure not in class_set:
-                join_failures.append((sorted(t), sorted(s)))
-                continue
-            for c in classes:
-                if t <= c and s <= c and not union_closure <= c:
-                    join_failures.append((sorted(t), sorted(s)))
-                    break
+    require({frozenset(), frozenset(range(len(u)))} <= class_set,
+            "the classes must include the empty class and the whole universe")
+    meet_failures = [(sorted(t), sorted(s))
+                     for a, t in enumerate(classes) for s in classes[a + 1:]
+                     if t & s not in class_set]
     return LatticeReport(u.quiver, len(classes), tuple(hasse_edges(classes)),
-                         tuple(meet_failures), tuple(join_failures))
+                         tuple(meet_failures), ())
 
 
 # ---------------------------------------------------------------------------

@@ -413,13 +413,32 @@ def test_cover_check_survives_python_O():
 
 
 def test_closure_agreement_survives_python_O():
-    """With the peeling engine dropping one member of each closure, the
-    fixpoint closure and the peeled closure disagree, and run tors exits 5."""
+    """With the peeling engine dropping the first member of each closure, the
+    closure of the first single member misses its generator, and run tors
+    exits 5."""
     patch = ("real = tors.ModuleUniverse.peeled_closure\n"
              "tors.ModuleUniverse.peeled_closure = "
              "lambda self, gens: frozenset(sorted(real(self, gens))[1:])")
     proc = run_optimized(patch, "run", "tors", A3)
-    assert_verification_failure(proc, "closure engines disagree at members ")
+    assert_verification_failure(proc, "the closure of [0] misses generators [0]")
+
+
+@pytest.mark.parametrize("patch, prefix", [
+    # peeling that returns its generators: a projective's closure misses
+    # the quotients it generates
+    ("tors.ModuleUniverse.peeled_closure = lambda self, gens: gens",
+     "the closure [3] generates members [1]"),
+    # a middle term with the last member as an extra summand: the closure of
+    # the first member misses it
+    ("real = tors.ModuleUniverse.middle_summands\n"
+     "tors.ModuleUniverse.middle_summands = "
+     "lambda self, i, j: real(self, i, j) + ((len(self) - 1,),)",
+     "the closure [0] misses the extension summands [5]"),
+], ids=["generation", "extension"])
+def test_closure_certificate_survives_python_O(patch, prefix):
+    """Each closed half of the closure certificate fails on its own broken
+    layer, and run tors exits 5 under python -O."""
+    assert_verification_failure(run_optimized(patch, "run", "tors", A3), prefix)
 
 
 @pytest.mark.parametrize("shift, prefix", [(1, "negative multiplicity "),
@@ -542,6 +561,24 @@ def test_no_orphaned_private_helper():
                and not node.name.startswith("__")
                and everywhere[node.name] == _referenced_names(node)[node.name]]
     assert not orphans, orphans
+
+
+def test_no_unread_constant():
+    """Every module-level UPPER_CASE name in the package is read somewhere in
+    the package, so a constant whose last reader is gone is deleted with it."""
+    trees = [(path.name, ast.parse(path.read_text(), str(path)))
+             for path in sorted((ROOT / "src" / "ftors").glob("*.py"))]
+    everywhere = sum((_referenced_names(tree) for _, tree in trees), Counter())
+    constants = [(name, node.lineno, target.id)
+                 for name, tree in trees for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()]
+    assert constants
+    stores = Counter(target for _, _, target in constants)
+    unread = [f"{name}:{line} {target}" for name, line, target in constants
+              if everywhere[target] == stores[target]]
+    assert not unread, unread
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):

@@ -161,6 +161,46 @@ def test_lattice_check_small_cases():
         assert report.meet_failures == () and report.join_failures == ()
 
 
+def test_lattice_check_closes_nothing(monkeypatch):
+    """The lattice is read off the enumerated classes: lattice_check asks
+    for no closure."""
+    u = universe(A3_LINE)
+    classes = enumerate_torsion_classes(u)
+
+    def refuse(*args):
+        raise AssertionError("lattice_check asked for a closure")
+
+    monkeypatch.setattr(tors, "torsion_closure", refuse)
+    monkeypatch.setattr(tors.ModuleUniverse, "peeled_closure", refuse)
+    report = lattice_check(u, classes)
+    assert report.is_lattice and report.class_count == 14
+
+
+def test_lattice_check_reports_a_missing_meet():
+    """Drop a class that is the intersection of two others: each pair that
+    meets in it is a meet failure, and the family is no lattice."""
+    u = universe(A3_LINE)
+    classes = enumerate_torsion_classes(u)
+    meets = {t & s for a, t in enumerate(classes) for s in classes[a + 1:]
+             if t & s not in (t, s, frozenset())}
+    dropped = min(meets, key=lambda m: (len(m), sorted(m)))
+    kept = [c for c in classes if c != dropped]
+    report = lattice_check(u, kept)
+    assert not report.is_lattice
+    want = [(sorted(t), sorted(s)) for a, t in enumerate(kept) for s in kept[a + 1:]
+            if t & s == dropped]
+    assert want and list(report.meet_failures) == want
+    assert report.join_failures == ()
+
+
+def test_lattice_check_needs_bottom_and_top():
+    u = universe(A2)
+    classes = enumerate_torsion_classes(u)
+    for missing in (classes[0], classes[-1]):
+        with pytest.raises(VerificationError, match="empty class and the whole universe"):
+            lattice_check(u, [c for c in classes if c != missing])
+
+
 def test_validate_ext_cycle_rejections():
     S1, S2 = simple(A2, 5, 0), simple(A2, 5, 1)
     from ftors.modules import projective
@@ -417,7 +457,8 @@ def orientations(n: int) -> list[str]:
 
 FINITE_ORACLES = ([("A3", text, 14) for text in orientations(3)]
                   + [("A4", text, 42) for text in orientations(4)]
-                  + [("D4", (QDIR / "d4.txt").read_text(), 50)])
+                  + [("D4", (QDIR / "d4.txt").read_text(), 50),
+                     ("D5", (QDIR / "d5.txt").read_text(), 182)])
 
 
 @pytest.mark.parametrize("kind, text, catalan", FINITE_ORACLES,
@@ -515,6 +556,48 @@ def test_finite_peeled_closures_match_unbounded_peeling(q):
     assert set(u._peeled) == set(u._closure)
 
 
+def reference_torsion_closure(u, gens) -> frozenset:
+    """The fixpoint: add every member the current set generates and every
+    summand of a middle term of two current members, until nothing
+    changes."""
+    current = set(gens)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = frozenset(current)
+        for m in range(len(u)):
+            if m not in current and u.generated(snapshot, m):
+                current.add(m)
+                changed = True
+        snapshot = frozenset(current)
+        for i in sorted(snapshot):
+            for j in sorted(snapshot):
+                for parts in u.middle_summands(i, j):
+                    for part in parts:
+                        if part not in current:
+                            current.add(part)
+                            changed = True
+    return frozenset(current)
+
+
+A2_BACK = parse_quiver("vertices 2\narrow 2 1\n")
+
+
+@pytest.mark.parametrize(
+    "q", [A1, A2, A2_BACK, A3_LINE, A3_BACK, A3_OUT, A3_IN, load_quiver(QDIR / "d4.txt")],
+    ids=["a1", "a2", "a2-back", "a3-line", "a3-back", "a3-out", "a3-in", "d4"])
+def test_certified_closures_match_the_fixpoint(q):
+    """Every closure the enumeration and the lattice check ask for equals
+    the fixpoint, computed in a universe of its own."""
+    u = universe(q)
+    lattice_check(u, enumerate_torsion_classes(u))
+    fresh = universe(q)
+    assert [M.dims for M in fresh.modules] == [M.dims for M in u.modules]
+    assert u._closure
+    for gens, closed in u._closure.items():
+        assert closed == reference_torsion_closure(fresh, gens), sorted(gens)
+
+
 def test_bounds_cut_the_peeling_of_the_bounded_check(monkeypatch, capsys):
     """Peeling every member of every closure made 1678 calls here; the
     monotone bounds leave 429."""
@@ -561,8 +644,21 @@ def test_middle_summands_match_decomposed_middle_terms(q):
 @FINITE_CASES
 def test_closures_carve_only_proper_traces(monkeypatch, q):
     """Generation tests and full or zero traces are decided from ranks; only
-    a peeling step through a proper nonzero trace carves, once."""
+    a peeling step through a proper nonzero trace carves, once, so the
+    carves number the peeling steps: the calls of in_torsion_closure made
+    from inside another."""
     traces, carved = {}, []
+    depth, steps = [0], [0]
+    real_peel = tors.in_torsion_closure
+
+    def counting_peel(*args):
+        steps[0] += depth[0] > 0
+        depth[0] += 1
+        try:
+            return real_peel(*args)
+        finally:
+            depth[0] -= 1
+
     real_trace, real_carve = tors.trace_submodule, modules.carve
 
     def recording_trace(*args):
@@ -578,9 +674,10 @@ def test_closures_carve_only_proper_traces(monkeypatch, q):
     monkeypatch.setattr(tors, "trace_submodule", recording_trace)
     monkeypatch.setattr(modules, "trace_submodule", recording_trace)
     monkeypatch.setattr(modules, "carve", recording_carve)
+    monkeypatch.setattr(tors, "in_torsion_closure", counting_peel)
     u = universe(q)
     enumerate_torsion_classes(u)
     assert carved
     assert len({id(tr) for tr in carved}) == len(carved)
     assert not any(tr.full or tr.zero for tr in carved)
-    assert len(carved) < len(traces) / 10
+    assert len(carved) == steps[0]
