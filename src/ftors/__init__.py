@@ -72,7 +72,6 @@ from .tors import (
     find_cover,
     finite_universe,
     gen_closure,
-    hasse_edges,
     in_gen_closure,
     in_torsion_closure,
     lattice_check,

@@ -1,6 +1,6 @@
 """Torsion classes of path algebras: closures, enumeration, covers, lattices.
 
-One engine decides membership: peel the trace of the generators off the
+Membership is decided by peeling: peel the trace of the generators off the
 candidate and recurse on the quotient.  A candidate lies in the smallest
 torsion class containing the generators exactly when the peeling reaches
 zero, because traces are generated quotients and torsion classes are closed
@@ -8,24 +8,19 @@ under extensions upward along the peeled chain.  A trace is read as full or
 zero off its ranks at each vertex; only a peeling step through a proper
 nonzero trace carves it and builds the quotient.
 
-Taking the torsion closure T is monotone: K ⊆ G gives T(K) ⊆ T(G).  A
-universe caches each peeled closure as exactly T(K) ∩ U, so for new
-generators G every cached T(K) with K ⊆ G lies inside the answer, and
-everything outside a cached T(K) that contains G lies outside it.  Only the
-members these bounds leave open are peeled.  The bounds are sound only
-because every cached value is exact; a value from a weaker test would carry
-its error into every later closure.
-
 For representation-finite quivers the indecomposables form a finite
-universe, closed under extensions, and every torsion class is a subset of
-it.  torsion_closure certifies each peeled closure closed under quotients
-(generation tests) and extensions (the middle-term table, which records the
-split middle term of members i and j as (i, j) and decomposes only the
-nonsplit ones); the whole poset is generated breadth-first, and the lattice
-is read off the enumerated classes by their intersections.  For infinite
-types the bounded two-vertex check peels inside a sampled universe, which
-is not closed under extensions, and the filtration evidence tests
-generation module by module.
+universe U, closed under extensions, and a torsion class T is ⊥(T^⊥).  So
+torsion_closure reads T(G) ∩ U off the Hom table (hom_closure) and
+certifies each distinct answer once: peeling puts it inside T(G), and the
+generation tests and the middle-term table (the split middle term of i and
+j recorded as (i, j), only the nonsplit ones decomposed) show it closed.
+The classes are grown along their covers, which the enumeration records,
+and the lattice is read off their intersections.
+
+A sampled universe (the bounded two-vertex check) has no complete Hom
+table, so peeled_closure peels there, bounded by monotonicity: K ⊆ G gives
+T(K) ⊆ T(G), and each cached peeled closure is exactly T(K) ∩ U.  The
+filtration evidence tests generation module by module.
 
 Each ModuleUniverse keeps a table of the Hom spaces between its members,
 filled on first use (a finite universe starts with the table its knitting
@@ -104,7 +99,9 @@ class ModuleUniverse:
 
     The caches live and die with the universe; the Hom table holds the Hom
     space of each ordered pair of members once it has been asked for or
-    handed over at construction.
+    handed over at construction.  A finite universe also holds hom_rows,
+    the complete table as bitmasks: bit j of row i is set when
+    Hom(i, j) != 0.  A sampled universe has no complete table and no rows.
     """
 
     quiver: ValuedQuiver
@@ -112,11 +109,11 @@ class ModuleUniverse:
     modules: tuple[Representation, ...]
     rng: random.Random
     _middles: dict = field(default_factory=dict)
-    _closure: dict = field(default_factory=dict)
     _closed: set = field(default_factory=set)
     _gen: dict = field(default_factory=dict)
     _peeled: dict = field(default_factory=dict)
     _homs: dict = field(default_factory=dict)
+    hom_rows: list = field(default_factory=list)
     _index: dict = field(init=False)
     _members: frozenset = field(init=False)
     _holders: dict = field(init=False)
@@ -169,8 +166,8 @@ class ModuleUniverse:
 
     def peeled_closure(self, gens: frozenset) -> frozenset:
         """Members that the peeling test puts in the torsion closure of the
-        given members.  It needs no extension-closed universe, so the
-        sampled universe of the bounded check uses it directly.
+        given members: the engine of a sampled universe, which has neither
+        a complete Hom table nor closure under extensions.
 
         T is monotone, so the cache bounds the answer: it contains every
         cached T(K) with K ⊆ gens and misses every member outside a cached
@@ -208,13 +205,18 @@ def finite_universe(q: ValuedQuiver, p: int, rng: random.Random) -> ModuleUniver
     """Every indecomposable, sorted by (total dimension, dims), with the Hom
     table the knitting built between all of them: the spaces with <x, y> > 0
     solved and checked against the Euler form, the others the zero spaces
-    the Euler form decides (see knit_ar_quiver), taken over unchanged."""
+    the Euler form decides (see knit_ar_quiver), taken over unchanged, and
+    as bitmask rows."""
     from .ar_quiver import knit_ar_quiver
 
     ar = knit_ar_quiver(q, p)
     u = ModuleUniverse(q, p, tuple(ar.sorted_modules()), rng)
+    u.hom_rows = [0] * len(u)
     for h in ar.homs.values():
-        u._homs[u._index[id(h.source)], u._index[id(h.target)]] = h
+        i, j = u._index[id(h.source)], u._index[id(h.target)]
+        u._homs[i, j] = h
+        if h.dim:
+            u.hom_rows[i] |= 1 << j
     return u
 
 
@@ -227,24 +229,38 @@ def gen_closure(u: ModuleUniverse, gens: frozenset) -> frozenset:
         m for m in range(len(u)) if u.generated(frozenset(gens), m))
 
 
+def hom_closure(rows: list, gens) -> frozenset:
+    """⊥(G^⊥) for the Galois connection "Hom(i, j) = 0", from the bitmask
+    rows of the Hom table: the members m with Hom(m, y) = 0 for every y that
+    no generator maps to nonzero."""
+    reached = 0
+    for g in gens:
+        reached |= rows[g]
+    return frozenset(m for m, row in enumerate(rows) if not row & ~reached)
+
+
 def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
     """The torsion class the given members generate, as universe indices.
 
-    The peeled closure is certified before it is returned: it contains gens,
-    it generates no member outside it, and it holds every summand of every
-    middle term of two of its members.  Peeling proves what lies inside (a
-    filtration by traces) and what lies outside (a nonzero quotient with
-    zero trace); closedness proves that nothing smaller would do, because
-    the answer contains the least closed superset of gens.  Closedness is a
-    property of the result alone, so each distinct result is checked once.
+    T(G)^⊥ = G^⊥ and every module is a sum of members, so T(G) ∩ U is the
+    hom_closure of G.  Each answer must contain gens, and each distinct
+    answer is certified once, for the generators that first produce it:
+    peeling puts every other member inside T(gens), it generates no member
+    outside itself, and it holds every summand of every middle term of two
+    members.  So it is exactly T(gens) ∩ U.  For later generators it is a
+    torsion class holding them; that it holds no more rests on the Hom
+    table, whose nonzero spaces the knitting checked against the Euler form.
     """
     gens = frozenset(gens)
-    if gens in u._closure:
-        return u._closure[gens]
-    result = u.peeled_closure(gens)
+    result = hom_closure(u.hom_rows, gens)
     require(gens <= result, f"the closure of {sorted(gens)} misses generators "
                             f"{sorted(gens - result)}")
     if result not in u._closed:
+        glist = [u.modules[g] for g in sorted(gens)]
+        unreached = [m for m in sorted(result - gens)
+                     if not in_torsion_closure(glist, u.modules[m], u.hom)]
+        require(not unreached, f"the closure of {sorted(gens)} holds members "
+                               f"{unreached} that its generators do not reach")
         members = sorted(result)
         generated = [m for m in range(len(u)) if m not in result and u.generated(result, m)]
         require(not generated, f"the closure {members} generates members {generated}")
@@ -253,30 +269,33 @@ def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
         require(not missing, f"the closure {members} misses the extension summands "
                              f"{sorted(missing)}")
         u._closed.add(result)
-    u._closure[gens] = result
     return result
 
 
-def enumerate_torsion_classes(u: ModuleUniverse) -> list[frozenset]:
-    """All torsion classes, grown breadth-first from the empty class.
+def enumerate_torsion_classes(u: ModuleUniverse) -> tuple[list[frozenset], list[tuple[int, int]]]:
+    """All torsion classes, sorted by (size, members), and the covering
+    pairs (lower index, upper index) of their Hasse diagram.
 
-    Every class is reached: from any reachable subclass, adjoining a missing
-    member and closing stays inside the class and strictly grows.
+    The upper covers of a class t are the minimal sets among the closures of
+    t ∪ {x}, x ∉ t: every class s above t holds such an x and so its closure,
+    and any x ∈ s - t of a cover s closes to s.  A class s above t contains
+    a minimal closure, so growing the classes from the empty class along
+    covers reaches every class.
     """
-    empty = torsion_closure(u, frozenset())
-    require(empty == frozenset(), "the empty class must be closed")
-    seen = {empty}
-    queue = [empty]
+    covers = {}
+    queue = [frozenset()]
+    seen = set(queue)
     while queue:
         t = queue.pop()
-        for x in range(len(u)):
-            if x in t:
-                continue
-            bigger = torsion_closure(u, t | {x})
-            if bigger not in seen:
-                seen.add(bigger)
-                queue.append(bigger)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+        above = list(dict.fromkeys(
+            torsion_closure(u, t | {x}) for x in range(len(u)) if x not in t))
+        covers[t] = [s for s in above if not any(v < s for v in above)]
+        fresh = [s for s in covers[t] if s not in seen]
+        seen.update(fresh)
+        queue.extend(fresh)
+    classes = sorted(covers, key=lambda s: (len(s), sorted(s)))
+    index = {c: k for k, c in enumerate(classes)}
+    return classes, sorted((index[t], index[s]) for t in classes for s in covers[t])
 
 
 def find_cover(u: ModuleUniverse, t: frozenset) -> Representation:
@@ -297,26 +316,11 @@ def find_cover(u: ModuleUniverse, t: frozenset) -> Representation:
     return direct_sum([u.modules[k] for k in kept])
 
 
-def hasse_edges(classes: list[frozenset]) -> list[tuple[int, int]]:
-    """Covering pairs (lower index, upper index) in the given class list."""
-    edges = []
-    for a, t in enumerate(classes):
-        for b, s in enumerate(classes):
-            if not t < s:
-                continue
-            if any(t < v < s for v in classes):
-                continue
-            edges.append((a, b))
-    return sorted(edges)
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeReport:
-    quiver: ValuedQuiver
     class_count: int
-    edges: tuple                      # Hasse diagram, see hasse_edges
+    edges: tuple                      # Hasse diagram, see enumerate_torsion_classes
     meet_failures: tuple
-    join_failures: tuple
 
     @property
     def edge_count(self) -> int:
@@ -324,10 +328,10 @@ class LatticeReport:
 
     @property
     def is_lattice(self) -> bool:
-        return not self.meet_failures and not self.join_failures
+        return not self.meet_failures
 
 
-def lattice_check(u: ModuleUniverse, classes: list[frozenset] | None = None) -> LatticeReport:
+def lattice_check(u: ModuleUniverse, classes: list[frozenset], edges) -> LatticeReport:
     """Verify that the enumerated torsion classes form a lattice.
 
     The family must hold the empty class and the whole universe, and the
@@ -336,16 +340,13 @@ def lattice_check(u: ModuleUniverse, classes: list[frozenset] | None = None) -> 
     intersection with a top element is a lattice: the join of two classes is
     the intersection of all classes above both, so no join can fail.
     """
-    if classes is None:
-        classes = enumerate_torsion_classes(u)
     class_set = set(classes)
     require({frozenset(), frozenset(range(len(u)))} <= class_set,
             "the classes must include the empty class and the whole universe")
     meet_failures = [(sorted(t), sorted(s))
                      for a, t in enumerate(classes) for s in classes[a + 1:]
                      if t & s not in class_set]
-    return LatticeReport(u.quiver, len(classes), tuple(hasse_edges(classes)),
-                         tuple(meet_failures), ())
+    return LatticeReport(len(classes), tuple(edges), tuple(meet_failures))
 
 
 # ---------------------------------------------------------------------------

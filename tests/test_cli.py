@@ -106,7 +106,7 @@ def test_tors_exact_json(capsys):
     assert data["edge_count"] == 5
     assert len(data["classes"]) == 5
     assert sorted(data["covers"]) == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
-    assert data["lattice"] == {"meets_ok": True, "joins_ok": True, "failures": []}
+    assert data["lattice"] == {"meets_ok": True, "failures": []}
     assert data["is_lattice"] is True
 
 
@@ -413,20 +413,28 @@ def test_cover_check_survives_python_O():
 
 
 def test_closure_agreement_survives_python_O():
-    """With the peeling engine dropping the first member of each closure, the
-    closure of the first single member misses its generator, and run tors
-    exits 5."""
-    patch = ("real = tors.ModuleUniverse.peeled_closure\n"
-             "tors.ModuleUniverse.peeled_closure = "
-             "lambda self, gens: frozenset(sorted(real(self, gens))[1:])")
+    """With the Hom-table closure dropping the first member of each answer,
+    the closure of the first single member misses its generator, and run
+    tors exits 5."""
+    patch = ("real = tors.hom_closure\n"
+             "tors.hom_closure = lambda rows, gens: frozenset(sorted(real(rows, gens))[1:])")
     proc = run_optimized(patch, "run", "tors", A3)
     assert_verification_failure(proc, "the closure of [0] misses generators [0]")
 
 
 @pytest.mark.parametrize("patch, prefix", [
-    # peeling that returns its generators: a projective's closure misses
+    # a Hom-table row zeroed: the last member maps nowhere, so every closure
+    # takes it, and peeling finds it outside the closure of the first member
+    ("real = tors.finite_universe\n"
+     "def zeroed(*args):\n"
+     "    u = real(*args)\n"
+     "    u.hom_rows[-1] = 0\n"
+     "    return u\n"
+     "tors.finite_universe = zeroed",
+     "the closure of [0] holds members [5] that its generators do not reach"),
+    # a closure that returns its generators: a projective's closure misses
     # the quotients it generates
-    ("tors.ModuleUniverse.peeled_closure = lambda self, gens: gens",
+    ("tors.hom_closure = lambda rows, gens: frozenset(gens)",
      "the closure [3] generates members [1]"),
     # a middle term with the last member as an extra summand: the closure of
     # the first member misses it
@@ -434,10 +442,10 @@ def test_closure_agreement_survives_python_O():
      "tors.ModuleUniverse.middle_summands = "
      "lambda self, i, j: real(self, i, j) + ((len(self) - 1,),)",
      "the closure [0] misses the extension summands [5]"),
-], ids=["generation", "extension"])
+], ids=["peeling", "generation", "extension"])
 def test_closure_certificate_survives_python_O(patch, prefix):
-    """Each closed half of the closure certificate fails on its own broken
-    layer, and run tors exits 5 under python -O."""
+    """Each half of the closure certificate fails on its own broken layer,
+    and run tors exits 5 under python -O."""
     assert_verification_failure(run_optimized(patch, "run", "tors", A3), prefix)
 
 

@@ -37,7 +37,6 @@ from ftors.tors import (
     find_cover,
     finite_universe,
     gen_closure,
-    hasse_edges,
     in_gen_closure,
     in_torsion_closure,
     lattice_check,
@@ -108,7 +107,7 @@ def test_gen_and_torsion_closure_a2():
 def test_enumeration_matches_powerset_oracle():
     for q, count in ((A1, 2), (A2, 5), (A3_LINE, 14), (A3_OUT, 14)):
         u = universe(q)
-        got = enumerate_torsion_classes(u)
+        got, _ = enumerate_torsion_classes(u)
         assert got == powerset_classes(u)
         assert len(got) == count
 
@@ -120,7 +119,7 @@ def test_find_cover_a2_every_class():
         frozenset({u.match(simple(A2, 5, 1))}): (0, 1),
         frozenset({u.match(simple(A2, 5, 0))}): (1, 0),
     }
-    classes = enumerate_torsion_classes(u)
+    classes, _ = enumerate_torsion_classes(u)
     seen = {}
     for t in classes:
         cov = find_cover(u, t)
@@ -131,48 +130,67 @@ def test_find_cover_a2_every_class():
     assert sorted(seen.values()) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
 
 
+def hasse_edges(classes: list[frozenset]) -> list[tuple[int, int]]:
+    """Covering pairs (lower index, upper index) in the given class list:
+    t < s with no class strictly between."""
+    edges = []
+    for a, t in enumerate(classes):
+        for b, s in enumerate(classes):
+            if not t < s:
+                continue
+            if any(t < v < s for v in classes):
+                continue
+            edges.append((a, b))
+    return sorted(edges)
+
+
 def find_covers(u, t):
-    """All covers of a torsion class, as minimal one-generator enlargements:
-    any class strictly above t contains one of the candidates, so the
-    minimal candidates are exactly the covering classes."""
-    candidates = {torsion_closure(u, t | {x}) for x in range(len(u)) if x not in t}
+    """All covers of a torsion class, from the fixpoint closures of its
+    one-generator enlargements: any class strictly above t contains one of
+    the candidates, so the minimal candidates are exactly the covering
+    classes."""
+    candidates = {reference_torsion_closure(u, t | {x}) for x in range(len(u)) if x not in t}
     candidates.discard(t)
     covers = [c for c in candidates if not any(t < d < c for d in candidates)]
     return sorted(covers, key=lambda s: (len(s), sorted(s)))
 
 
 def test_find_covers_agree_with_hasse_edges():
-    u = universe(A3_LINE)
-    classes = enumerate_torsion_classes(u)
-    edges = hasse_edges(classes)
-    for a, t in enumerate(classes):
-        from_edges = {tuple(sorted(classes[b])) for x, b in edges if x == a}
-        from_covers = {tuple(sorted(c)) for c in find_covers(u, t)}
-        assert from_edges == from_covers
+    """The edges the enumeration records equal the covering pairs of its
+    class list and the minimal fixpoint enlargements of each class."""
+    for q in (A2, A3_LINE, A3_OUT):
+        u = universe(q)
+        classes, edges = enumerate_torsion_classes(u)
+        assert edges == hasse_edges(classes)
+        for a, t in enumerate(classes):
+            from_edges = {tuple(sorted(classes[b])) for x, b in edges if x == a}
+            from_covers = {tuple(sorted(c)) for c in find_covers(u, t)}
+            assert from_edges == from_covers
 
 
 def test_lattice_check_small_cases():
     for q, count, edge_count in ((A2, 5, 5), (A1, 2, 1)):
         u = universe(q)
-        report = lattice_check(u)
+        report = lattice_check(u, *enumerate_torsion_classes(u))
         assert report.is_lattice
         assert report.class_count == count
         assert report.edge_count == edge_count
-        assert report.meet_failures == () and report.join_failures == ()
+        assert report.meet_failures == ()
 
 
 def test_lattice_check_closes_nothing(monkeypatch):
     """The lattice is read off the enumerated classes: lattice_check asks
     for no closure."""
     u = universe(A3_LINE)
-    classes = enumerate_torsion_classes(u)
+    classes, edges = enumerate_torsion_classes(u)
 
     def refuse(*args):
         raise AssertionError("lattice_check asked for a closure")
 
     monkeypatch.setattr(tors, "torsion_closure", refuse)
+    monkeypatch.setattr(tors, "hom_closure", refuse)
     monkeypatch.setattr(tors.ModuleUniverse, "peeled_closure", refuse)
-    report = lattice_check(u, classes)
+    report = lattice_check(u, classes, edges)
     assert report.is_lattice and report.class_count == 14
 
 
@@ -180,25 +198,24 @@ def test_lattice_check_reports_a_missing_meet():
     """Drop a class that is the intersection of two others: each pair that
     meets in it is a meet failure, and the family is no lattice."""
     u = universe(A3_LINE)
-    classes = enumerate_torsion_classes(u)
+    classes, _ = enumerate_torsion_classes(u)
     meets = {t & s for a, t in enumerate(classes) for s in classes[a + 1:]
              if t & s not in (t, s, frozenset())}
     dropped = min(meets, key=lambda m: (len(m), sorted(m)))
     kept = [c for c in classes if c != dropped]
-    report = lattice_check(u, kept)
+    report = lattice_check(u, kept, ())
     assert not report.is_lattice
     want = [(sorted(t), sorted(s)) for a, t in enumerate(kept) for s in kept[a + 1:]
             if t & s == dropped]
     assert want and list(report.meet_failures) == want
-    assert report.join_failures == ()
 
 
 def test_lattice_check_needs_bottom_and_top():
     u = universe(A2)
-    classes = enumerate_torsion_classes(u)
+    classes, _ = enumerate_torsion_classes(u)
     for missing in (classes[0], classes[-1]):
         with pytest.raises(VerificationError, match="empty class and the whole universe"):
-            lattice_check(u, [c for c in classes if c != missing])
+            lattice_check(u, [c for c in classes if c != missing], ())
 
 
 def test_validate_ext_cycle_rejections():
@@ -321,8 +338,8 @@ def test_hom_table_computes_each_member_pair_once_a3(monkeypatch):
     pair at all."""
     counts, alive = count_homs(monkeypatch)
     u = universe(A3_LINE)
-    classes = enumerate_torsion_classes(u)
-    lattice_check(u, classes)
+    classes, edges = enumerate_torsion_classes(u)
+    lattice_check(u, classes, edges)
     for t in classes:
         find_cover(u, t)
     every = {(i, j) for i in range(len(u)) for j in range(len(u))}
@@ -458,7 +475,9 @@ def orientations(n: int) -> list[str]:
 FINITE_ORACLES = ([("A3", text, 14) for text in orientations(3)]
                   + [("A4", text, 42) for text in orientations(4)]
                   + [("D4", (QDIR / "d4.txt").read_text(), 50),
-                     ("D5", (QDIR / "d5.txt").read_text(), 182)])
+                     ("D5", (QDIR / "d5.txt").read_text(), 182)]
+                  # linear A5 (every arrow v -> v + 1) and alternating A5
+                  + [("A5", orientations(5)[k], 132) for k in (15, 10)])
 
 
 @pytest.mark.parametrize("kind, text, catalan", FINITE_ORACLES,
@@ -506,7 +525,7 @@ def reference_peeled_closure(u, gens) -> frozenset:
     """The unbounded loop: peel every member."""
     glist = [u.modules[g] for g in sorted(gens)]
     return frozenset(m for m in range(len(u))
-                     if in_torsion_closure(glist, u.modules[m], u.hom))
+                     if tors.in_torsion_closure(glist, u.modules[m], u.hom))
 
 
 def reference_bounded_cover(u, cls):
@@ -547,15 +566,6 @@ def test_bounded_check_matches_unbounded_peeling(monkeypatch, bound, seed):
         assert reference_bounded_cover(u, cls) is not None, sorted(cls)
 
 
-@pytest.mark.parametrize("q", [A3_LINE, A3_OUT, A3_IN, load_quiver(QDIR / "d4.txt")],
-                         ids=["a3-line", "a3-out", "a3-in", "d4"])
-def test_finite_peeled_closures_match_unbounded_peeling(q):
-    u = universe(q)
-    lattice_check(u, enumerate_torsion_classes(u))
-    assert_peeled_cache_exact(u)
-    assert set(u._peeled) == set(u._closure)
-
-
 def reference_torsion_closure(u, gens) -> frozenset:
     """The fixpoint: add every member the current set generates and every
     summand of a middle term of two current members, until nothing
@@ -581,20 +591,49 @@ def reference_torsion_closure(u, gens) -> frozenset:
 
 
 A2_BACK = parse_quiver("vertices 2\narrow 2 1\n")
-
-
-@pytest.mark.parametrize(
+FINITE_UNIVERSES = pytest.mark.parametrize(
     "q", [A1, A2, A2_BACK, A3_LINE, A3_BACK, A3_OUT, A3_IN, load_quiver(QDIR / "d4.txt")],
     ids=["a1", "a2", "a2-back", "a3-line", "a3-back", "a3-out", "a3-in", "d4"])
-def test_certified_closures_match_the_fixpoint(q):
-    """Every closure the enumeration and the lattice check ask for equals
-    the fixpoint, computed in a universe of its own."""
+
+
+def enumerated_closures(monkeypatch, q):
+    """Every closure the enumeration asks for, by its key, and a universe of
+    its own with the same members in the same order for the oracles.  The
+    keys are the single members and t ∪ {x} for each class t and member x
+    outside it."""
+    asked = {}
+    real = tors.torsion_closure
+
+    def recording(u, gens):
+        asked[frozenset(gens)] = result = real(u, gens)
+        return result
+
+    monkeypatch.setattr(tors, "torsion_closure", recording)
     u = universe(q)
-    lattice_check(u, enumerate_torsion_classes(u))
+    classes, _ = enumerate_torsion_classes(u)
+    keys = {frozenset([x]) for x in range(len(u))}
+    keys |= {t | {x} for t in classes for x in range(len(u)) if x not in t}
+    assert set(asked) == keys
     fresh = universe(q)
     assert [M.dims for M in fresh.modules] == [M.dims for M in u.modules]
-    assert u._closure
-    for gens, closed in u._closure.items():
+    return fresh, asked
+
+
+@FINITE_UNIVERSES
+def test_finite_peeled_closures_match_unbounded_peeling(monkeypatch, q):
+    """Every closure the enumeration asks for equals unbounded peeling,
+    computed in a universe of its own."""
+    fresh, asked = enumerated_closures(monkeypatch, q)
+    for gens, closed in asked.items():
+        assert closed == reference_peeled_closure(fresh, gens), sorted(gens)
+
+
+@FINITE_UNIVERSES
+def test_certified_closures_match_the_fixpoint(monkeypatch, q):
+    """Every closure the enumeration asks for equals the fixpoint, computed
+    in a universe of its own."""
+    fresh, asked = enumerated_closures(monkeypatch, q)
+    for gens, closed in asked.items():
         assert closed == reference_torsion_closure(fresh, gens), sorted(gens)
 
 
@@ -614,6 +653,22 @@ def test_bounds_cut_the_peeling_of_the_bounded_check(monkeypatch, capsys):
     assert code == 0
     assert "verdict consistent" in capsys.readouterr().out
     assert 0 < calls["in_torsion_closure"] <= 600
+
+
+def test_finite_enumeration_peels_each_answer_once(monkeypatch):
+    """Peeled closures made 3949 peeling calls to enumerate D5; certifying
+    each distinct Hom-table closure once leaves 435."""
+    calls = Counter()
+    real = tors.in_torsion_closure
+
+    def counting(*args, **kwargs):
+        calls["in_torsion_closure"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tors, "in_torsion_closure", counting)
+    classes, _ = enumerate_torsion_classes(universe(load_quiver(QDIR / "d5.txt")))
+    assert len(classes) == 182
+    assert 0 < calls["in_torsion_closure"] <= 1000
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +701,8 @@ def test_closures_carve_only_proper_traces(monkeypatch, q):
     """Generation tests and full or zero traces are decided from ranks; only
     a peeling step through a proper nonzero trace carves, once, so the
     carves number the peeling steps: the calls of in_torsion_closure made
-    from inside another."""
+    from inside another.  The enumeration peels little, so unbounded
+    peeling of every single-member closure drives the peeling too."""
     traces, carved = {}, []
     depth, steps = [0], [0]
     real_peel = tors.in_torsion_closure
@@ -677,6 +733,8 @@ def test_closures_carve_only_proper_traces(monkeypatch, q):
     monkeypatch.setattr(tors, "in_torsion_closure", counting_peel)
     u = universe(q)
     enumerate_torsion_classes(u)
+    for x in range(len(u)):
+        reference_peeled_closure(u, {x})
     assert carved
     assert len({id(tr) for tr in carved}) == len(carved)
     assert not any(tr.full or tr.zero for tr in carved)
