@@ -41,8 +41,6 @@ from .roots import euler_matrix, positive_roots
 class ARNode:
     index: int
     module: Representation
-    orbit: int          # which projective the translate orbit starts at
-    power: int          # how many inverse translates from that projective
 
     @property
     def dims(self):
@@ -94,19 +92,19 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
     translate: dict[int, int] = {}
     by_dims: dict[tuple[int, ...], int] = {}
 
-    def add(module: Representation, orbit: int, power: int) -> int:
+    def add(module: Representation) -> int:
         dims = module.dims
         require(dims in root_set, f"knitted dims {dims} is not a positive root")
         require(dims not in by_dims, f"duplicate indecomposable at {dims}")
         idx = len(nodes)
-        nodes.append(ARNode(idx, module, orbit, power))
+        nodes.append(ARNode(idx, module))
         by_dims[dims] = idx
         return idx
 
     projectives: list[int] = []
     frontier: list[int] = []
-    for orbit, v in enumerate(order):
-        idx = add(projective(q, p, v), orbit, 0)
+    for v in order:
+        idx = add(projective(q, p, v))
         projectives.append(idx)
         frontier.append(idx)
 
@@ -120,8 +118,7 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
             if node.dims in injective_dims:
                 injectives_found[injective_dims[node.dims]] = idx
                 continue
-            moved = ar_translate_inverse(node.module)
-            new = add(moved, node.orbit, node.power + 1)
+            new = add(ar_translate_inverse(node.module))
             translate[new] = idx
             nxt.append(new)
         frontier = nxt

@@ -8,11 +8,13 @@ decomposition that proves locality from a basis of End(M) and samples only
 to search for a split, with an honest inconclusive outcome, normalization,
 reflection functors, the translates DTr and TrD as Coxeter functors twisted
 by the sign automorphism that negates every arrow, universal extensions by
-simples, and enumeration of extension middle terms.  Both extension
-constructions read Ext off the standard resolution: the Hom system's map
-from the vertex blocks to the arrow blocks has kernel Hom and cokernel Ext,
-so a class is a cocycle on the arrow blocks, and its middle term is glued
-from block upper-triangular arrow matrices with no projective presentation.
+simples, and extension middle terms, one per line of P(Ext), with no
+random draw.  Both extension constructions read Ext off the standard
+resolution: the Hom system's map from the vertex blocks to the arrow
+blocks has kernel Hom and cokernel Ext, so a class is a cocycle on the
+arrow blocks, and its middle term is glued from block upper-triangular
+arrow matrices with no projective presentation.  Isomorphism classes are
+matched only where a caller asks (is_isomorphic, normalize).
 
 Only valuation-(1, 1) quivers (path algebras, parallel arrows allowed) are
 accepted here; valued arrows live purely at the numerical level.
@@ -859,25 +861,18 @@ def _projective_class_lines(p: int, e: int):
             yield (0,) * lead + (1,) + rest
 
 
-def middle_terms(B: Representation, A: Representation, rng, hom=None) -> list[Representation]:
-    """All middle terms of extensions of B by A (0 -> A -> E -> B -> 0).
+def middle_terms(B: Representation, A: Representation, *, hom=None) -> list[Representation]:
+    """Middle terms of extensions of B by A (0 -> A -> E -> B -> 0): the
+    split term, then one glued middle per line of P(Ext(B, A)).
 
     Classes are enumerated up to scalar, as combinations of the basis
-    cocycles of _ext_classes, and each middle term is glued from A and B
-    along one.  The list starts with the split extension, followed by the
-    iso-deduplicated nonsplit middles.  hom supplies the Hom spaces between
-    A and B, as in trace_submodule.
-
-    When A and B are distinct bricks with Hom(A, B) = Hom(B, A) = 0, no
-    deduplication is needed: an isomorphism E -> E' of middle terms sends A
-    into the kernel of E' -> B, because Hom(A, B) = 0, so it is a morphism
-    of extensions whose ends are nonzero scalars on the bricks A and B, and
-    its two classes lie on one line of P(Ext(B, A)).  So distinct lines give
-    nonisomorphic middle terms, and every line is kept.
+    cocycles of _ext_classes, in the order of _projective_class_lines, and
+    each middle term is glued from A and B along one.  Distinct lines may
+    give isomorphic middles; callers that need isomorphism classes match
+    them.  hom supplies the Hom spaces between A and B, as in
+    trace_submodule.
     """
-    q, p = B.quiver, B.p
-    if hom is None:
-        hom = hom_basis
+    p = B.p
     e = ext_dim(B, A, hom)
     split = direct_sum([A, B]) if A.total and B.total else (A if B.total == 0 else B)
     if e == 0:
@@ -886,17 +881,7 @@ def middle_terms(B: Representation, A: Representation, rng, hom=None) -> list[Re
     if lines > MIDDLE_CAP:
         raise ExtensionCapError(f"{lines} extension classes up to scalar (p^e = {p}^{e}) "
                                 f"exceed the cap {MIDDLE_CAP}")
-    # a single line needs no deduplication; by the hereditary identity,
-    # Hom(B, A) = 0 exactly when e = -<dim B, dim A>
-    dedup = e >= 2 and not (
-        A is not B and e == -euler_form(q, B.dims, A.dims) and hom(A, B).dim == 0
-        and hom(A, A).dim == 1 and hom(B, B).dim == 1)
     classes = _ext_classes(B, A)
     require(len(classes) == e, "extension classes do not match the Ext dimension")
-
-    kept: list[Representation] = []
-    for line in _projective_class_lines(p, e):
-        E = _glue(A, B, la.matmul(la.Matrix([line]), classes, p))
-        if not dedup or _iso_index(E, kept, rng) is None:
-            kept.append(E)
-    return [split] + kept
+    return [split] + [_glue(A, B, la.matmul(la.Matrix([line]), classes, p))
+                      for line in _projective_class_lines(p, e)]

@@ -11,7 +11,7 @@ arrows are allowed and meaningful.  Valued arrows participate only in
 numerical (Euler-form level) computations.
 
 Each exact routine exists once: one elimination over the rationals
-(`gauss_jordan`, also used by the Coxeter inverses in `roots`), one
+(`gauss_jordan`, also used by the integer inverse in `roots`), one
 topological sort (`_kahn`, which also detects oriented cycles), and one
 graph walk over one adjacency (`_spanning_tree` on `neighbors`, which checks
 connectivity and propagates the symmetrizer; `_arms` walks the arms of a

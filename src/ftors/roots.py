@@ -79,13 +79,8 @@ def coxeter_matrix(q: ValuedQuiver) -> IntMatrix:
     return tuple(tuple(-_dot(row, col) for col in e) for row in _int_inverse(e))
 
 
-@cache
-def coxeter_inverse(q: ValuedQuiver) -> IntMatrix:
-    return _int_inverse(coxeter_matrix(q))
-
-
-def coxeter_transform(q: ValuedQuiver, x, inverse: bool = False) -> DimVector:
-    return _apply(coxeter_inverse(q) if inverse else coxeter_matrix(q), _vector(q, x))
+def coxeter_transform(q: ValuedQuiver, x) -> DimVector:
+    return _apply(coxeter_matrix(q), _vector(q, x))
 
 
 def reflection_transform(q: ValuedQuiver, x, v: int) -> DimVector:

@@ -144,14 +144,14 @@ class ModuleUniverse:
 
     def middle_summands(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
         """Universe indices of the summands of each middle term of
-        extensions of module i by module j.
+        extensions of module i by module j, one entry per line of P(Ext) as
+        middle_terms lists them; callers read them as a set of summands.
 
         The split middle term comes first and its summands are i and j; only
         the nonsplit ones are decomposed.
         """
         if (i, j) not in self._middles:
-            nonsplit = middle_terms(self.modules[i], self.modules[j], self.rng,
-                                    hom=self.hom)[1:]
+            nonsplit = middle_terms(self.modules[i], self.modules[j], hom=self.hom)[1:]
             self._middles[(i, j)] = (tuple(sorted((i, j))),) + tuple(
                 tuple(sorted(self.match(part) for part in decompose(E, self.rng)))
                 for E in nonsplit)
@@ -549,10 +549,13 @@ def filtration_universe(cycle, bound: int, rng: random.Random) -> FiltrationUniv
     middle E of 0 -> A -> E -> B -> 0 has Hom(A, E) != 0 and Hom(E, B) != 0.
     The members are Hom-orthogonal bricks, so every member and every other
     object of level 2 fails one of the two, except the middles with the same
-    ends, which middle_terms lists as pairwise nonisomorphic, and those with
-    sub B and quotient A, where a nonzero map A -> E -> A would split the
-    extension.  Self-extensions and longer filtrations are scanned against
-    everything found so far.
+    ends and those with sub B and quotient A, where a nonzero map
+    A -> E -> A would split the extension.  The middles with the same ends
+    are pairwise nonisomorphic, one per line of P(Ext(B, A)): an isomorphism
+    E -> E' sends A into the kernel of E' -> B, because Hom(A, B) = 0, so it
+    is a morphism of extensions whose ends are nonzero scalars on the bricks
+    A and B, and its two classes lie on one line.  Self-extensions and
+    longer filtrations are scanned against everything found so far.
 
     The first two levels have known relative Loewy length.  A member has
     radical 0 (the identity is a map to the cycle).  For E as above, a map
@@ -572,7 +575,7 @@ def filtration_universe(cycle, bound: int, rng: random.Random) -> FiltrationUniv
             for A in levels[a]:
                 for B in levels[b]:
                     distinct_members = total == 2 and A is not B
-                    for E in middle_terms(B, A, rng)[1:]:
+                    for E in middle_terms(B, A)[1:]:
                         parts = decompose(E, rng)
                         if len(parts) != 1:
                             continue
@@ -603,7 +606,7 @@ def serial_object(cycle, top_index: int, length: int,
     current = cycle[(top_index + length - 1) % r]
     for k in range(length - 2, -1, -1):
         top = cycle[(top_index + k) % r]
-        middles = middle_terms(top, current, rng)[1:]
+        middles = middle_terms(top, current)[1:]
         pick = None
         for E in middles:
             if len(decompose(E, rng)) != 1:

@@ -589,6 +589,27 @@ def test_no_unread_constant():
     assert not unread, unread
 
 
+def test_no_unread_parameter():
+    """Every parameter of every function and lambda in the package, except
+    self, is read in its body, so an argument that no longer steers anything
+    is deleted rather than passed along."""
+    unread = []
+    for path in sorted((ROOT / "src" / "ftors").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                      + [x for x in (a.vararg, a.kwarg) if x is not None]]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "lambda")
+            unread += [f"{path.name}:{node.lineno} {name}({param})"
+                       for param in params if param != "self" and param not in read]
+    assert not unread, unread
+
+
 def test_out_flag_matches_stdout(tmp_path, capsys):
     _, out, _ = run(capsys, "classify", A2, "--format", "json")
     target = tmp_path / "report.json"

@@ -20,7 +20,7 @@ from ftors.quiver import (
     underlying_edges,
     valuation_v,
 )
-from ftors.roots import coxeter_inverse, coxeter_matrix, positive_roots, quadratic_form
+from ftors.roots import _int_inverse, coxeter_matrix, positive_roots, quadratic_form
 
 A2 = "vertices 2\narrow 1 2\n"
 A3 = "vertices 3\narrow 1 2\narrow 2 3\n"
@@ -244,7 +244,8 @@ def _relabeled(n, edges, seed, valuation=(1, 1)):
 
 
 def _check_coxeter_inverse(q):
-    prod = np.array(coxeter_matrix(q)) @ np.array(coxeter_inverse(q))
+    """Phi is unimodular: _int_inverse raises otherwise."""
+    prod = np.array(coxeter_matrix(q)) @ np.array(_int_inverse(coxeter_matrix(q)))
     assert (prod == np.eye(q.n, dtype=np.int64)).all()
 
 

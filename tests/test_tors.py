@@ -6,6 +6,7 @@ classes breadth-first the way the library does.
 """
 
 import gc
+import inspect
 import itertools
 import json
 import random
@@ -413,7 +414,7 @@ def test_orthogonal_brick_middles_are_pairwise_nonisomorphic():
         for A in cycle:
             for B in cycle:
                 if A is not B:
-                    mids = middle_terms(B, A, rng)[1:]
+                    mids = middle_terms(B, A)[1:]
                     assert len(mids) == lines(p, ext_dim(B, A))
                     middles += mids
         assert middles
@@ -430,34 +431,36 @@ def test_filtration_level_two_is_pairwise_nonisomorphic():
         assert pairwise_nonisomorphic([o.module for o in fu.objects], rng)
 
 
-def test_middle_terms_scans_pairs_that_are_not_orthogonal_bricks(monkeypatch):
+def test_middle_terms_lists_every_line_and_matches_no_isomorphism(monkeypatch):
+    """One middle term per line of P(Ext(B, A)), also where distinct lines
+    give isomorphic middles, with no isomorphism test and no random draw."""
     scanned = []
-    real = modules._iso_index
 
-    def spy(M, candidates, rng):
-        scanned.append(M)
-        return real(M, candidates, rng)
+    def spy(real):
+        def recording(*args, **kwargs):
+            scanned.append(real.__name__)
+            return real(*args, **kwargs)
+        return recording
 
-    monkeypatch.setattr(modules, "_iso_index", spy)
-    rng = random.Random(3)
+    for name in ("_iso_index", "is_isomorphic"):
+        monkeypatch.setattr(modules, name, spy(getattr(modules, name)))
+    params = inspect.signature(middle_terms).parameters
+    assert "rng" not in params
+    assert params["hom"].kind is inspect.Parameter.KEYWORD_ONLY
     S1, S2 = simple(A2, 3, 0), simple(A2, 3, 1)
-    # End(S2 + S2) is not a field: all four lines give P1 + S2
-    assert len(middle_terms(S1, direct_sum([S2, S2]), rng)) == 2
-    assert len(scanned) == lines(3, 2)
     q = WILD2
     X = make_rep(q, 3, (1, 1), [np.array([[1]]), np.array([[0]]), np.array([[0]])])
     T1, T2 = simple(q, 3, 0), simple(q, 3, 1)
     assert hom_dim(X, X) == 1 and hom_dim(X, T1) == 1
-    for B, A in ((X, X), (T1, X)):            # A is B; Hom(A, B) != 0
-        assert ext_dim(B, A) == 2
-        scanned.clear()
-        middle_terms(B, A, rng)
-        assert len(scanned) == lines(3, 2)
-    scanned.clear()
-    mids = middle_terms(T1, T2, rng)          # orthogonal bricks: no scan
+    # End(S2 + S2) is not a field: all four lines give P1 + S2; X by X and
+    # T1 by X have A is B or Hom(A, B) != 0; T1 by T2 are orthogonal bricks
+    cases = ((S1, direct_sum([S2, S2]), 2), (X, X, 2), (T1, X, 2), (T1, T2, 3))
+    for B, A, e in cases:
+        assert ext_dim(B, A) == e
+        assert len(middle_terms(B, A)) == 1 + lines(3, e)
+    mids = middle_terms(T1, T2)
     assert scanned == []
-    assert len(mids) == 1 + lines(3, 3)
-    assert pairwise_nonisomorphic(mids[1:], rng)
+    assert pairwise_nonisomorphic(mids[1:], random.Random(3))
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +691,7 @@ def test_middle_summands_match_decomposed_middle_terms(q):
     nonsplit = 0
     for i in range(len(u)):
         for j in range(len(u)):
-            middles = middle_terms(u.modules[i], u.modules[j], rng, hom=u.hom)
+            middles = middle_terms(u.modules[i], u.modules[j], hom=u.hom)
             oracle = tuple(tuple(sorted(u.match(part) for part in modules.decompose(E, rng)))
                            for E in middles)
             assert u.middle_summands(i, j) == oracle, (i, j)
