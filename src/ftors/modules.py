@@ -666,22 +666,20 @@ def _iso_index(M: Representation, candidates, rng: random.Random) -> int | None:
 
 
 def _drop_generated(mods: list[Representation], hom=None) -> list[int]:
-    """Positions, in list order, of the modules left after greedily dropping
-    the first module generated by the others until none is.
+    """Positions, in list order, of the modules left after one pass that
+    drops each module the others still kept generate; the kept ones generate
+    them all, and none is generated by the others.
 
-    The kept modules generate every listed module and none of them is
-    redundant.  hom is passed on to the generation tests.
+    This is the list of the greedy loop that drops the first generated
+    module and starts over: a module that loop passed was not generated by a
+    set that has only shrunk since, and Gen is monotone, so no restart drops
+    it.  hom is passed on to the generation tests.
     """
     kept = list(range(len(mods)))
-    changed = True
-    while changed and len(kept) > 1:
-        changed = False
-        for idx in range(len(kept)):
-            others = [mods[k] for j, k in enumerate(kept) if j != idx]
-            if generates(others, mods[kept[idx]], hom):
-                kept.pop(idx)
-                changed = True
-                break
+    for k in range(len(mods)):
+        others = [mods[j] for j in kept if j != k]
+        if others and generates(others, mods[k], hom):
+            kept.remove(k)
     return kept
 
 

@@ -23,14 +23,22 @@ from ftors.ext_pairs import find_ext_pair
 from ftors.modules import (
     direct_sum,
     ext_dim,
+    generates,
     hom_basis,
     hom_dim,
     is_isomorphic,
     make_rep,
     middle_terms,
+    projective,
     simple,
 )
-from ftors.quiver import VerificationError, load_quiver, parse_quiver
+from ftors.quiver import (
+    VerificationError,
+    load_quiver,
+    parse_quiver,
+    topological_order,
+    underlying_edges,
+)
 from ftors.roots import euler_form
 from ftors.tors import (
     enumerate_torsion_classes,
@@ -84,8 +92,6 @@ def universe(q, seed=0):
 
 def test_membership_predicates_a2():
     S1, S2 = simple(A2, 5, 0), simple(A2, 5, 1)
-    from ftors.modules import projective
-
     P1 = projective(A2, 5, 0)
     assert in_gen_closure([P1], S1)
     assert not in_gen_closure([P1], S2)
@@ -221,8 +227,6 @@ def test_lattice_check_needs_bottom_and_top():
 
 def test_validate_ext_cycle_rejections():
     S1, S2 = simple(A2, 5, 0), simple(A2, 5, 1)
-    from ftors.modules import projective
-
     with pytest.raises(VerificationError):
         validate_ext_cycle([S1])                       # no self extensions
     with pytest.raises(VerificationError):
@@ -475,6 +479,33 @@ def orientations(n: int) -> list[str]:
             for bits in itertools.product((0, 1), repeat=n - 1)]
 
 
+def c_sortable(q, c, vectors) -> bool:
+    """Is the set of positive roots the left inversion set N(w) of a
+    c-sortable element w (Reading, Coxeter-sortable elements)?  Read c^∞
+    greedily: take s when α_s ∈ N, a left descent of w, and go on with
+    N(sw) = s(N - {α_s}).  The letters taken form the c-sorting word of w,
+    so N must empty, and the letters of successive passes must have nested
+    supports.  Uses only the underlying graph, no module."""
+    edges = [(sorted(e), len(ks)) for e, ks in underlying_edges(q)]
+
+    def reflect(s, v):
+        pairing = 2 * v[s] - sum(m * v[b if a == s else a] for (a, b), m in edges if s in (a, b))
+        return v[:s] + (v[s] - pairing,) + v[s + 1:]
+
+    N, previous = set(vectors), set(range(q.n))
+    while N:
+        taken = set()
+        for s in c:
+            alpha = tuple(int(v == s) for v in range(q.n))
+            if alpha in N:
+                N = {reflect(s, v) for v in N - {alpha}}
+                taken.add(s)
+        if not taken or not taken <= previous:
+            return False
+        previous = taken
+    return True
+
+
 FINITE_ORACLES = ([("A3", text, 14) for text in orientations(3)]
                   + [("A4", text, 42) for text in orientations(4)]
                   + [("D4", (QDIR / "d4.txt").read_text(), 50),
@@ -487,8 +518,11 @@ FINITE_ORACLES = ([("A3", text, 14) for text in orientations(3)]
                          ids=[f"{k}-{n}" for n, (k, _, _) in enumerate(FINITE_ORACLES)])
 def test_finite_tors_report_meets_the_theory(tmp_path, capsys, kind, text, catalan):
     """The run tors report against results that need no second engine: the
-    class count is the W-Catalan number, the Hasse diagram is n-regular, and
-    for each class T with Ext-projectives P(T) (the members X with
+    class count is the W-Catalan number, the Hasse diagram is n-regular,
+    the dimension vectors of each class are the inversion set of a
+    c-sortable element for c the simple reflections with sources first
+    (Ingalls-Thomas; the reversed c, a control, passes exactly 2^n classes),
+    and for each class T with Ext-projectives P(T) (the members X with
     Ext(X, T) = 0), |P(T)| plus the vertices outside the support of T is n,
     and the cover is a sum of modules of P(T), as its dimension vector
     shows.  Indecomposables of Dynkin type are determined by their
@@ -502,9 +536,13 @@ def test_finite_tors_report_meets_the_theory(tmp_path, capsys, kind, text, catal
     assert report["class_count"] == len(report["classes"]) == catalan
     degree = Counter(v for edge in report["hasse_edges"] for v in edge)
     assert sorted(degree) == list(range(catalan)) and set(degree.values()) == {n}
+    dims = [tuple(d) for d in report["universe"]]
+    vectors = [{dims[x] for x in members} for members in report["classes"]]
+    c = topological_order(q)
+    assert all(c_sortable(q, c, N) for N in vectors)
+    assert sum(c_sortable(q, c[::-1], N) for N in vectors) == 2 ** n
 
     by_dims = {node.dims: node.module for node in ar_quiver.knit_ar_quiver(q, 5).nodes}
-    dims = [tuple(d) for d in report["universe"]]
     mods = [by_dims[d] for d in dims]
     ext = [[ext_dim(X, Y) for Y in mods] for X in mods]
     for members, cover in zip(report["classes"], report["covers"]):
@@ -742,3 +780,80 @@ def test_closures_carve_only_proper_traces(monkeypatch, q):
     assert len({id(tr) for tr in carved}) == len(carved)
     assert not any(tr.full or tr.zero for tr in carved)
     assert len(carved) == steps[0]
+
+
+# ---------------------------------------------------------------------------
+# covers are checked once
+
+def reference_drop_generated(mods, hom=None) -> list[int]:
+    """The restart loop: drop the first module generated by the others
+    still kept, then start over, until none is."""
+    kept = list(range(len(mods)))
+    changed = True
+    while changed and len(kept) > 1:
+        changed = False
+        for idx in range(len(kept)):
+            others = [mods[k] for j, k in enumerate(kept) if j != idx]
+            if generates(others, mods[kept[idx]], hom):
+                kept.pop(idx)
+                changed = True
+                break
+    return kept
+
+
+D4 = load_quiver(QDIR / "d4.txt")
+D5 = load_quiver(QDIR / "d5.txt")
+
+
+@pytest.mark.parametrize("q", [D4, D5], ids=["d4", "d5"])
+def test_find_cover_tests_only_its_class(monkeypatch, q):
+    """The certificate of a class shows that it generates nothing outside
+    itself, so its cover is tested on its members only."""
+    u = universe(q)
+    classes, _ = enumerate_torsion_classes(u)
+    tested = []
+    real = tors.ModuleUniverse.generated
+
+    def spy(self, gens, member):
+        tested.append(member)
+        return real(self, gens, member)
+
+    monkeypatch.setattr(tors.ModuleUniverse, "generated", spy)
+    for t in classes[1:]:
+        tested.clear()
+        find_cover(u, t)
+        assert tested and set(tested) <= t, sorted(t)
+
+
+@pytest.mark.parametrize("q", [A3_LINE, A3_BACK, A3_OUT, A3_IN, D4, D5],
+                         ids=["a3-line", "a3-back", "a3-out", "a3-in", "d4", "d5"])
+def test_drop_generated_is_the_restart_loop_in_one_pass(monkeypatch, q):
+    """On the members of every class, one pass keeps what the restart loop
+    keeps, with at most one generation test per module."""
+    u = universe(q)
+    classes, _ = enumerate_torsion_classes(u)
+    calls = []
+    monkeypatch.setattr(modules, "generates", lambda *args: calls.append(args) or generates(*args))
+    for t in classes:
+        mods = [u.modules[m] for m in sorted(t)]
+        calls.clear()
+        kept = modules._drop_generated(mods, u.hom)
+        assert len(calls) <= len(mods)
+        assert kept == reference_drop_generated(mods, u.hom), sorted(t)
+
+
+def test_drop_generated_is_the_restart_loop_on_normalize_inputs():
+    """The summand lists that normalize hands over in
+    test_normalize_drops_generated_summands ([S1, P1], [P1] and [S2, S1]),
+    their other orders, P1 twice, and S2, S1 and P1 together."""
+    S1, S2, P1 = simple(A2, 5, 0), simple(A2, 5, 1), projective(A2, 5, 0)
+    for mods in ([S1, P1], [P1, S1], [P1], [P1, P1], [S2, S1], [S1, S2], [S2, S1, P1]):
+        assert modules._drop_generated(mods) == reference_drop_generated(mods)
+
+
+def test_find_cover_rejects_a_set_that_is_no_class():
+    """{P1} without its quotient S1 is no torsion class of A2."""
+    u = universe(A2)
+    p1 = u.match(projective(A2, 5, 0))
+    with pytest.raises(VerificationError, match=rf"^\[{p1}\] is not a torsion class$"):
+        find_cover(u, frozenset({p1}))
