@@ -206,10 +206,9 @@ def cmd_tors(args) -> int:
 
     q = _load(args.quiver)
     qt = classify_type(q)
-    rng = random.Random(args.seed)
 
     if qt.representation_finite:
-        u = finite_universe(q, args.prime, rng)
+        u = finite_universe(q, args.prime)
         classes, edges = enumerate_torsion_classes(u)
         report = lattice_check(u, classes, edges)
         if args.format == "dot":
@@ -248,7 +247,7 @@ def cmd_tors(args) -> int:
     if args.format == "dot":
         raise CliError(EXIT_BAD_INPUT, "dot output needs the exact finite mode")
     if q.n == 2:
-        report = two_vertex_check(q, args.prime, args.dim_bound, rng)
+        report = two_vertex_check(q, args.prime, args.dim_bound, random.Random(args.seed))
         data = {
             "mode": "bounded",
             "type": qt.display(),
@@ -340,7 +339,7 @@ def cmd_nocover(args) -> int:
         cert = find_ext_pair(q, args.prime, rng)
         cycle = (cert.X, cert.Y)
         source = f"double-extension pair (case {cert.case})"
-    evidence = no_cover_evidence(cycle, args.loewy_bound, rng)
+    evidence = no_cover_evidence(cycle, args.loewy_bound)
     data = {
         "type": qt.display(),
         "cycle": [list(m.dims) for m in cycle],
@@ -372,7 +371,8 @@ def cmd_nocover(args) -> int:
 
 FLAGS = {
     "--prime": dict(type=int, default=5, help="field size (default 5)"),
-    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--seed": dict(type=int, default=0, help="seed of the sampled modules: the bounded "
+                   "two-vertex universe, real roots with no thin brick (default 0)"),
     "--dim-bound": dict(type=int, default=12,
                         help="total dimension bound for bounded checks, at least 1 "
                              "(default 12)"),

@@ -263,8 +263,7 @@ def construct_case3(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int):
     return X, Y, detail
 
 
-def construct_case4(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int,
-                    rng: random.Random):
+def construct_case4(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int):
     """Parallel arrows on the first edge only: the projective at the source
     truncated at the sink vertex, against its translate.
 
@@ -288,7 +287,7 @@ def construct_case4(q3: ValuedQuiver, p: int, src: int, mid: int, snk: int,
         "truncation_matches_parallel_count": P.dims[snk] == len(_edge_arrows(q3, src, mid)),
     }
     if t_local is not None:
-        matches = is_isomorphic(restrict_module(y_trunc, kron), t_local, rng)
+        matches = is_isomorphic(restrict_module(y_trunc, kron), t_local)
         detail["translate_wing_dims"] = list(t_local.dims)
         detail["truncated_translate_matches_wing"] = bool(matches)
         detail["wing_extension_dim"] = ext_dim(
@@ -346,7 +345,7 @@ def construct_case1(q: ValuedQuiver, p: int, rng: random.Random):
 
     tubes = find_regular_simples(sub.quiver, p, rng)
     require(tubes, "a tame tree algebra must have exceptional tubes")
-    x_local, y_local = tube_mouth_pair(tubes[0], rng)
+    x_local, y_local = tube_mouth_pair(tubes[0])
     X = extend_by_zero(x_local, sub)
     Y = extend_by_zero(y_local, sub)
     detail = {
@@ -357,8 +356,7 @@ def construct_case1(q: ValuedQuiver, p: int, rng: random.Random):
     return X, Y, detail
 
 
-def _parallel_pair(q: ValuedQuiver, p: int, multi: list[tuple[int, int]],
-                   rng: random.Random):
+def _parallel_pair(q: ValuedQuiver, p: int, multi: list[tuple[int, int]]):
     """Cases 3 and 4 on the first three vertex path through one of the edges
     with parallel arrows: (case, X, Y, detail) over the input quiver."""
     adj = neighbors(q)
@@ -381,7 +379,7 @@ def _parallel_pair(q: ValuedQuiver, p: int, multi: list[tuple[int, int]],
                 x_o, y_o, detail = construct_case3(oriented, p, s_first, s_mid, s_last)
             else:
                 case = 4
-                x_o, y_o, detail = construct_case4(oriented, p, s_first, s_mid, s_last, rng)
+                x_o, y_o, detail = construct_case4(oriented, p, s_first, s_mid, s_last)
             x_local = _transport_back(x_o, seq)
             y_local = _transport_back(y_o, seq)
             require(x_local.quiver == sub.quiver and y_local.quiver == sub.quiver,
@@ -401,8 +399,9 @@ def find_ext_pair(q: ValuedQuiver, p: int,
     algebra on at least three vertices.
 
     Raises ValueError on representation-finite input or fewer than three
-    vertices (no such pair can exist there), and ExtPairInconclusive when the
-    randomized tube search of case 1 exhausts its budget.
+    vertices (no such pair can exist there), and ExtPairInconclusive when
+    the case analysis does not cover the shape.  rng reaches only case 1,
+    for a real-root module whose thin module is no brick.
     """
     if not q.is_path_algebra():
         raise ValueError("double-extension pairs are searched on path algebras only")
@@ -419,7 +418,7 @@ def find_ext_pair(q: ValuedQuiver, p: int,
     if cycle is not None:
         case, (X, Y, detail) = 2, construct_case2(q, p, cycle)
     elif multi:
-        case, X, Y, detail = _parallel_pair(q, p, multi, rng)
+        case, X, Y, detail = _parallel_pair(q, p, multi)
     else:
         case, (X, Y, detail) = 1, construct_case1(q, p, rng)
     report = verify_ext_pair(X, Y)

@@ -4,12 +4,13 @@ A representation stores one matrix per arrow, shaped (dim at target, dim at
 source), over an explicitly carried prime modulus.  On top of that sit the
 exact workhorses: Hom spaces by intertwiner systems, Ext dimensions through
 the hereditary identity, trace submodules and generation tests, Fitting
-decomposition that proves locality from a basis of End(M) and samples only
-to search for a split, with an honest inconclusive outcome, normalization,
-reflection functors, the translates DTr and TrD as Coxeter functors twisted
-by the sign automorphism that negates every arrow, universal extensions by
-simples, and extension middle terms, one per line of P(Ext), with no
-random draw.  Both extension constructions read Ext off the standard
+decomposition that splits or proves locality from the basis of End(M) and
+otherwise says it is inconclusive, an isomorphism test and normalization on
+top of it, reflection functors, the translates DTr and TrD as Coxeter
+functors twisted by the sign automorphism that negates every arrow,
+universal extensions by simples, and extension middle terms, one per line of
+P(Ext).  Only random_rep draws random numbers, from the generator it is
+passed.  Both extension constructions read Ext off the standard
 resolution: the Hom system's map from the vertex blocks to the arrow
 blocks has kernel Hom and cokernel Ext, so a class is a cocycle on the
 arrow blocks, and its middle term is glued from block upper-triangular
@@ -44,12 +45,12 @@ from .roots import euler_form
 
 
 class DecompositionInconclusive(RuntimeError):
-    """The splitting budget ran out without a split or a proof of locality.
+    """No basis element of End(M) splits M, and locality is not proved.
 
-    The exact proof covers every indecomposable M with End(M)/rad = F_p and
-    dim End(M) within the budget, so this is raised only when some sample
-    had no eigenvalue in F_p: End(M)/rad is then a proper extension field of
-    F_p, or M decomposes but no sample within the budget split it.
+    The proof covers every indecomposable M with End(M)/rad = F_p, so this
+    is raised only when some basis element has no eigenvalue in F_p
+    (End(M)/rad is then larger than F_p, or M decomposes along no basis
+    element) or when the nilpotent shifts generate no nilpotent algebra.
     """
 
 
@@ -59,8 +60,6 @@ class ExtensionCapError(RuntimeError):
     MIDDLE_CAP, and a single class (e = 1) passes at every p."""
 
 
-DECOMPOSE_BUDGET = 40
-ISO_TRIES = 40
 MIDDLE_CAP = 3125
 
 
@@ -263,15 +262,14 @@ class HomSpace:
         return len(self.basis)
 
     def element(self, coeffs) -> tuple[Matrix, ...]:
+        """The combination of the basis maps with the given coefficients; only
+        the tests call it (the pushout reference, the brute-force isomorphism)."""
         X, Y, p = self.source, self.target, self.source.p
         flat = [0] * sum(x * y for x, y in zip(X.dims, Y.dims))
         for c, f in zip(coeffs, self.basis):
             for i, x in enumerate(morphism_flat(f)):
                 flat[i] += int(c) * x
         return _unflatten([x % p for x in flat], list(zip(Y.dims, X.dims)))
-
-    def random_element(self, rng) -> tuple[Matrix, ...]:
-        return self.element([rng.randrange(self.source.p) for _ in range(self.dim)])
 
 
 def _intertwiner_rows(X: Representation, Y: Representation) -> tuple[list[list[int]], list[int]]:
@@ -549,22 +547,19 @@ def _fitting_split(M: Representation, g) -> tuple[Representation, Representation
     return part1, part2
 
 
-def decompose(M: Representation, rng: random.Random) -> list[Representation]:
-    """Full direct-sum decomposition into indecomposables.
+def decompose(M: Representation) -> list[Representation]:
+    """Full direct-sum decomposition into indecomposables, from the canonical
+    basis b_1..b_d of End(M) alone; nothing is sampled.
 
-    Fitting's lemma: an endomorphism phi is shifted by every scalar in turn,
-    and the first singular shift either splits M along its stable kernel and
-    image or is nilpotent.  The canonical basis b_1..b_d of End(M) is
-    examined first.  When every b_i has an eigenvalue l_i in F_p and none
+    Fitting's lemma: each b_i is shifted by every scalar in turn, and the
+    first singular shift either splits M along its stable kernel and image
+    or is nilpotent.  When every b_i has an eigenvalue l_i in F_p and none
     splits, the nilpotent shifts b_i - l_i span J with End(M) = F_p + J; if
     J generates a nilpotent algebra, that algebra is an ideal of codimension
-    one, so End(M) is local and M is indecomposable: an exact proof.  It
-    applies exactly when End(M)/rad = F_p and d is within the budget.
-    Otherwise random endomorphisms
-    search for a split, up to the budget.  A module whose samples all had an
-    eigenvalue and none split is declared indecomposable; a sample with no
-    eigenvalue in F_p and no split leaves the call inconclusive, which is
-    reported rather than guessed.
+    one, so End(M) is local and M is indecomposable.  This proof applies
+    exactly when End(M)/rad = F_p.  Otherwise DecompositionInconclusive names
+    the cause: a basis element with no eigenvalue in F_p, or shifts that
+    generate no nilpotent algebra.
     """
     if M.total == 0:
         return []
@@ -574,93 +569,71 @@ def decompose(M: Representation, rng: random.Random) -> list[Representation]:
     if end.dim == 1:
         return [M]
     p = M.p
-    basis = end.basis[:DECOMPOSE_BUDGET]
-    # every random coefficient vector is drawn up front, as many as the budget
-    # needs, so the random stream does not depend on where a split is found
-    # or whether locality is proved; a sample is built only when its turn comes
-    draws = [[rng.randrange(p) for _ in range(end.dim)]
-             for _ in range(DECOMPOSE_BUDGET - len(basis))]
-    samples = itertools.chain(basis, map(end.element, draws))
-    certificate_ok = True
-    nilpotents = []
-    for k, phi in enumerate(samples, 1):
-        eig_seen = False
+    nilpotents, no_eigenvalue = [], 0
+    for phi in end.basis:
         for lam in range(p):
             shifted = tuple(la.Matrix(tuple((x - lam) % p if i == j else x
                                             for j, x in enumerate(row))
                                       for i, row in enumerate(f)) for f in phi)
             if all(la.is_invertible(m, p) for m in shifted):
                 continue
-            eig_seen = True
             split = _fitting_split(M, shifted)
             if split is not None:
-                return decompose(split[0], rng) + decompose(split[1], rng)
-            if k <= end.dim and any(map(any, itertools.chain(*shifted))):
+                return decompose(split[0]) + decompose(split[1])
+            if any(map(any, itertools.chain(*shifted))):
                 nilpotents.append(shifted)
             break   # nilpotent shift: phi is scalar plus nilpotent
-        if not eig_seen:
-            certificate_ok = False
-        # one nilpotent shift needs no products: the split test showed it nilpotent
-        if k == end.dim and certificate_ok and (
-                len(nilpotents) <= 1 or _nilpotent_algebra(nilpotents, p)):
-            return [M]
-    if certificate_ok:
-        return [M]
-    raise DecompositionInconclusive(
-        f"budget {DECOMPOSE_BUDGET} exhausted on dims {M.dims}: sampled endomorphisms "
-        "without F_p eigenvalues and found no splitting")
+        else:
+            no_eigenvalue += 1
+    # one nilpotent shift needs no products: the split test showed it nilpotent
+    if no_eigenvalue or len(nilpotents) > 1 and not _nilpotent_algebra(nilpotents, p):
+        cause = (f"no eigenvalue in F_p for {no_eigenvalue} of its {end.dim} basis elements"
+                 if no_eigenvalue else "its nilpotent shifts generate no nilpotent algebra")
+        raise DecompositionInconclusive(f"End(M) on dims {M.dims}: {cause}, and none splits M")
+    return [M]
 
 
-def is_isomorphic(X: Representation, Y: Representation, rng: random.Random) -> bool:
-    """Isomorphism test, exact when Hom(X, Y) has dimension at most one.
+def is_isomorphic(X: Representation, Y: Representation) -> bool:
+    """Exact isomorphism test; it draws nothing.
 
-    With no maps the answer is no.  With a one-dimensional Hom every map is a
-    scalar multiple of the basis map, so X and Y are isomorphic exactly when
-    that map is invertible; no random draw is made.  Otherwise the test is
-    randomized and exact-negative: a found invertible intertwiner is a proof;
-    a miss after the retry budget falls back to decomposing both sides and
-    matching summands, and only for a pair of indecomposables does the
-    randomized miss decide (the failure probability decays like p^-ISO_TRIES).
+    If some basis map f_i of Hom(X, Y) is invertible, the answer is yes.  If
+    none is and X is indecomposable, the answer is no: an isomorphism phi
+    would make phi^-1 f_1, ..., phi^-1 f_d a basis of End(X), and the
+    non-units of the local ring End(X) form the proper subspace rad End(X),
+    so some phi^-1 f_i, and with it f_i, would be invertible.  With at most
+    one basis map X need not be decomposed: an isomorphism would be a
+    multiple of it.  Otherwise Y is decomposed too and the summands are
+    matched.  Where a decomposition is inconclusive, so is the test.
     """
-    if X.quiver != Y.quiver or X.p != Y.p:
-        return False
-    if X.dims != Y.dims:
+    if X.quiver != Y.quiver or X.p != Y.p or X.dims != Y.dims:
         return False
     if X.total == 0:
         return True
     h = hom_basis(X, Y)
-    if h.dim == 0:
+    if any(is_invertible_morphism(f, X.p) for f in h.basis):
+        return True
+    if h.dim <= 1 or len(px := decompose(X)) == 1:
         return False
-    if h.dim == 1:
-        return is_invertible_morphism(h.basis[0], X.p)
-    for _ in range(ISO_TRIES):
-        f = h.random_element(rng)
-        if is_invertible_morphism(f, X.p):
-            return True
-    px = decompose(X, rng)
-    py = decompose(Y, rng)
-    if len(px) == 1 and len(py) == 1:
-        return False
+    py = decompose(Y)
     if len(px) != len(py):
         return False
     remaining = list(py)
     for part in px:
-        idx = _iso_index(part, remaining, rng)
+        idx = _iso_index(part, remaining)
         if idx is None:
             return False
         remaining.pop(idx)
     return True
 
 
-def _iso_index(M: Representation, candidates, rng: random.Random) -> int | None:
+def _iso_index(M: Representation, candidates) -> int | None:
     """Position of the first candidate isomorphic to M, or None.
 
     Candidates are tried in list order, and only those with the dimension
-    vector of M reach the isomorphism test.  The test always gets M first,
-    because its random draws depend on the order of its arguments.
+    vector of M reach the isomorphism test, which always gets M first.
     """
     for idx, cand in enumerate(candidates):
-        if cand.dims == M.dims and is_isomorphic(M, cand, rng):
+        if cand.dims == M.dims and is_isomorphic(M, cand):
             return idx
     return None
 
@@ -683,7 +656,7 @@ def _drop_generated(mods: list[Representation], hom=None) -> list[int]:
     return kept
 
 
-def normalize_summands(M: Representation, rng) -> list[Representation]:
+def normalize_summands(M: Representation) -> list[Representation]:
     """Multiplicity-one summand list of the normalization.
 
     One summand per isomorphism class, smallest first, then greedy removal of
@@ -691,14 +664,14 @@ def normalize_summands(M: Representation, rng) -> list[Representation]:
     module and no remaining summand is redundant.
     """
     kept: list[Representation] = []
-    for piece in sorted(decompose(M, rng), key=lambda r: (r.total, r.dims)):
-        if _iso_index(piece, kept, rng) is None:
+    for piece in sorted(decompose(M), key=lambda r: (r.total, r.dims)):
+        if _iso_index(piece, kept) is None:
             kept.append(piece)
     return [kept[k] for k in _drop_generated(kept)]
 
 
-def normalize(M: Representation, rng) -> Representation:
-    kept = normalize_summands(M, rng)
+def normalize(M: Representation) -> Representation:
+    kept = normalize_summands(M)
     if not kept:
         return zero_rep(M.quiver, M.p)
     return direct_sum(kept)

@@ -108,7 +108,6 @@ class ModuleUniverse:
     quiver: ValuedQuiver
     p: int
     modules: tuple[Representation, ...]
-    rng: random.Random
     _middles: dict = field(default_factory=dict)
     _closed: set = field(default_factory=set)
     _gen: dict = field(default_factory=dict)
@@ -138,7 +137,7 @@ class ModuleUniverse:
         return self._homs[key]
 
     def match(self, M: Representation) -> int:
-        idx = _iso_index(M, self.modules, self.rng)
+        idx = _iso_index(M, self.modules)
         if idx is None:
             raise KeyError(f"module with dims {M.dims} is not in the universe")
         return idx
@@ -154,7 +153,7 @@ class ModuleUniverse:
         if (i, j) not in self._middles:
             nonsplit = middle_terms(self.modules[i], self.modules[j], hom=self.hom)[1:]
             self._middles[(i, j)] = (tuple(sorted((i, j))),) + tuple(
-                tuple(sorted(self.match(part) for part in decompose(E, self.rng)))
+                tuple(sorted(self.match(part) for part in decompose(E)))
                 for E in nonsplit)
         return self._middles[(i, j)]
 
@@ -202,7 +201,7 @@ class ModuleUniverse:
         return result
 
 
-def finite_universe(q: ValuedQuiver, p: int, rng: random.Random) -> ModuleUniverse:
+def finite_universe(q: ValuedQuiver, p: int) -> ModuleUniverse:
     """Every indecomposable, sorted by (total dimension, dims), with the Hom
     table the knitting built between all of them: the spaces with <x, y> > 0
     solved and checked against the Euler form, the others the zero spaces
@@ -211,7 +210,7 @@ def finite_universe(q: ValuedQuiver, p: int, rng: random.Random) -> ModuleUniver
     from .ar_quiver import knit_ar_quiver
 
     ar = knit_ar_quiver(q, p)
-    u = ModuleUniverse(q, p, tuple(ar.sorted_modules()), rng)
+    u = ModuleUniverse(q, p, tuple(ar.sorted_modules()))
     u.hom_rows = [0] * len(u)
     for h in ar.homs.values():
         i, j = u._index[id(h.source)], u._index[id(h.target)]
@@ -305,17 +304,18 @@ def find_cover(u: ModuleUniverse, t: frozenset) -> Representation:
     t must be a torsion class (torsion_closure certifies it, or finds it
     cached).  The cover is one copy of each member with summands generated
     by the rest dropped, so it is normal.  It is tested only on the members
-    of t: the certificate showed that t generates nothing outside itself.
-    A failure is a bug and raises VerificationError.
+    of t that it does not hold: the certificate showed that t generates
+    nothing outside itself, and a summand is its own quotient.  A failure
+    is a bug and raises VerificationError.
     """
     members = sorted(t)
     require(torsion_closure(u, t) == t, f"{members} is not a torsion class")
-    kept = [members[k] for k in _drop_generated([u.modules[m] for m in members], u.hom)]
-    missed = [m for m in members if not u.generated(frozenset(kept), m)]
+    kept = frozenset(members[k] for k in _drop_generated([u.modules[m] for m in members], u.hom))
+    missed = [m for m in members if m not in kept and not u.generated(kept, m)]
     require(not missed, f"the cover of class {members} misses members {missed}")
     if not kept:
         return zero_rep(u.quiver, u.p)
-    return direct_sum([u.modules[k] for k in kept])
+    return direct_sum([u.modules[k] for k in sorted(kept)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,7 +377,7 @@ def _kronecker_universe(q: ValuedQuiver, p: int, bound: int,
     mods: list[Representation] = []
 
     def push(M: Representation) -> None:
-        if 0 < M.total <= bound and _iso_index(M, mods, rng) is None:
+        if 0 < M.total <= bound and _iso_index(M, mods) is None:
             mods.append(M)
 
     for v in range(q.n):
@@ -397,7 +397,7 @@ def _kronecker_universe(q: ValuedQuiver, p: int, bound: int,
         for _ in range(KRONECKER_SAMPLES):
             cand = random_rep(q, p, (k, k), rng)
             try:
-                parts = decompose(cand, rng)
+                parts = decompose(cand)
             except DecompositionInconclusive:
                 continue
             for part in parts:
@@ -441,7 +441,7 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
             "inconclusive", 0, 0, (),
             "no bounded certificate is attempted for a wild two-vertex algebra")
 
-    u = ModuleUniverse(q, p, tuple(_kronecker_universe(q, p, bound, rng)), rng)
+    u = ModuleUniverse(q, p, tuple(_kronecker_universe(q, p, bound, rng)))
     single = {i: u.peeled_closure(frozenset([i])) for i in range(len(u))}
     classes = sorted(
         set(single.values()) | {frozenset(), frozenset(range(len(u)))},
@@ -503,7 +503,7 @@ def _relative_radical(M: Representation, cycle):
                      else la.identity(M.dims[v]) for v in range(M.quiver.n)])
 
 
-def relative_loewy_length(M: Representation, cycle, rng) -> int:
+def relative_loewy_length(M: Representation, cycle) -> int:
     """Steps of the relative radical series, with each layer certified to be
     a sum of cycle members."""
     steps = 0
@@ -514,8 +514,8 @@ def relative_loewy_length(M: Representation, cycle, rng) -> int:
         require(carved.sub.total < current.total,
                 "relative radical failed to shrink; module is not filtered by the cycle")
         if layer.total:
-            for part in decompose(layer, rng):
-                require(_iso_index(part, cycle, rng) is not None,
+            for part in decompose(layer):
+                require(_iso_index(part, cycle) is not None,
                         f"layer summand {part.dims} is not a cycle member")
         current = carved.sub
         steps += 1
@@ -543,7 +543,7 @@ def validate_ext_cycle(cycle) -> None:
         require(ext_dim(X, cycle[nxt]) > 0, f"cycle entry {i} has no extension by entry {nxt}")
 
 
-def filtration_universe(cycle, bound: int, rng: random.Random) -> FiltrationUniverse:
+def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
     """Indecomposable iterated extensions of the cycle members, up to the
     given number of factors.
 
@@ -578,26 +578,25 @@ def filtration_universe(cycle, bound: int, rng: random.Random) -> FiltrationUniv
                 for B in levels[b]:
                     distinct_members = total == 2 and A is not B
                     for E in middle_terms(B, A)[1:]:
-                        parts = decompose(E, rng)
+                        parts = decompose(E)
                         if len(parts) != 1:
                             continue
                         if distinct_members or _iso_index(
-                                E, [N for N, _ in found] + fresh, rng) is None:
+                                E, [N for N, _ in found] + fresh) is None:
                             fresh.append(E)
         levels.append(fresh)
         found.extend((M, total) for M in fresh)
 
     objects = [
         FiltrationObject(M, length,
-                         length if length <= 2 else relative_loewy_length(M, cycle, rng))
+                         length if length <= 2 else relative_loewy_length(M, cycle))
         for M, length in found
     ]
     objects.sort(key=lambda o: (o.module.total, o.module.dims))
     return FiltrationUniverse(cycle, objects)
 
 
-def serial_object(cycle, top_index: int, length: int,
-                  rng: random.Random) -> Representation:
+def serial_object(cycle, top_index: int, length: int) -> Representation:
     """The serial object with layers cycle[top_index], cycle[top_index + 1],
     ... from the top, built upward by picking at each step the first nonsplit
     middle that stays serial.  On a tube mouth these are the regular
@@ -611,9 +610,9 @@ def serial_object(cycle, top_index: int, length: int,
         middles = middle_terms(top, current)[1:]
         pick = None
         for E in middles:
-            if len(decompose(E, rng)) != 1:
+            if len(decompose(E)) != 1:
                 continue
-            if relative_loewy_length(E, cycle, rng) == length - k:
+            if relative_loewy_length(E, cycle) == length - k:
                 pick = E
                 break
         require(pick is not None, "no serial middle found")
@@ -621,7 +620,7 @@ def serial_object(cycle, top_index: int, length: int,
     return current
 
 
-def no_cover_evidence(cycle, bound: int, rng: random.Random) -> NoCoverEvidence:
+def no_cover_evidence(cycle, bound: int) -> NoCoverEvidence:
     """Evidence that the filtration chain admits no covering step.
 
     For each r below the bound, the serial object with r + 1 layers is shown
@@ -629,12 +628,12 @@ def no_cover_evidence(cycle, bound: int, rng: random.Random) -> NoCoverEvidence:
     and generation is shown to preserve the Loewy bound across the whole
     universe, so no single enlargement of the r-th class reaches the next.
     """
-    fu = filtration_universe(cycle, bound, rng)
+    fu = filtration_universe(cycle, bound)
     witnesses = []
     monotone_ok = True
     for r in range(1, bound):
         lower = [o.module for o in fu.objects if o.loewy <= r]
-        serial = serial_object(fu.cycle, 0, r + 1, rng)
+        serial = serial_object(fu.cycle, 0, r + 1)
         gen = generates(lower, serial)
         witnesses.append((r, serial.dims, bool(gen)))
         for o in fu.objects:

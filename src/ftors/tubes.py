@@ -3,11 +3,12 @@
 The regular simples sitting in tubes of rank at least two are located by an
 exact root-theoretic scan: their dimension vectors are the positive real
 roots of defect zero lying strictly inside the radical vector.  Modules are
-realized by generic sampling certified by the brick test (a brick whose
-dimension vector is a real root is the unique indecomposable for that root),
-with a thin zero/one fallback.  Translate orbits of the found simples are the
-tubes; rank and dimension sums are checked, and each mouth is an extension
-cycle, checked and built on by tors (validate_ext_cycle, serial_object).
+certified by the brick test (a brick whose dimension vector is a real root
+is the unique indecomposable for that root): the thin zero/one module
+first, random samples only where it is no brick.  Translate orbits of the
+found simples are the tubes; rank and dimension sums are checked, and each
+mouth is an extension cycle, checked and built on by tors
+(validate_ext_cycle, serial_object).
 """
 
 from __future__ import annotations
@@ -83,17 +84,18 @@ def module_for_real_root(q: ValuedQuiver, p: int, x,
                          rng: random.Random) -> Representation:
     """The unique indecomposable with real-root dimension vector x.
 
-    A brick with these dimensions is that indecomposable, so sampling needs
-    no genericity argument, only a certified hit.
+    A brick with these dimensions is that indecomposable, so neither
+    candidate needs a genericity argument, only the brick test: the thin
+    module first, which draws nothing, then random samples.
     """
     require(quadratic_form(q, x) == 1, f"{x} is not a real root")
+    thin = _thin_module(q, p, x)
+    if thin is not None and hom_dim(thin, thin) == 1:
+        return thin
     for _ in range(GENERIC_TRIES):
         cand = random_rep(q, p, x, rng)
         if hom_dim(cand, cand) == 1:
             return cand
-    thin = _thin_module(q, p, x)
-    if thin is not None and hom_dim(thin, thin) == 1:
-        return thin
     raise RuntimeError(f"failed to realize the indecomposable for root {x}")
 
 
@@ -146,12 +148,12 @@ def find_regular_simples(q: ValuedQuiver, p: int,
     return sorted(tubes, key=lambda t: (t.rank, t.dims))
 
 
-def tube_mouth_pair(tube: Tube, rng: random.Random):
+def tube_mouth_pair(tube: Tube):
     """The Hom-orthogonal double-extension pair supported on one tube.
 
     One side is the first regular simple, the other the serial module on the
     remaining rank - 1 simples (top at the translate of the omitted one).
     """
     y = tube.simples[0]
-    x = serial_object(tube.simples, 1, tube.rank - 1, rng)
+    x = serial_object(tube.simples, 1, tube.rank - 1)
     return x, y

@@ -39,6 +39,8 @@ from ftors.tors import (
     two_vertex_check,
 )
 
+from test_repn import base_changed
+
 QDIR = Path(__file__).resolve().parent.parent / "quivers"
 
 A1 = parse_quiver("vertices 1\n")
@@ -75,7 +77,7 @@ def arr(m):
 
 @lru_cache(maxsize=None)
 def universe(q):
-    return finite_universe(q, 5, random.Random(0))
+    return finite_universe(q, 5)
 
 
 def ext_oracle(X, Y):
@@ -139,14 +141,13 @@ def test_criterion_2_torsion_class_counts():
 
 
 def test_criterion_3_covers_and_single_generators():
-    rng = random.Random(3)
     checked = 0
     for q in FINITE_RUNS:
         u = universe(q)
         for t in enumerate_torsion_classes(u)[0]:
             cov = find_cover(u, t)
-            ncov = normalize(cov, rng)
-            assert is_isomorphic(ncov, cov, rng)
+            ncov = normalize(cov)
+            assert is_isomorphic(ncov, cov)
             assert ext_dim(ncov, ncov) == 0
             checked += 1
         for i, M in enumerate(u.modules):
@@ -161,6 +162,7 @@ def test_criterion_4_normalization_uniqueness():
     for q in (A2, a3_orientations()[3], D4):
         pool.extend(universe(q).modules)
     picker = np.random.default_rng(4)
+    changer = random.Random(4)
     agreements = 0
     inconclusive = 0
     for i in range(200):
@@ -171,16 +173,16 @@ def test_criterion_4_normalization_uniqueness():
         picks = [same[int(picker.integers(0, len(same)))] for _ in range(count)]
         M = direct_sum(picks)
         try:
-            n1 = normalize(M, random.Random(1000 + i))
-            n2 = normalize(M, random.Random(2000 + i))
-            assert is_isomorphic(n1, n2, random.Random(3000 + i))
+            n1 = normalize(M)
+            n2 = normalize(base_changed(M, changer))
+            assert is_isomorphic(n1, n2)
             agreements += 1
         except DecompositionInconclusive:
             inconclusive += 1
     assert agreements + inconclusive == 200
     assert inconclusive / 200 < 0.01, f"{inconclusive} inconclusive runs"
     print(f"criterion 4 PASS: {agreements}/200 conclusive normalizations "
-          f"agree under independent seeds; {inconclusive} inconclusive")
+          f"agree with those of a random base change; {inconclusive} inconclusive")
 
 
 def test_criterion_5_ext_pair_certificates():
@@ -215,7 +217,7 @@ def test_criterion_6_finite_type_negative_control():
 def test_criterion_7_filtration_no_cover_evidence():
     cert = find_ext_pair(A2TILDE, 5, random.Random(0))
     assert cert.case == 2
-    ev = no_cover_evidence((cert.X, cert.Y), 3, random.Random(0))
+    ev = no_cover_evidence((cert.X, cert.Y), 3)
     assert [w[0] for w in ev.witnesses] == [1, 2]
     # the serial object at level r stacks r+1 alternating cycle layers
     expected = {
@@ -267,11 +269,11 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         "9a07cf923499b0a9baa3945ff32722fe94581826c993f28968f40e3d244d5055",
         "e1e547e5768fd9ff2bf5ba1c7abb3822c7ffd4593c7af0e1a6d67e148ef3a9a0",
         "7531ecdb82905a7023f96173aaf533fcef85978d42b616b00ed7e16529f6d539",
-        "3c5aff802c1a05a096accbae7c0913720097514a24b17c16ecc38a764e68b737",
+        "ca884826c1d210922082e23397759d69d8218c27a0ed8d5ceb090c08f8404fd0",
         "d91383e18dda72a0abd90b614bdcb35237e6071cd7d815285691f005f3c48246",
         "4f0d7c20f8ca2bc4453094c607b62da3557163aefdf60f8136e13b7025a5a651",
         "754c36db623d999f3fbc1d05d33a3ff5a5dcb4b17bf94378f181a0f18863bf5a",
-        "1ad7ac38ae3f54e895de929895c04798104a378763a5dfdc12821c8ac92149fe",
+        "590b09032cb838797283fab4c5d229bcec3171753727186b4d30853292213327",
         "b40264a1750e42db0fb8894959d8fb0f8d93d3a0dc759a3a7f8aa353d211159d",
     ]
     assert len(digests) == len(runs)

@@ -5,6 +5,7 @@ import ast
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -611,6 +612,25 @@ def test_no_unread_parameter():
     assert not unread, unread
 
 
+# the samplers and the functions that pass a generator on to them
+RNG_TAKERS = {"random_matrix", "random_rep", "module_for_real_root", "find_regular_simples",
+              "construct_case1", "find_ext_pair", "_kronecker_universe", "two_vertex_check"}
+
+
+def test_rng_parameter_only_on_samplers():
+    """A parameter named rng appears only on the two samplers
+    (random_matrix, random_rep) and on the functions that call them, so a
+    function that no longer draws does not take a generator."""
+    takers = set()
+    for path in sorted((ROOT / "src" / "ftors").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                if "rng" in {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}:
+                    takers.add(getattr(node, "name", "lambda"))
+    assert takers == RNG_TAKERS
+
+
 def test_out_flag_matches_stdout(tmp_path, capsys):
     _, out, _ = run(capsys, "classify", A2, "--format", "json")
     target = tmp_path / "report.json"
@@ -631,17 +651,21 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
         assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
+SEED_FREE_RUNS = [
     ("run", "tors", "a3"), ("run", "tors", "d4"), ("run", "tors", "d5"),
     ("run", "knit", "e6"),
     ("run", "extpair", "twothree"), ("run", "extpair", "a2tilde"),
     ("run", "extpair", "a5cycle"), ("run", "extpair", "twoone"),
+    ("run", "extpair", "d4tilde"),
     ("run", "nocover", "a2tilde"), ("run", "nocover", "d4tilde"),
     ("run", "nocover", "a5cycle"),
-], ids=lambda argv: "-".join(argv[1:]))
+]
+
+
+@pytest.mark.parametrize("argv", SEED_FREE_RUNS, ids=lambda argv: "-".join(argv[1:]))
 def test_reports_do_not_depend_on_the_seed(capsys, argv):
-    """These reports are exact: the seed only drives the searches behind
-    them, so seeds 0 and 1 give the same bytes."""
+    """These reports are exact: the seed reaches only the samplers, which
+    none of these runs needs, so seeds 0 and 1 give the same bytes."""
     *command, name = argv
     reports = []
     for seed in ("0", "1"):
@@ -650,3 +674,18 @@ def test_reports_do_not_depend_on_the_seed(capsys, argv):
         assert code == 0
         reports.append(out)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", SEED_FREE_RUNS, ids=lambda argv: "-".join(argv[1:]))
+def test_reports_draw_no_random_number(monkeypatch, capsys, argv):
+    """Decomposition, isomorphism and the constructions behind these reports
+    draw nothing: with every draw of random.Random made to raise, each run
+    still succeeds."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(random.Random, "randrange", no_draw)
+    monkeypatch.setattr(random.Random, "random", no_draw)
+    *command, name = argv
+    code, _, err = run(capsys, *command, str(QDIR / f"{name}.txt"), "--format", "json")
+    assert code == 0, err
