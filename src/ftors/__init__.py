@@ -71,7 +71,6 @@ from .tors import (
     filtration_universe,
     find_cover,
     finite_universe,
-    gen_closure,
     in_gen_closure,
     in_torsion_closure,
     lattice_check,

@@ -638,7 +638,7 @@ def _iso_index(M: Representation, candidates) -> int | None:
     return None
 
 
-def _drop_generated(mods: list[Representation], hom=None) -> list[int]:
+def _drop_generated(mods: list[Representation]) -> list[int]:
     """Positions, in list order, of the modules left after one pass that
     drops each module the others still kept generate; the kept ones generate
     them all, and none is generated by the others.
@@ -646,12 +646,12 @@ def _drop_generated(mods: list[Representation], hom=None) -> list[int]:
     This is the list of the greedy loop that drops the first generated
     module and starts over: a module that loop passed was not generated by a
     set that has only shrunk since, and Gen is monotone, so no restart drops
-    it.  hom is passed on to the generation tests.
+    it.  normalize_summands is the one caller.
     """
     kept = list(range(len(mods)))
     for k in range(len(mods)):
         others = [mods[j] for j in kept if j != k]
-        if others and generates(others, mods[k], hom):
+        if others and generates(others, mods[k]):
             kept.remove(k)
     return kept
 

@@ -10,13 +10,9 @@ nonzero trace carves it and builds the quotient.
 
 For representation-finite quivers the indecomposables form a finite
 universe U, closed under extensions, and a torsion class T is ⊥(T^⊥).  So
-torsion_closure reads T(G) ∩ U off the Hom table (hom_closure) and
-certifies each distinct answer once: peeling puts it inside T(G), and the
-generation tests and the middle-term table (the split middle term of i and
-j recorded as (i, j), only the nonsplit ones decomposed) show it closed.
-The classes are grown along their covers, which the enumeration records;
-the lattice is read off their intersections, and a cover module is tested
-only on its own class, which the certificate showed generates nothing more.
+torsion_closure reads T(G) ∩ U off the Hom table (hom_closure) and its
+cover off the table and τ, and certifies each distinct answer once through
+its cover.  The classes grow along the Hasse edges the enumeration records.
 
 A sampled universe (the bounded two-vertex check) has no complete Hom
 table, so peeled_closure peels there, bounded by monotonicity: K ⊆ G gives
@@ -42,7 +38,6 @@ from .modules import (
     DecompositionInconclusive,
     HomSpace,
     Representation,
-    _drop_generated,
     _iso_index,
     ar_translate,
     ar_translate_inverse,
@@ -101,19 +96,20 @@ class ModuleUniverse:
     The caches live and die with the universe; the Hom table holds the Hom
     space of each ordered pair of members once it has been asked for or
     handed over at construction.  A finite universe also holds hom_rows,
-    the complete table as bitmasks: bit j of row i is set when
-    Hom(i, j) != 0.  A sampled universe has no complete table and no rows.
+    the table as bitmasks (bit j of row i is set when Hom(i, j) != 0), and
+    tau, each member's translate (None at a projective).
     """
 
     quiver: ValuedQuiver
     p: int
     modules: tuple[Representation, ...]
     _middles: dict = field(default_factory=dict)
-    _closed: set = field(default_factory=set)
+    _covers: dict = field(default_factory=dict)
     _gen: dict = field(default_factory=dict)
     _peeled: dict = field(default_factory=dict)
     _homs: dict = field(default_factory=dict)
     hom_rows: list = field(default_factory=list)
+    tau: list = field(default_factory=list)
     _index: dict = field(init=False)
     _members: frozenset = field(init=False)
     _holders: dict = field(init=False)
@@ -203,10 +199,8 @@ class ModuleUniverse:
 
 def finite_universe(q: ValuedQuiver, p: int) -> ModuleUniverse:
     """Every indecomposable, sorted by (total dimension, dims), with the Hom
-    table the knitting built between all of them: the spaces with <x, y> > 0
-    solved and checked against the Euler form, the others the zero spaces
-    the Euler form decides (see knit_ar_quiver), taken over unchanged, and
-    as bitmask rows."""
+    table and the translates the knitting built between all of them (see
+    knit_ar_quiver), taken over unchanged, and the table as bitmask rows."""
     from .ar_quiver import knit_ar_quiver
 
     ar = knit_ar_quiver(q, p)
@@ -217,17 +211,14 @@ def finite_universe(q: ValuedQuiver, p: int) -> ModuleUniverse:
         u._homs[i, j] = h
         if h.dim:
             u.hom_rows[i] |= 1 << j
+    at = [u._index[id(node.module)] for node in ar.nodes]
+    tau = {at[y]: at[ty] for y, ty in ar.translate.items()}
+    u.tau = [tau.get(m) for m in range(len(u))]
     return u
 
 
 # ---------------------------------------------------------------------------
 # closures and enumeration over a finite universe
-
-def gen_closure(u: ModuleUniverse, gens: frozenset) -> frozenset:
-    """Indices of all universe members generated by the given members; no
-    package code calls it, the tests keep it as their oracle."""
-    return frozenset(m for m in range(len(u)) if u.generated(frozenset(gens), m))
-
 
 def hom_closure(rows: list, gens) -> frozenset:
     """⊥(G^⊥) for the Galois connection "Hom(i, j) = 0", from the bitmask
@@ -243,32 +234,51 @@ def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
     """The torsion class the given members generate, as universe indices.
 
     T(G)^⊥ = G^⊥ and every module is a sum of members, so T(G) ∩ U is the
-    hom_closure of G.  Each answer must contain gens, and each distinct
-    answer is certified once, for the generators that first produce it:
-    peeling puts every other member inside T(gens), it generates no member
-    outside itself, and it holds every summand of every middle term of two
-    members.  So it is exactly T(gens) ∩ U.  For later generators it is a
-    torsion class holding them; that it holds no more rests on the Hom
-    table, whose nonzero spaces the knitting checked against the Euler form.
+    hom_closure of G.  Each distinct answer T, which must contain gens, is
+    certified once, for the generators that first produce it, through its
+    cover K, which find_cover returns.  The Ext-projectives P of T are the
+    X ∈ T with Hom(T, τX) = 0: Ext(X, Y) ≅ D Hom(Y, τX) over a hereditary
+    algebra, and τX = 0 at a projective.  K is the X ∈ P outside
+    hom_closure(P - X), the members of Gen(P - X), which is extension closed
+    (pull an extension back along an epimorphism from copies of P - X, and
+    it splits).  In finite type every member is a brick, so the summands of
+    an irredundant generator of T are its split projectives, which lie in
+    P, generate T and are exactly K.
+
+    Peeling puts K - gens inside T(gens), so Gen K ⊆ T(gens); the generation
+    tests show Gen K ∩ U = T, so T is closed under quotients; and T holds
+    every summand of every middle term of two members.  So T is exactly
+    T(gens) ∩ U.  For later generators it is a torsion class holding them;
+    that it holds no more rests on the Hom table, whose nonzero spaces the
+    knitting checked against the Euler form.
     """
     gens = frozenset(gens)
     result = hom_closure(u.hom_rows, gens)
     require(gens <= result, f"the closure of {sorted(gens)} misses generators "
                             f"{sorted(gens - result)}")
-    if result not in u._closed:
+    if result not in u._covers:
+        reached = 0
+        for m in result:
+            reached |= u.hom_rows[m]
+        ext_projective = {x for x in result if u.tau[x] is None or not reached >> u.tau[x] & 1}
+        cover = frozenset(x for x in ext_projective
+                          if x not in hom_closure(u.hom_rows, ext_projective - {x}))
         glist = [u.modules[g] for g in sorted(gens)]
-        unreached = [m for m in sorted(result - gens)
+        unreached = [m for m in sorted(cover - gens)
                      if not in_torsion_closure(glist, u.modules[m], u.hom)]
         require(not unreached, f"the closure of {sorted(gens)} holds members "
                                f"{unreached} that its generators do not reach")
         members = sorted(result)
-        generated = [m for m in range(len(u)) if m not in result and u.generated(result, m)]
-        require(not generated, f"the closure {members} generates members {generated}")
+        generated = {m for m in range(len(u)) if m not in cover and u.generated(cover, m)}
+        missed = sorted(result - cover - generated)
+        require(not missed, f"the cover of class {members} misses members {missed}")
+        require(generated <= result, f"the closure {members} generates members "
+                                     f"{sorted(generated - result)}")
         missing = {part for i in members for j in members
                    for parts in u.middle_summands(i, j) for part in parts} - result
         require(not missing, f"the closure {members} misses the extension summands "
                              f"{sorted(missing)}")
-        u._closed.add(result)
+        u._covers[result] = cover
     return result
 
 
@@ -299,23 +309,14 @@ def enumerate_torsion_classes(u: ModuleUniverse) -> tuple[list[frozenset], list[
 
 
 def find_cover(u: ModuleUniverse, t: frozenset) -> Representation:
-    """A single module whose generated quotients are exactly the class.
-
-    t must be a torsion class (torsion_closure certifies it, or finds it
-    cached).  The cover is one copy of each member with summands generated
-    by the rest dropped, so it is normal.  It is tested only on the members
-    of t that it does not hold: the certificate showed that t generates
-    nothing outside itself, and a summand is its own quotient.  A failure
-    is a bug and raises VerificationError.
-    """
-    members = sorted(t)
-    require(torsion_closure(u, t) == t, f"{members} is not a torsion class")
-    kept = frozenset(members[k] for k in _drop_generated([u.modules[m] for m in members], u.hom))
-    missed = [m for m in members if m not in kept and not u.generated(kept, m)]
-    require(not missed, f"the cover of class {members} misses members {missed}")
-    if not kept:
+    """The irredundant cover of the torsion class t, which torsion_closure
+    reads off τ and certifies: its generated quotients are exactly t, and it
+    is normal.  A failure is a bug and raises VerificationError."""
+    require(torsion_closure(u, t) == t, f"{sorted(t)} is not a torsion class")
+    cover = u._covers[t]
+    if not cover:
         return zero_rep(u.quiver, u.p)
-    return direct_sum([u.modules[k] for k in sorted(kept)])
+    return direct_sum([u.modules[k] for k in sorted(cover)])
 
 
 @dataclass(frozen=True, eq=False)

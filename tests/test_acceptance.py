@@ -32,7 +32,6 @@ from ftors.tors import (
     enumerate_torsion_classes,
     find_cover,
     finite_universe,
-    gen_closure,
     lattice_check,
     no_cover_evidence,
     torsion_closure,
@@ -40,6 +39,7 @@ from ftors.tors import (
 )
 
 from test_repn import base_changed
+from test_tors import gen_closure
 
 QDIR = Path(__file__).resolve().parent.parent / "quivers"
 
@@ -250,6 +250,8 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         ("run", "knit", str(QDIR / "d4.txt"), "--format", "json"),
         ("run", "knit", str(QDIR / "a2.txt"), "--format", "dot"),
         ("run", "tors", str(QDIR / "a3.txt"), "--format", "json"),
+        ("run", "tors", str(QDIR / "d4.txt"), "--format", "json"),
+        ("run", "tors", str(QDIR / "d5.txt"), "--format", "json"),
         ("run", "tors", str(QDIR / "a2.txt"), "--format", "dot"),
         ("run", "tors", str(QDIR / "kronecker.txt"),
          "--format", "json", "--dim-bound", "6"),
@@ -268,6 +270,8 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         "04575dea5a64b122f7a5607b9c9390fdd96ca036b092e68efe68cb51d983a118",
         "9a07cf923499b0a9baa3945ff32722fe94581826c993f28968f40e3d244d5055",
         "e1e547e5768fd9ff2bf5ba1c7abb3822c7ffd4593c7af0e1a6d67e148ef3a9a0",
+        "f6a42e887a6c4defec790c7e1ce7b8237afb4f23f94712f122ab071c9540bc8e",
+        "1c20dd94c5a5c5625ccc98d61982c46d92954faea1a068855c533fc6fee50928",
         "7531ecdb82905a7023f96173aaf533fcef85978d42b616b00ed7e16529f6d539",
         "ca884826c1d210922082e23397759d69d8218c27a0ed8d5ceb090c08f8404fd0",
         "d91383e18dda72a0abd90b614bdcb35237e6071cd7d815285691f005f3c48246",

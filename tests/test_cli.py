@@ -405,11 +405,15 @@ def test_extension_class_count_survives_python_O():
 
 
 def test_cover_check_survives_python_O():
-    """With the first kept summand of every cover dropped, the first
-    nonempty class loses its only summand, fails its cover check and run
+    """With each member its own translate, no member is Ext-projective, so
+    the cover of the first nonempty class misses its only member and run
     tors exits 5."""
-    patch = ("real = tors._drop_generated\n"
-             "tors._drop_generated = lambda mods, hom=None: real(mods, hom)[1:]")
+    patch = ("real = tors.finite_universe\n"
+             "def own(*args):\n"
+             "    u = real(*args)\n"
+             "    u.tau = list(range(len(u)))\n"
+             "    return u\n"
+             "tors.finite_universe = own")
     proc = run_optimized(patch, "run", "tors", A3)
     assert_verification_failure(proc, "the cover of class ")
 
@@ -425,15 +429,25 @@ def test_closure_agreement_survives_python_O():
 
 
 @pytest.mark.parametrize("patch, prefix", [
+    # a Hom-table row filled: member 1 maps everywhere, so its closure is the
+    # whole universe, and peeling finds the cover, the projectives, outside
+    # the class that member 1 generates
+    ("real = tors.finite_universe\n"
+     "def filled(*args):\n"
+     "    u = real(*args)\n"
+     "    u.hom_rows[1] = (1 << len(u)) - 1\n"
+     "    return u\n"
+     "tors.finite_universe = filled",
+     "the closure of [1] holds members [0, 3, 5] that its generators do not reach"),
     # a Hom-table row zeroed: the last member maps nowhere, so every closure
-    # takes it, and peeling finds it outside the closure of the first member
+    # takes it, and the cover of the first member's closure does not generate it
     ("real = tors.finite_universe\n"
      "def zeroed(*args):\n"
      "    u = real(*args)\n"
      "    u.hom_rows[-1] = 0\n"
      "    return u\n"
      "tors.finite_universe = zeroed",
-     "the closure of [0] holds members [5] that its generators do not reach"),
+     "the cover of class [0, 5] misses members [5]"),
     # a closure that returns its generators: a projective's closure misses
     # the quotients it generates
     ("tors.hom_closure = lambda rows, gens: frozenset(gens)",
@@ -444,9 +458,9 @@ def test_closure_agreement_survives_python_O():
      "tors.ModuleUniverse.middle_summands = "
      "lambda self, i, j: real(self, i, j) + ((len(self) - 1,),)",
      "the closure [0] misses the extension summands [5]"),
-], ids=["peeling", "generation", "extension"])
+], ids=["peeling", "cover", "generation", "extension"])
 def test_closure_certificate_survives_python_O(patch, prefix):
-    """Each half of the closure certificate fails on its own broken layer,
+    """Each check of the closure certificate fails on its own broken layer,
     and run tors exits 5 under python -O."""
     assert_verification_failure(run_optimized(patch, "run", "tors", A3), prefix)
 

@@ -45,7 +45,6 @@ from ftors.tors import (
     filtration_universe,
     find_cover,
     finite_universe,
-    gen_closure,
     in_gen_closure,
     in_torsion_closure,
     lattice_check,
@@ -66,6 +65,12 @@ CYCLE3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\narrow 1 3\n")
 KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\n")
 WILD2 = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n")
 QDIR = Path(__file__).resolve().parent.parent / "quivers"
+
+
+def gen_closure(u, gens) -> frozenset:
+    """Indices of all universe members generated by the given members,
+    tested member by member: the oracle of generation closure."""
+    return frozenset(m for m in range(len(u)) if u.generated(frozenset(gens), m))
 
 
 def powerset_classes(u):
@@ -508,7 +513,8 @@ FINITE_ORACLES = ([("A3", text, 14) for text in orientations(3)]
                   + [("D4", (QDIR / "d4.txt").read_text(), 50),
                      ("D5", (QDIR / "d5.txt").read_text(), 182)]
                   # linear A5 (every arrow v -> v + 1) and alternating A5
-                  + [("A5", orientations(5)[k], 132) for k in (15, 10)])
+                  + [("A5", orientations(5)[k], 132) for k in (15, 10)]
+                  + [("E6", (QDIR / "e6.txt").read_text(), 833)])
 
 
 @pytest.mark.parametrize("kind, text, catalan", FINITE_ORACLES,
@@ -520,10 +526,16 @@ def test_finite_tors_report_meets_the_theory(tmp_path, capsys, kind, text, catal
     c-sortable element for c the simple reflections with sources first
     (Ingalls-Thomas; the reversed c, a control, passes exactly 2^n classes),
     and for each class T with Ext-projectives P(T) (the members X with
-    Ext(X, T) = 0), |P(T)| plus the vertices outside the support of T is n,
-    and the cover is a sum of modules of P(T), as its dimension vector
-    shows.  Indecomposables of Dynkin type are determined by their
-    dimension vectors, so the knitted modules stand for the report's."""
+    Ext(X, T) = 0, from ext_dim):
+    - the members X ∈ T with Hom(T, τX) = 0, read off the universe's Hom
+      rows and translates, are P(T);
+    - |P(T)| plus the vertices outside the support of T is n;
+    - the cover is the sum of one subset of P(T), as its dimension vector
+      shows (P(T) is partial tilting, so its dimension vectors are linearly
+      independent and the subset is unique), with one summand per lower
+      cover of T, counted by the Hasse edges into T.
+    Indecomposables of Dynkin type are determined by their dimension
+    vectors, so the universe's modules stand for the report's."""
     path = tmp_path / "q.txt"
     path.write_text(text)
     assert main(["run", "tors", str(path), "--format", "json"]) == 0
@@ -539,17 +551,23 @@ def test_finite_tors_report_meets_the_theory(tmp_path, capsys, kind, text, catal
     assert all(c_sortable(q, c, N) for N in vectors)
     assert sum(c_sortable(q, c[::-1], N) for N in vectors) == 2 ** n
 
-    by_dims = {node.dims: node.module for node in ar_quiver.knit_ar_quiver(q, 5).nodes}
-    mods = [by_dims[d] for d in dims]
-    ext = [[ext_dim(X, Y) for Y in mods] for X in mods]
-    for members, cover in zip(report["classes"], report["covers"]):
+    u = finite_universe(q, 5)
+    assert [M.dims for M in u.modules] == dims
+    ext = [[ext_dim(X, Y) for Y in u.modules] for X in u.modules]
+    lower = Counter(upper for _, upper in report["hasse_edges"])
+    for k, (members, cover) in enumerate(zip(report["classes"], report["covers"])):
         projectives = [x for x in members if not any(ext[x][y] for y in members)]
+        reached = 0
+        for y in members:
+            reached |= u.hom_rows[y]
+        assert projectives == [x for x in members
+                               if u.tau[x] is None or not reached >> u.tau[x] & 1], members
         support = {v for x in members for v in range(n) if dims[x][v]}
         assert len(projectives) + (n - len(support)) == n, members
-        assert any(
-            [sum(dims[x][v] for x in subset) for v in range(n)] == cover
-            for r in range(len(projectives) + 1)
-            for subset in itertools.combinations(projectives, r)), members
+        [summands] = [subset for r in range(len(projectives) + 1)
+                      for subset in itertools.combinations(projectives, r)
+                      if [sum(dims[x][v] for x in subset) for v in range(n)] == cover]
+        assert len(summands) == lower[k], members
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +588,7 @@ def reference_bounded_cover(u, cls):
     """The cover check over the whole universe: the kept generators must
     generate cls and nothing else."""
     pruned = sorted(tors._prune(u, cls))
-    kept = frozenset(pruned[k] for k in modules._drop_generated(
-        [u.modules[g] for g in pruned], u.hom))
+    kept = frozenset(pruned[k] for k in modules._drop_generated([u.modules[g] for g in pruned]))
     return kept if gen_closure(u, kept) == cls else None
 
 
@@ -801,36 +818,49 @@ D4 = load_quiver(QDIR / "d4.txt")
 D5 = load_quiver(QDIR / "d5.txt")
 
 
-@pytest.mark.parametrize("q", [D4, D5], ids=["d4", "d5"])
-def test_find_cover_tests_only_its_class(monkeypatch, q):
-    """The certificate of a class shows that it generates nothing outside
-    itself, so its cover is tested on its members only, and only on those
-    that are not its summands: once each."""
-    u = universe(q)
-    classes, _ = enumerate_torsion_classes(u)
+COVER_CASES = pytest.mark.parametrize(
+    "q", [A3_LINE, A3_BACK, A3_OUT, A3_IN, D4, D5],
+    ids=["a3-line", "a3-back", "a3-out", "a3-in", "d4", "d5"])
+
+
+@COVER_CASES
+def test_covers_are_read_off_tau_and_tested_once(monkeypatch, q):
+    """Each certificate tests each member outside its cover once, with the
+    cover as the generators, and no other generation test is made; find_cover
+    makes none at all; and the cover is what one pass of _drop_generated
+    keeps over the members of the class."""
     tested = []
     real = tors.ModuleUniverse.generated
 
     def spy(self, gens, member):
-        tested.append(member)
+        tested.append((gens, member))
         return real(self, gens, member)
 
     monkeypatch.setattr(tors.ModuleUniverse, "generated", spy)
-    skipped = 0
-    for t in classes[1:]:
-        members = sorted(t)
-        mods = [u.modules[m] for m in members]
-        kept = {members[k] for k in modules._drop_generated(mods, u.hom)}
-        tested.clear()
+    u = universe(q)
+    classes, _ = enumerate_torsion_classes(u)
+    torsion_closure(u, frozenset())     # the one class no enumeration step asks for
+    covers = u._covers
+    assert set(covers) == set(classes)
+    assert Counter(tested) == Counter(
+        (covers[t], m) for t in classes for m in range(len(u)) if m not in covers[t])
+
+    def refuse(*args):
+        raise AssertionError("find_cover made a generation test")
+
+    tested.clear()
+    monkeypatch.setattr(tors, "in_gen_closure", refuse)
+    monkeypatch.setattr(tors, "generates", refuse)
+    for t in classes:
         cover = find_cover(u, t)
-        assert cover.dims == direct_sum([u.modules[k] for k in sorted(kept)]).dims
-        assert sorted(tested) == sorted(t - kept), members
-        skipped += len(kept)
-    assert skipped >= len(classes) - 1
+        members = sorted(t)
+        kept = [members[k] for k in modules._drop_generated([u.modules[m] for m in members])]
+        assert sorted(covers[t]) == kept, members
+        assert cover.dims == tuple(sum(u.modules[k].dims[v] for k in kept) for v in range(q.n))
+    assert tested == []
 
 
-@pytest.mark.parametrize("q", [A3_LINE, A3_BACK, A3_OUT, A3_IN, D4, D5],
-                         ids=["a3-line", "a3-back", "a3-out", "a3-in", "d4", "d5"])
+@COVER_CASES
 def test_drop_generated_is_the_restart_loop_in_one_pass(monkeypatch, q):
     """On the members of every class, one pass keeps what the restart loop
     keeps, with at most one generation test per module."""
@@ -841,7 +871,7 @@ def test_drop_generated_is_the_restart_loop_in_one_pass(monkeypatch, q):
     for t in classes:
         mods = [u.modules[m] for m in sorted(t)]
         calls.clear()
-        kept = modules._drop_generated(mods, u.hom)
+        kept = modules._drop_generated(mods)
         assert len(calls) <= len(mods)
         assert kept == reference_drop_generated(mods, u.hom), sorted(t)
 
