@@ -20,7 +20,6 @@ vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .linalg import grow_rank, transpose
@@ -37,26 +36,27 @@ from .quiver import ValuedQuiver, classify_type, topological_order
 from .roots import euler_matrix, positive_roots
 
 
-@dataclass(frozen=True, eq=False)
 class ARNode:
-    index: int
-    module: Representation
+    __slots__ = ("index", "module")
+
+    def __init__(self, index: int, module: Representation):
+        self.index, self.module = index, module
 
     @property
     def dims(self):
         return self.module.dims
 
 
-@dataclass(eq=False)
 class ARQuiver:
-    quiver: ValuedQuiver
-    p: int
-    nodes: list[ARNode]
-    arrows: dict[tuple[int, int], int]          # (src node, dst node) -> multiplicity
-    translate: dict[int, int]                   # node -> node of its translate
-    projectives: list[int]
-    injectives: list[int]
-    homs: dict[tuple[int, int], HomSpace]       # (src node, dst node) -> Hom space
+    def __init__(self, quiver: ValuedQuiver, p: int, nodes: list[ARNode],
+                 arrows: dict[tuple[int, int], int], translate: dict[int, int],
+                 projectives: list[int], injectives: list[int],
+                 homs: dict[tuple[int, int], HomSpace]):
+        self.quiver, self.p, self.nodes = quiver, p, nodes
+        self.arrows = arrows                # (src node, dst node) -> multiplicity
+        self.translate = translate          # node -> node of its translate
+        self.projectives, self.injectives = projectives, injectives
+        self.homs = homs                    # (src node, dst node) -> Hom space
 
     def sorted_modules(self) -> list[Representation]:
         """Every knitted module, sorted by (total dimension, dims)."""

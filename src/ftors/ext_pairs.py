@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 
 from .modules import (
     Representation,
@@ -74,9 +73,11 @@ CONDITIONS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class ExtPairReport:
-    numbers: dict
+    __slots__ = ("numbers",)
+
+    def __init__(self, numbers: dict):
+        self.numbers = numbers
 
     @property
     def ok(self) -> bool:
@@ -87,13 +88,12 @@ class ExtPairReport:
         return tuple(name for name, *_, holds in CONDITIONS if not holds(self.numbers[name]))
 
 
-@dataclass(frozen=True, eq=False)
 class ExtPairCertificate:
-    case: int
-    X: Representation
-    Y: Representation
-    report: ExtPairReport
-    detail: dict
+    __slots__ = ("case", "X", "Y", "report", "detail")
+
+    def __init__(self, case: int, X: Representation, Y: Representation,
+                 report: ExtPairReport, detail: dict):
+        self.case, self.X, self.Y, self.report, self.detail = case, X, Y, report, detail
 
 
 def verify_ext_pair(X: Representation, Y: Representation) -> ExtPairReport:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import linalg as la
@@ -66,12 +65,12 @@ MIDDLE_CAP = 3125
 # ---------------------------------------------------------------------------
 # representation type and constructors
 
-@dataclass(frozen=True, eq=False)
 class Representation:
-    quiver: ValuedQuiver
-    p: int
-    dims: tuple[int, ...]
-    mats: tuple[Matrix, ...]
+    __slots__ = ("quiver", "p", "dims", "mats", "__weakref__")
+
+    def __init__(self, quiver: ValuedQuiver, p: int, dims: tuple[int, ...],
+                 mats: tuple[Matrix, ...]):
+        self.quiver, self.p, self.dims, self.mats = quiver, p, dims, mats
 
     @property
     def total(self) -> int:
@@ -251,11 +250,12 @@ def restrict_module(M: Representation, sub: Subquiver) -> Representation:
 # ---------------------------------------------------------------------------
 # Hom and Ext
 
-@dataclass(frozen=True, eq=False)
 class HomSpace:
-    source: Representation
-    target: Representation
-    basis: tuple[tuple[Matrix, ...], ...]
+    __slots__ = ("source", "target", "basis", "__weakref__")
+
+    def __init__(self, source: Representation, target: Representation,
+                 basis: tuple[tuple[Matrix, ...], ...]):
+        self.source, self.target, self.basis = source, target, basis
 
     @property
     def dim(self) -> int:
@@ -367,7 +367,6 @@ def is_invertible_morphism(f, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # subobjects, quotients, traces
 
-@dataclass(frozen=True, eq=False)
 class Subquotient:
     """A short exact sequence sub -> ambient -> quot with explicit witnesses.
 
@@ -375,9 +374,8 @@ class Subquotient:
     tests, Fitting splittings and kernels only need the sub.
     """
 
-    ambient: Representation
-    sub: Representation
-    incl: tuple[Matrix, ...]
+    def __init__(self, ambient: Representation, sub: Representation, incl: tuple[Matrix, ...]):
+        self.ambient, self.sub, self.incl = ambient, sub, incl
 
     @cached_property
     def _quotient(self) -> tuple[Representation, tuple[Matrix, ...]]:
@@ -439,13 +437,12 @@ def carve(M: Representation, spaces) -> Subquotient:
     return Subquotient(M, make_rep(q, p, sub_dims, sub_mats), tuple(bases))
 
 
-@dataclass(frozen=True, eq=False)
 class TraceResult:
     """The trace of some generators in M as one basis per vertex.  Their
     ranks decide full and zero; the submodule is carved on first read."""
 
-    ambient: Representation
-    bases: tuple[Matrix, ...]
+    def __init__(self, ambient: Representation, bases: tuple[Matrix, ...]):
+        self.ambient, self.bases = ambient, bases
 
     @property
     def full(self) -> bool:
@@ -833,8 +830,9 @@ def _projective_class_lines(p: int, e: int):
 
 
 def middle_terms(B: Representation, A: Representation, *, hom=None) -> list[Representation]:
-    """Middle terms of extensions of B by A (0 -> A -> E -> B -> 0): the
-    split term, then one glued middle per line of P(Ext(B, A)).
+    """Middle terms of the nonsplit extensions of B by A
+    (0 -> A -> E -> B -> 0), one glued middle per line of P(Ext(B, A)); the
+    list is empty when Ext(B, A) = 0.
 
     Classes are enumerated up to scalar, as combinations of the basis
     cocycles of _ext_classes, in the order of _projective_class_lines, and
@@ -845,14 +843,13 @@ def middle_terms(B: Representation, A: Representation, *, hom=None) -> list[Repr
     """
     p = B.p
     e = ext_dim(B, A, hom)
-    split = direct_sum([A, B]) if A.total and B.total else (A if B.total == 0 else B)
     if e == 0:
-        return [split]
+        return []
     lines = (p ** e - 1) // (p - 1)
     if lines > MIDDLE_CAP:
         raise ExtensionCapError(f"{lines} extension classes up to scalar (p^e = {p}^{e}) "
                                 f"exceed the cap {MIDDLE_CAP}")
     classes = _ext_classes(B, A)
     require(len(classes) == e, "extension classes do not match the Ext dimension")
-    return [split] + [_glue(A, B, la.matmul(la.Matrix([line]), classes, p))
-                      for line in _projective_class_lines(p, e)]
+    return [_glue(A, B, la.matmul(la.Matrix([line]), classes, p))
+            for line in _projective_class_lines(p, e)]

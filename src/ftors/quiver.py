@@ -21,7 +21,6 @@ tree for the type letters and the tame subtrees of `ext_pairs`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
@@ -43,12 +42,29 @@ def require(cond, msg: str) -> None:
         raise VerificationError(msg)
 
 
-@dataclass(frozen=True, order=True)
 class Arrow:
-    source: int
-    target: int
-    a: int = 1
-    b: int = 1
+    __slots__ = ("source", "target", "a", "b")
+
+    def __init__(self, source: int, target: int, a: int = 1, b: int = 1):
+        self.source, self.target, self.a, self.b = source, target, a, b
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return self.source, self.target, self.a, self.b
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is Arrow else NotImplemented
+
+    def __lt__(self, other):
+        return self._key() < other._key() if other.__class__ is Arrow else NotImplemented
+
+    def __le__(self, other):
+        return self._key() <= other._key() if other.__class__ is Arrow else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Arrow(source={!r}, target={!r}, a={!r}, b={!r})".format(*self._key())
 
     def reversed(self) -> "Arrow":
         return Arrow(self.target, self.source, self.b, self.a)
@@ -58,13 +74,12 @@ class Arrow:
         return self.a == 1 and self.b == 1
 
 
-@dataclass(frozen=True)
 class ValuedQuiver:
-    n: int
-    arrows: tuple[Arrow, ...]
+    __slots__ = ("n", "arrows", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
+    def __init__(self, n: int, arrows: tuple[Arrow, ...]):
+        self.n, self.arrows = n, tuple(sorted(arrows))
+        self._hash = hash((n, self.arrows))     # computed once: it keys every cache on q
         if self.n < 1:
             raise QuiverError("a quiver needs at least one vertex")
         for ar in self.arrows:
@@ -78,6 +93,17 @@ class ValuedQuiver:
             raise QuiverError("the quiver has an oriented cycle")
         if len(_spanning_tree(neighbors(self))) != self.n - 1:
             raise QuiverError("the underlying graph is not connected")
+
+    def __eq__(self, other):
+        if other.__class__ is not ValuedQuiver:
+            return NotImplemented
+        return self.n == other.n and self.arrows == other.arrows
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"ValuedQuiver(n={self.n!r}, arrows={self.arrows!r})"
 
     @property
     def m(self) -> int:
@@ -313,13 +339,27 @@ def projective_dimvec(q: ValuedQuiver, i: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
 class QuiverType:
-    family: str                 # "dynkin" | "euclidean" | "wild"
-    letter: str | None
-    rank: int | None
-    representation_finite: bool
-    tame: bool
+    __slots__ = ("family", "letter", "rank", "representation_finite", "tame")
+
+    def __init__(self, family: str, letter: str | None, rank: int | None,
+                 representation_finite: bool, tame: bool):
+        self.family = family            # "dynkin" | "euclidean" | "wild"
+        self.letter, self.rank = letter, rank
+        self.representation_finite, self.tame = representation_finite, tame
+
+    def _key(self) -> tuple:
+        return self.family, self.letter, self.rank, self.representation_finite, self.tame
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is QuiverType else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("QuiverType(family={!r}, letter={!r}, rank={!r}, representation_finite={!r}, "
+                "tame={!r})".format(*self._key()))
 
     def display(self) -> str:
         if self.family == "wild":
@@ -531,14 +571,29 @@ def reflect_with_perm(q: ValuedQuiver, v: int) -> tuple[ValuedQuiver, tuple[int,
     return ValuedQuiver(q.n, arrows), tuple(perm)
 
 
-@dataclass(frozen=True)
 class Subquiver:
     """Induced subquiver with the index maps back into the ambient quiver."""
 
-    ambient: ValuedQuiver
-    quiver: ValuedQuiver
-    vertex_map: tuple[int, ...]   # new vertex index -> old vertex index
-    arrow_map: tuple[int, ...]    # new arrow index -> old arrow index
+    __slots__ = ("ambient", "quiver", "vertex_map", "arrow_map")
+
+    def __init__(self, ambient: ValuedQuiver, quiver: ValuedQuiver,
+                 vertex_map: tuple[int, ...], arrow_map: tuple[int, ...]):
+        self.ambient, self.quiver = ambient, quiver
+        self.vertex_map = vertex_map    # new vertex index -> old vertex index
+        self.arrow_map = arrow_map      # new arrow index -> old arrow index
+
+    def _key(self) -> tuple:
+        return self.ambient, self.quiver, self.vertex_map, self.arrow_map
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is Subquiver else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("Subquiver(ambient={!r}, quiver={!r}, vertex_map={!r}, "
+                "arrow_map={!r})".format(*self._key()))
 
     def old_vertex(self, new: int) -> int:
         return self.vertex_map[new]

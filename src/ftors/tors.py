@@ -32,7 +32,6 @@ check (validate_ext_cycle) and one builder of serial objects (serial_object).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .modules import (
     DecompositionInconclusive,
@@ -89,7 +88,6 @@ def in_gen_closure(gens: list[Representation], N: Representation, hom=None) -> b
 # ---------------------------------------------------------------------------
 # finite universes
 
-@dataclass(eq=False)
 class ModuleUniverse:
     """A finite list of pairwise nonisomorphic indecomposables with caches.
 
@@ -100,21 +98,10 @@ class ModuleUniverse:
     tau, each member's translate (None at a projective).
     """
 
-    quiver: ValuedQuiver
-    p: int
-    modules: tuple[Representation, ...]
-    _middles: dict = field(default_factory=dict)
-    _covers: dict = field(default_factory=dict)
-    _gen: dict = field(default_factory=dict)
-    _peeled: dict = field(default_factory=dict)
-    _homs: dict = field(default_factory=dict)
-    hom_rows: list = field(default_factory=list)
-    tau: list = field(default_factory=list)
-    _index: dict = field(init=False)
-    _members: frozenset = field(init=False)
-    _holders: dict = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, quiver: ValuedQuiver, p: int, modules: tuple[Representation, ...]):
+        self.quiver, self.p, self.modules = quiver, p, modules
+        self._middles, self._covers, self._gen, self._peeled, self._homs = {}, {}, {}, {}, {}
+        self.hom_rows, self.tau = [], []
         self._index = {id(M): i for i, M in enumerate(self.modules)}
         self._members = frozenset(range(len(self.modules)))
         # member m -> the members j whose cached peeled closure T(j) holds m
@@ -140,20 +127,20 @@ class ModuleUniverse:
 
     def middle_summands(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
         """Universe indices of the summands of each middle term of
-        extensions of module i by module j, one entry per line of P(Ext) as
-        middle_terms lists them; callers read them as a set of summands.
-
-        The split middle term comes first and its summands are i and j; only
-        the nonsplit ones are decomposed.
+        the nonsplit extensions of module i by module j, one entry per line
+        of P(Ext) as middle_terms lists them; callers read them as a set of
+        summands.  The split middle term, whose summands are i and j, is left
+        out.
         """
         if (i, j) not in self._middles:
-            nonsplit = middle_terms(self.modules[i], self.modules[j], hom=self.hom)[1:]
-            self._middles[(i, j)] = (tuple(sorted((i, j))),) + tuple(
+            self._middles[(i, j)] = tuple(
                 tuple(sorted(self.match(part) for part in decompose(E)))
-                for E in nonsplit)
+                for E in middle_terms(self.modules[i], self.modules[j], hom=self.hom))
         return self._middles[(i, j)]
 
     def generated(self, gens: frozenset, member: int) -> bool:
+        """in_gen_closure on members, memoized for _prune, which asks most
+        pairs again; the finite certificate asks each pair once."""
         key = (gens, member)
         if key not in self._gen:
             self._gen[key] = in_gen_closure(
@@ -269,7 +256,9 @@ def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
         require(not unreached, f"the closure of {sorted(gens)} holds members "
                                f"{unreached} that its generators do not reach")
         members = sorted(result)
-        generated = {m for m in range(len(u)) if m not in cover and u.generated(cover, m)}
+        clist = [u.modules[k] for k in sorted(cover)]
+        generated = {m for m in range(len(u))
+                     if m not in cover and in_gen_closure(clist, u.modules[m], u.hom)}
         missed = sorted(result - cover - generated)
         require(not missed, f"the cover of class {members} misses members {missed}")
         require(generated <= result, f"the closure {members} generates members "
@@ -319,11 +308,13 @@ def find_cover(u: ModuleUniverse, t: frozenset) -> Representation:
     return direct_sum([u.modules[k] for k in sorted(cover)])
 
 
-@dataclass(frozen=True, eq=False)
 class LatticeReport:
-    class_count: int
-    edges: tuple                      # Hasse diagram, see enumerate_torsion_classes
-    meet_failures: tuple
+    __slots__ = ("class_count", "edges", "meet_failures")
+
+    def __init__(self, class_count: int, edges: tuple, meet_failures: tuple):
+        self.class_count = class_count
+        self.edges = edges              # Hasse diagram, see enumerate_torsion_classes
+        self.meet_failures = meet_failures
 
     @property
     def edge_count(self) -> int:
@@ -355,13 +346,14 @@ def lattice_check(u: ModuleUniverse, classes: list[frozenset], edges) -> Lattice
 # ---------------------------------------------------------------------------
 # bounded two-vertex check
 
-@dataclass(frozen=True, eq=False)
 class TwoVertexReport:
-    verdict: str                      # "consistent", "failed", "inconclusive"
-    universe_size: int
-    class_count: int
-    failures: tuple
-    notes: str
+    __slots__ = ("verdict", "universe_size", "class_count", "failures", "notes")
+
+    def __init__(self, verdict: str, universe_size: int, class_count: int,
+                 failures: tuple, notes: str):
+        self.verdict = verdict          # "consistent", "failed", "inconclusive"
+        self.universe_size, self.class_count = universe_size, class_count
+        self.failures, self.notes = failures, notes
 
 
 KRONECKER_SAMPLES = 4   # random (k, k) representations decomposed for each k
@@ -473,25 +465,29 @@ def two_vertex_check(q: ValuedQuiver, p: int, bound: int,
 # ---------------------------------------------------------------------------
 # filtration evidence along an extension cycle
 
-@dataclass(frozen=True, eq=False)
 class FiltrationObject:
-    module: Representation
-    length: int        # number of cycle factors used to build it
-    loewy: int         # relative radical length
+    __slots__ = ("module", "length", "loewy")
+
+    def __init__(self, module: Representation, length: int, loewy: int):
+        self.module = module
+        self.length = length    # number of cycle factors used to build it
+        self.loewy = loewy      # relative radical length
 
 
-@dataclass(eq=False)
 class FiltrationUniverse:
-    cycle: tuple[Representation, ...]
-    objects: list[FiltrationObject]
+    __slots__ = ("cycle", "objects")
+
+    def __init__(self, cycle: tuple[Representation, ...], objects: list[FiltrationObject]):
+        self.cycle, self.objects = cycle, objects
 
 
-@dataclass(frozen=True, eq=False)
 class NoCoverEvidence:
-    bound: int
-    universe_size: int
-    witnesses: tuple          # (r, serial dims, generated?) per step
-    monotone_ok: bool
+    __slots__ = ("bound", "universe_size", "witnesses", "monotone_ok")
+
+    def __init__(self, bound: int, universe_size: int, witnesses: tuple, monotone_ok: bool):
+        self.bound, self.universe_size = bound, universe_size
+        self.witnesses = witnesses      # (r, serial dims, generated?) per step
+        self.monotone_ok = monotone_ok
 
     @property
     def ok(self) -> bool:
@@ -578,7 +574,7 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
             for A in levels[a]:
                 for B in levels[b]:
                     distinct_members = total == 2 and A is not B
-                    for E in middle_terms(B, A)[1:]:
+                    for E in middle_terms(B, A):
                         parts = decompose(E)
                         if len(parts) != 1:
                             continue
@@ -608,9 +604,8 @@ def serial_object(cycle, top_index: int, length: int) -> Representation:
     current = cycle[(top_index + length - 1) % r]
     for k in range(length - 2, -1, -1):
         top = cycle[(top_index + k) % r]
-        middles = middle_terms(top, current)[1:]
         pick = None
-        for E in middles:
+        for E in middle_terms(top, current):
             if len(decompose(E)) != 1:
                 continue
             if relative_loewy_length(E, cycle) == length - k:

@@ -14,7 +14,6 @@ mouth is an extension cycle, checked and built on by tors
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .modules import (
     Representation,
@@ -36,12 +35,14 @@ from . import linalg as la
 GENERIC_TRIES = 20
 
 
-@dataclass(frozen=True, eq=False)
 class Tube:
     """A translate orbit of regular simples; entry i+1 is the translate of
     entry i, cyclically."""
 
-    simples: tuple[Representation, ...]
+    __slots__ = ("simples",)
+
+    def __init__(self, simples: tuple[Representation, ...]):
+        self.simples = simples
 
     @property
     def rank(self) -> int:

@@ -554,6 +554,23 @@ def test_no_run_imports_numpy(tmp_path):
     assert json.loads(proc.stdout) == [[0] * len(runs), False, False]
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The records are plain classes, so start-up stays off dataclasses and
+    the inspect, ast and dis modules it imports: compared with a bare
+    interpreter, a fresh import of ftors.cli adds neither to sys.modules."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def loaded(code: str) -> set[str]:
+        proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import ftors.cli") - loaded("pass")
+    assert "ftors.cli" in added
+    assert not {"dataclasses", "inspect"} & added
+
+
 def test_no_numpy_in_the_package():
     for path in sorted((ROOT / "src" / "ftors").glob("*.py")):
         text = path.read_text()

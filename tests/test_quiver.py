@@ -61,16 +61,56 @@ def test_parse_text_errors():
 
 
 def test_quiver_validation_errors():
-    with pytest.raises(QuiverError):
-        ValuedQuiver(2, (Arrow(0, 0),))                       # loop
-    with pytest.raises(QuiverError):
-        ValuedQuiver(2, (Arrow(0, 1), Arrow(1, 0)))           # oriented cycle
-    with pytest.raises(QuiverError):
-        ValuedQuiver(4, (Arrow(0, 1), Arrow(2, 3)))           # disconnected
-    with pytest.raises(QuiverError):
-        ValuedQuiver(2, (Arrow(0, 1, 0, 1),))                 # bad valuation
-    with pytest.raises(QuiverError):
-        ValuedQuiver(0, ())
+    for n, arrows, message in (
+            (2, (Arrow(0, 0),), "loop at vertex 1 is not allowed"),
+            (2, (Arrow(0, 1), Arrow(1, 0)), "the quiver has an oriented cycle"),
+            (4, (Arrow(0, 1), Arrow(2, 3)), "the underlying graph is not connected"),
+            (2, (Arrow(0, 1, 0, 1),),
+             "arrow Arrow(source=0, target=1, a=0, b=1) has a non-positive valuation"),
+            (2, (Arrow(0, 2),), "arrow Arrow(source=0, target=2, a=1, b=1) out of vertex range"),
+            (0, (), "a quiver needs at least one vertex"),
+    ):
+        with pytest.raises(QuiverError) as exc:
+            ValuedQuiver(n, arrows)
+        assert str(exc.value) == message
+
+
+def test_value_records_compare_and_hash_like_their_field_tuples():
+    """Arrows, quivers, types and subquivers are values: records with equal
+    fields are equal and hash alike, as their field tuples do, whatever
+    order the arrows came in; arrows sort as (source, target, a, b); and
+    the repr, which QuiverError messages quote, names every field."""
+    arrows = [Arrow(1, 2), Arrow(0, 2, 1, 2), Arrow(0, 1), Arrow(0, 2), Arrow(0, 2, 2, 1)]
+
+    def key(ar):
+        return ar.source, ar.target, ar.a, ar.b
+
+    assert [key(ar) for ar in sorted(arrows)] == sorted(map(key, arrows))
+    assert Arrow(0, 2) <= Arrow(0, 2) < Arrow(0, 2, 1, 2) and Arrow(1, 0) >= Arrow(0, 5)
+    for ar in arrows:
+        assert ar == Arrow(*key(ar)) and hash(ar) == hash(Arrow(*key(ar))) == hash(key(ar))
+    assert Arrow(0, 1) != Arrow(0, 1, 1, 2) and Arrow(0, 1) != (0, 1, 1, 1)
+    assert repr(Arrow(0, 1)) == "Arrow(source=0, target=1, a=1, b=1)"
+
+    q, same = parse_quiver(A3), ValuedQuiver(3, (Arrow(1, 2), Arrow(0, 1)))
+    assert q == same and q is not same and q != q.reverse()
+    assert hash(q) == hash(same) == hash((3, (Arrow(0, 1), Arrow(1, 2))))
+    assert len({q, same, q.reverse()}) == 2
+    assert repr(same) == ("ValuedQuiver(n=3, arrows=(Arrow(source=0, target=1, a=1, b=1), "
+                          "Arrow(source=1, target=2, a=1, b=1)))")
+
+    t = classify_type(q)
+    assert t == classify_type(parse_quiver("vertices 3\narrow 2 1\narrow 2 3\n"))
+    assert t != classify_type(parse_quiver(D4))
+    assert hash(t) == hash(("dynkin", "A", 3, True, False))
+    assert repr(t) == ("QuiverType(family='dynkin', letter='A', rank=3, "
+                       "representation_finite=True, tame=False)")
+
+    sub = subquiver_restrict(q, [2, 1])
+    assert sub == subquiver_restrict(same, [1, 2]) != subquiver_restrict(q, [0, 1])
+    assert hash(sub) == hash((q, parse_quiver(A2), (1, 2), (1,)))
+    assert repr(sub) == (f"Subquiver(ambient={q!r}, quiver={parse_quiver(A2)!r}, "
+                         "vertex_map=(1, 2), arrow_map=(1,))")
 
 
 def test_json_roundtrip_matches_text():

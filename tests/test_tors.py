@@ -372,8 +372,8 @@ def test_hom_table_computes_each_member_pair_once_kronecker(monkeypatch):
     counts, alive = count_homs(monkeypatch)
 
     class Recorded(tors.ModuleUniverse):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, *args):
+            super().__init__(*args)
             counts.clear()
             built.append(self)
 
@@ -421,7 +421,7 @@ def test_orthogonal_brick_middles_are_pairwise_nonisomorphic():
         for A in cycle:
             for B in cycle:
                 if A is not B:
-                    mids = middle_terms(B, A)[1:]
+                    mids = middle_terms(B, A)
                     assert len(mids) == lines(p, ext_dim(B, A))
                     middles += mids
         assert middles
@@ -463,10 +463,10 @@ def test_middle_terms_lists_every_line_and_matches_no_isomorphism(monkeypatch):
     cases = ((S1, direct_sum([S2, S2]), 2), (X, X, 2), (T1, X, 2), (T1, T2, 3))
     for B, A, e in cases:
         assert ext_dim(B, A) == e
-        assert len(middle_terms(B, A)) == 1 + lines(3, e)
+        assert len(middle_terms(B, A)) == lines(3, e)
     mids = middle_terms(T1, T2)
     assert scanned == []
-    assert pairwise_nonisomorphic(mids[1:])
+    assert pairwise_nonisomorphic(mids)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +605,8 @@ def test_bounded_check_matches_unbounded_peeling(monkeypatch, bound, seed):
     built = []
 
     class Recorded(tors.ModuleUniverse):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, *args):
+            super().__init__(*args)
             built.append(self)
 
     monkeypatch.setattr(tors, "ModuleUniverse", Recorded)
@@ -736,8 +736,8 @@ FINITE_CASES = pytest.mark.parametrize(
 
 @FINITE_CASES
 def test_middle_summands_match_decomposed_middle_terms(q):
-    """The split middle term is recorded as (i, j) without a decomposition;
-    every entry equals decomposing each middle term and matching its parts."""
+    """Every entry equals decomposing each middle term and matching its
+    parts; the split middle term has no entry."""
     u = universe(q)
     nonsplit = 0
     for i in range(len(u)):
@@ -746,7 +746,7 @@ def test_middle_summands_match_decomposed_middle_terms(q):
             oracle = tuple(tuple(sorted(u.match(part) for part in modules.decompose(E)))
                            for E in middles)
             assert u.middle_summands(i, j) == oracle, (i, j)
-            nonsplit += len(middles) - 1
+            nonsplit += len(middles)
     assert nonsplit > 0
 
 
@@ -826,24 +826,26 @@ COVER_CASES = pytest.mark.parametrize(
 @COVER_CASES
 def test_covers_are_read_off_tau_and_tested_once(monkeypatch, q):
     """Each certificate tests each member outside its cover once, with the
-    cover as the generators, and no other generation test is made; find_cover
-    makes none at all; and the cover is what one pass of _drop_generated
-    keeps over the members of the class."""
+    cover as the generators, and no other generation test is made, nor
+    memoized in the universe; find_cover makes none at all; and the cover is
+    what one pass of _drop_generated keeps over the members of the class."""
     tested = []
-    real = tors.ModuleUniverse.generated
+    real = tors.in_gen_closure
 
-    def spy(self, gens, member):
-        tested.append((gens, member))
-        return real(self, gens, member)
+    def spy(gens, N, hom=None):
+        tested.append((gens, N))
+        return real(gens, N, hom)
 
-    monkeypatch.setattr(tors.ModuleUniverse, "generated", spy)
+    monkeypatch.setattr(tors, "in_gen_closure", spy)
     u = universe(q)
     classes, _ = enumerate_torsion_classes(u)
     torsion_closure(u, frozenset())     # the one class no enumeration step asks for
     covers = u._covers
     assert set(covers) == set(classes)
-    assert Counter(tested) == Counter(
+    assert Counter((frozenset(u._index[id(g)] for g in gens), u._index[id(N)])
+                   for gens, N in tested) == Counter(
         (covers[t], m) for t in classes for m in range(len(u)) if m not in covers[t])
+    assert u._gen == {}
 
     def refuse(*args):
         raise AssertionError("find_cover made a generation test")

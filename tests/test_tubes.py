@@ -114,8 +114,8 @@ def reference_tube_serial(tube, top_index, length):
         top = layers[k]
         require(ext_dim(top, current) == 1, "serial step is not unique")
         middles = middle_terms(top, current)
-        require(len(middles) == 2, "expected exactly the split and one nonsplit middle")
-        current = middles[1]
+        require(len(middles) == 1, "expected exactly one nonsplit middle")
+        current = middles[0]
     return current
 
 
