@@ -12,8 +12,12 @@ Subcommands and the flags each one reads (every one takes --out FILE):
   run nocover FILE     no-cover evidence along an extension cycle;
                        --prime, --seed, --loewy-bound, --format {text,json}
 
-A flag that a subcommand does not read, or --format dot where there is no
-graph, makes argparse exit 2 before any quiver is loaded; a --prime,
+Arguments are parsed from one command table, COMMANDS, which also generates
+the help (-h or --help at any level; exit 0).  A command takes one QUIVER and
+only its own options, each named in full, as --flag value or --flag=value.
+A flag that a subcommand does not read, a missing or non-integer value,
+--format dot where there is no graph, or an unknown command prints a usage
+line and an error and exits 2 before any quiver is loaded; a --prime,
 --dim-bound or --loewy-bound out of range exits 2 at the same point.
 
 Exit codes: 0 verified, 1 verification failed, 2 bad input, 3 inconclusive,
@@ -24,10 +28,10 @@ keys and no timestamps.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
+from types import SimpleNamespace
 
 from . import linalg as la
 from .quiver import (
@@ -369,60 +373,148 @@ def cmd_nocover(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# The command table: every run is parsed from it and its help is generated
+# from it.  Each flag takes an integer: (default, help).
 FLAGS = {
-    "--prime": dict(type=int, default=5, help="field size (default 5)"),
-    "--seed": dict(type=int, default=0, help="seed of the sampled modules: the bounded "
-                   "two-vertex universe, real roots with no thin brick (default 0)"),
-    "--dim-bound": dict(type=int, default=12,
-                        help="total dimension bound for bounded checks, at least 1 "
-                             "(default 12)"),
-    "--loewy-bound": dict(type=int, default=4,
-                          help="layer bound for no-cover evidence, at least 2 (default 4)"),
+    "--prime": (5, "field size, a prime below 2^31"),
+    "--seed": (0, "seed of the sampled modules"),
+    "--dim-bound": (12, "total dimension bound for bounded checks, at least 1"),
+    "--loewy-bound": (4, "layer bound for no-cover evidence, at least 2"),
 }
 TEXT_JSON = ("text", "json")
 WITH_DOT = ("text", "json", "dot")
 
-# (name, handler, help, formats, flags): each handler reads exactly its flags,
-# except that knit never reads --seed; it keeps it because the benchmark
-# appends --seed to every command it runs.
-RUN_TASKS = (
-    ("knit", cmd_knit, "knit the AR quiver", WITH_DOT, ("--prime", "--seed")),
-    ("tors", cmd_tors, "torsion class poset and lattice check", WITH_DOT,
-     ("--prime", "--seed", "--dim-bound")),
-    ("extpair", cmd_extpair, "find a verified double-extension pair", TEXT_JSON,
-     ("--prime", "--seed")),
-    ("nocover", cmd_nocover, "no-cover evidence along a cycle", TEXT_JSON,
-     ("--prime", "--seed", "--loewy-bound")),
-)
+# command path: (handler, help, formats, flags).  Each handler reads exactly
+# its flags, except that knit never reads --seed; it keeps it because the
+# benchmark appends --seed to every command it runs.
+COMMANDS = {
+    "classify": (cmd_classify, "exact representation type", TEXT_JSON, ()),
+    "run knit": (cmd_knit, "knit the AR quiver", WITH_DOT, ("--prime", "--seed")),
+    "run tors": (cmd_tors, "torsion class poset and lattice check", WITH_DOT,
+                 ("--prime", "--seed", "--dim-bound")),
+    "run extpair": (cmd_extpair, "find a verified double-extension pair", TEXT_JSON,
+                    ("--prime", "--seed")),
+    "run nocover": (cmd_nocover, "no-cover evidence along a cycle", TEXT_JSON,
+                    ("--prime", "--seed", "--loewy-bound")),
+}
+HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ftors",
-        description="exact torsion-class toolkit for quiver representations over F_p")
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """Arguments that the command table refuses, found at the given command
+    path; main reports it with the path's usage line and exits 2."""
 
-    def declare(p, func, formats, flags):
-        p.add_argument("quiver", help="quiver file (text or JSON)")
-        for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", default=None, help="write the report to a file")
-        p.set_defaults(func=func)
+    def __init__(self, path: str, message: str):
+        super().__init__(message)
+        self.path = path
 
-    declare(sub.add_parser("classify", help="exact representation type"),
-            cmd_classify, TEXT_JSON, ())
-    runsub = sub.add_parser("run", help="run a verification task").add_subparsers(
-        dest="task", required=True)
-    for name, func, text, formats, flags in RUN_TASKS:
-        declare(runsub.add_parser(name, help=text), func, formats, flags)
-    return parser
+
+def _under(path: str) -> list[str]:
+    """The command paths that path names or begins."""
+    return [c for c in COMMANDS if not path or c == path or c.startswith(path + " ")]
+
+
+def _choices(path: str) -> list[str]:
+    """The words that can follow path, a prefix of command paths."""
+    return list(dict.fromkeys(c[len(path):].split()[0] for c in _under(path)))
+
+
+def _options(path: str) -> list[tuple[str, str]]:
+    """(option with its value, help) of each option the command takes."""
+    _, _, formats, flags = COMMANDS[path]
+    return ([(f"{flag} N", "{1} (default {0})".format(*FLAGS[flag])) for flag in flags]
+            + [(f"--format {{{','.join(formats)}}}", "report format (default text)"),
+               ("--out FILE", "write the report to FILE (default stdout)")])
+
+
+def _usage(path: str) -> str:
+    if path in COMMANDS:
+        return f"usage: ftors {path} [-h] QUIVER " + " ".join(
+            f"[{option}]" for option, _ in _options(path))
+    return f"usage: {f'ftors {path}'.rstrip()} [-h] {{{','.join(_choices(path))}}} ..."
+
+
+def _help(path: str) -> str:
+    """Help for every command under path: its usage, what it does, and each
+    option with its default."""
+    lines = [_usage(path), "",
+             "exact torsion-class toolkit for quiver representations over F_p",
+             "QUIVER is a quiver file (text or JSON)"]
+    for command in _under(path):
+        lines += ["", f"ftors {command} QUIVER: {COMMANDS[command][1]}"]
+        lines += [f"  {option:<26}{text}" for option, text in _options(command)]
+    lines += ["", "exit codes: 0 verified, 1 verification failed, 2 bad input, "
+                  "3 inconclusive, 4 input/output error, 5 internal error"]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: list[str]):
+    """(command path, arguments) read off the command table; the arguments
+    are None when help is asked for.  Raises UsageError on anything else
+    than the command words, one QUIVER and the command's own options."""
+    path, rest = "", list(argv)
+    while path not in COMMANDS:
+        what, words = "task" if path else "command", _choices(path)
+        if not rest:
+            raise UsageError(path, f"the following arguments are required: {what}")
+        word = rest.pop(0)
+        if word in HELP:
+            return path, None
+        if word not in words:
+            raise UsageError(path, f"argument {what}: invalid choice: {word!r} "
+                                   f"(choose from {', '.join(map(repr, words))})")
+        path = f"{path} {word}".lstrip()
+    _, _, formats, flags = COMMANDS[path]
+    values = {"--format": "text", "--out": None, **{flag: FLAGS[flag][0] for flag in flags}}
+    quiver, extra = None, []
+    while rest:
+        token = rest.pop(0)
+        if token in HELP:
+            return path, None
+        if not token.startswith("-"):
+            if quiver is None:
+                quiver = token
+            else:
+                extra.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in values:
+            extra.append(token)
+            continue
+        if not eq:
+            # a negative number is a value; any other dash word is an option
+            if not rest or rest[0].startswith("-") and not rest[0][1:].isdigit():
+                raise UsageError(path, f"argument {flag}: expected one argument")
+            value = rest.pop(0)
+        if flag == "--format" and value not in formats:
+            raise UsageError(path, f"argument --format: invalid choice: {value!r} "
+                                   f"(choose from {', '.join(map(repr, formats))})")
+        if flag in FLAGS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(path, f"argument {flag}: invalid int value: "
+                                       f"{value!r}") from None
+        values[flag] = value
+    if quiver is None:
+        raise UsageError(path, "the following arguments are required: quiver")
+    if extra:
+        raise UsageError(path, f"unrecognized arguments: {' '.join(extra)}")
+    return path, SimpleNamespace(quiver=quiver, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "prime" in args:
+    try:
+        path, args = _parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(_usage(exc.path), file=sys.stderr)
+        print(f"{f'ftors {exc.path}'.rstrip()}: error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args is None:
+        sys.stdout.write(_help(path))
+        return EXIT_OK
+    if hasattr(args, "prime"):
         try:
             la.check_prime(args.prime)
         except ValueError as exc:
@@ -434,7 +526,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_BAD_INPUT
     try:
-        return args.func(args)
+        return COMMANDS[path][0](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -10,8 +10,8 @@ Path algebras are the quivers whose arrows all carry valuation (1, 1); parallel
 arrows are allowed and meaningful.  Valued arrows participate only in
 numerical (Euler-form level) computations.
 
-Each exact routine exists once: one elimination over the rationals
-(`gauss_jordan`, also used by the integer inverse in `roots`), one
+Each exact routine exists once: one fraction-free elimination over the
+integers (`gauss_jordan`, also used by the integer inverse in `roots`), one
 topological sort (`_kahn`, which also detects oriented cycles), and one
 graph walk over one adjacency (`_spanning_tree` on `neighbors`, which checks
 connectivity and propagates the symmetrizer; `_arms` walks the arms of a
@@ -21,7 +21,6 @@ tree for the type letters and the tame subtrees of `ext_pairs`).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
 from math import gcd, lcm
@@ -371,48 +370,52 @@ class QuiverType:
         return f"{self.letter}~{self.rank}"
 
 
-def gauss_jordan(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals: the nonzero rows and
-    their pivot columns."""
-    m = [row[:] for row in rows]
+def gauss_jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over the integers: the nonzero
+    rows and their pivot columns.  Row k is a nonzero integer multiple of
+    row k of the reduced row echelon form over the rationals, so it is zero
+    at every other pivot column; dividing each combined row by the gcd of
+    its entries keeps the entries small."""
+    m = [list(row) for row in rows]
     pivots: list[int] = []
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        piv = m[r][col]
-        m[r] = [x / piv for x in m[r]]
+        piv = m[r]
         for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][col]
+            if i != r and f:
+                row = [piv[col] * x - f * y for x, y in zip(m[i], piv)]
+                g = gcd(*row) or 1
+                m[i] = [x // g for x in row]
         pivots.append(col)
     return m[:len(pivots)], pivots
 
 
-def _rational_kernel(c: list[list[int]]) -> list[list[Fraction]]:
-    """Exact kernel basis of a small integer matrix, over the rationals."""
+def _rational_kernel(c: list[list[int]]) -> list[list[int]]:
+    """Exact kernel basis over the rationals of a small integer matrix, as
+    integer vectors."""
     ncols = len(c[0])
-    rows, pivots = gauss_jordan([[Fraction(x) for x in row] for row in c])
+    rows, pivots = gauss_jordan(c)
+    scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec = [0] * ncols
+        vec[f] = scale
         for row, pc in zip(rows, pivots):
-            vec[pc] = -row[f]
+            vec[pc] = -row[f] * scale // row[pc]
         basis.append(vec)
     return basis
 
 
-def _primitive(vec) -> list[int]:
-    """The primitive integer multiple of a nonzero rational vector whose
-    first nonzero entry is positive."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
+def _primitive(ints) -> list[int]:
+    """The primitive multiple of a nonzero integer vector whose first
+    nonzero entry is positive."""
     g = gcd(*ints)
     if next(x for x in ints if x) < 0:
         g = -g
@@ -431,9 +434,13 @@ def _symmetrized(q: ValuedQuiver) -> list[list[int]]:
     for ar in q.arrows:
         aij[ar.source][ar.target] += ar.a
         aij[ar.target][ar.source] += ar.b
-    d = [Fraction(1)] * n
+    # integer symmetrizers: rescale those found so far to make d[j] whole
+    d = [1] * n
     for i, j in _spanning_tree(neighbors(q)):
-        d[j] = d[i] * Fraction(aij[i][j], aij[j][i])
+        num, den = d[i] * aij[i][j], aij[j][i]
+        g = gcd(num, den)
+        d = [x * (den // g) for x in d]
+        d[j] = num // g
     for i in range(n):
         for j in range(n):
             if aij[i][j] and d[i] * aij[i][j] != d[j] * aij[j][i]:

@@ -10,7 +10,6 @@ this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import gcd
 from operator import mul
@@ -65,11 +64,12 @@ def quadratic_form(q: ValuedQuiver, x) -> int:
 def _int_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix that is unimodular over Z."""
     n = len(m)
-    rows, pivots = gauss_jordan([[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+    rows, pivots = gauss_jordan([[*row, *(int(i == j) for j in range(n))]
                                  for i, row in enumerate(m)])
-    if pivots != list(range(n)) or any(x.denominator != 1 for row in rows for x in row[n:]):
+    if pivots != list(range(n)) or any(x % row[k] for k, row in enumerate(rows)
+                                       for x in row[n:]):
         raise ValueError("matrix is not unimodular over the integers")
-    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
+    return tuple(tuple(x // row[k] for x in row[n:]) for k, row in enumerate(rows))
 
 
 @cache

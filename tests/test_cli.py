@@ -1,6 +1,5 @@
 """The command line surface: exit codes, formats, determinism."""
 
-import argparse
 import ast
 import inspect
 import json
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ftors.cli import build_parser, main
+from ftors.cli import COMMANDS, FLAGS, main
 from ftors.modules import rep_from_json
 from ftors.ext_pairs import verify_ext_pair
 from ftors.quiver import load_quiver
@@ -64,13 +63,13 @@ def test_classify_json_kronecker_is_lattice(capsys):
 
 
 def rejected(capsys, *argv) -> str:
-    """argparse refuses the arguments with exit 2; returns its stderr."""
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    out = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out.out == ""
-    return out.err
+    """The command table refuses the arguments with exit 2 and a usage line;
+    returns the stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: ftors ")
+    return err
 
 
 def test_classify_rejects_dot(capsys):
@@ -161,17 +160,10 @@ def test_nocover_rejects_dot(capsys, monkeypatch):
 
 
 def subcommands():
-    """(name, parser) of each subcommand: classify and every run task."""
-    def children(parser):
-        [action] = [a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)]
-        return action.choices.items()
-
-    for name, parser in children(build_parser()):
-        if name == "run":
-            yield from ((f"run {task}", p) for task, p in children(parser))
-        else:
-            yield name, parser
+    """(name, handler, formats, flags) of each subcommand: classify and every
+    run task, as the command table declares them."""
+    for name, (handler, _, formats, flags) in COMMANDS.items():
+        yield name, handler, formats, flags
 
 
 def args_read(func) -> set:
@@ -187,13 +179,13 @@ def test_each_subcommand_declares_exactly_the_flags_it_reads():
     ignored.  The one exception is --seed of run knit, which the benchmark
     appends to every command."""
     options = formats = 0
-    for name, parser in subcommands():
-        dests = {a.dest for a in parser._actions if a.dest not in ("help", "quiver")}
-        reads = args_read(parser.get_default("func"))
+    for name, handler, choices, flags in subcommands():
+        dests = {flag[2:].replace("-", "_") for flag in flags} | {"format", "out"}
+        reads = args_read(handler)
         assert "quiver" in reads and reads - {"quiver"} <= dests, name
         assert dests - reads == ({"seed"} if name == "run knit" else set()), name
         options += len(dests)
-        formats += len(parser._option_string_actions["--format"].choices)
+        formats += len(choices)
     assert (options, formats) == (20, 12)
 
 
@@ -216,6 +208,85 @@ def test_unread_flag_exits_2_before_load(capsys, monkeypatch, command, flag, val
     err = rejected(capsys, *command.split(), A2TILDE, flag, value)
     assert (f"unrecognized arguments: {flag} {value}" in err
             or f"invalid choice: '{value}'" in err)
+
+
+USAGE_ERRORS = [
+    ((), "the following arguments are required: command"),
+    (("frob", A2), "argument command: invalid choice: 'frob' (choose from 'classify', 'run')"),
+    (("run",), "the following arguments are required: task"),
+    (("run", "frob", A2), "argument task: invalid choice: 'frob' "
+                          "(choose from 'knit', 'tors', 'extpair', 'nocover')"),
+    (("run", "tors", "--prime", "5"), "the following arguments are required: quiver"),
+    (("run", "tors", A2, A3), f"unrecognized arguments: {A3}"),
+    (("run", "tors", A2, "--prime", "x"), "argument --prime: invalid int value: 'x'"),
+    (("run", "tors", A2, "--dim-bound=1.5"), "argument --dim-bound: invalid int value: '1.5'"),
+    (("run", "tors", A2, "--prime"), "argument --prime: expected one argument"),
+    (("run", "tors", A2, "--format", "--seed", "1"), "argument --format: expected one argument"),
+    (("run", "extpair", A2, "--format=dot"), "argument --format: invalid choice: 'dot' "
+                                            "(choose from 'text', 'json')"),
+    (("classify", A2, "--prime=5"), "unrecognized arguments: --prime=5"),
+    # options are named in full: argparse's abbreviations are gone
+    (("run", "tors", A2, "--dim", "6"), "unrecognized arguments: --dim 6"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(a).replace(A2, "A2").replace(A3, "A3") or "empty"
+                              for a, _ in USAGE_ERRORS])
+def test_usage_error_exits_2_before_load(capsys, monkeypatch, argv, message):
+    """Each usage error prints the usage line of the command reached and one
+    error line, and exits 2 before any quiver is read."""
+    monkeypatch.setattr("ftors.cli._load", _never_called)
+    err = rejected(capsys, *argv)
+    usage, error = err.splitlines()
+    prog, _, text = error.partition(": error: ")
+    assert text == message
+    assert usage.startswith(f"usage: {prog} [-h] ")
+
+
+def test_option_with_equals_sign_matches_separate_value(capsys):
+    spaced = run(capsys, "run", "tors", KRONECKER, "--dim-bound", "6", "--prime", "7",
+                 "--format", "json")
+    joined = run(capsys, "run", "tors", KRONECKER, "--dim-bound=6", "--prime=7", "--format=json")
+    assert joined == spaced and spaced[0] == 0
+    assert json.loads(spaced[1])["mode"] == "bounded"
+
+
+def test_console_script_path_reads_sys_argv(capsys):
+    """With argv None, main reads sys.argv, as the ftors console script and
+    python -m ftors.cli do."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ftors.cli", "classify", A2],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, "classify", A2)
+
+
+@pytest.mark.parametrize("path", ["", "run", *COMMANDS], ids=lambda p: p or "top")
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_option_with_its_default(capsys, monkeypatch, path, flag):
+    """Help at the top, at run and at each command is generated from the
+    command table: every command under the path gets one block, naming each
+    of its options with its default.  A help flag after the quiver still
+    gives help, and nothing is loaded."""
+    monkeypatch.setattr("ftors.cli._load", _never_called)
+    argv = [*path.split(), *([A2] if path in COMMANDS else []), flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: ftors {path + ' ' if path else ''}[-h] ")
+    blocks = {block.split(" QUIVER:")[0]: block.splitlines()[1:]
+              for block in out.split("\n\n") if " QUIVER:" in block}
+    under = [c for c in COMMANDS if c == path or c.startswith(path)]
+    assert list(blocks) == [f"ftors {c}" for c in under]
+    for command in under:
+        _, _, formats, flags = COMMANDS[command]
+        options = [(f"{f} N", f"(default {FLAGS[f][0]})") for f in flags]
+        options += [(f"--format {{{','.join(formats)}}}", "(default text)"),
+                    ("--out FILE", "(default stdout)")]
+        lines = blocks[f"ftors {command}"]
+        assert len(lines) == len(options), command
+        for line, (option, default) in zip(lines, options):
+            assert line.split()[:len(option.split())] == option.split(), command
+            assert line.endswith(default), command
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
@@ -518,6 +589,21 @@ def test_certificate_checks_survive_python_O(patch, argv, prefix):
     assert_verification_failure(run_optimized(patch, *argv), prefix)
 
 
+def test_usage_errors_survive_python_O():
+    """No usage check rests on assert: under python -O an undeclared flag
+    and a bad --format still exit 2 with their messages, before any quiver
+    is read."""
+    patch = ("def never(*args):\n"
+             "    raise SystemExit('a quiver was loaded')\n"
+             "cli._load = never")
+    for argv, message in ((("classify", A2, "--prime", "5"), "unrecognized arguments: --prime 5"),
+                          (("run", "extpair", A2TILDE, "--format", "dot"),
+                           "argument --format: invalid choice: 'dot'")):
+        proc = run_optimized(patch, *argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.startswith("usage: ftors ") and message in proc.stderr
+
+
 def test_no_assert_in_the_package():
     """Checks go through require, which python -O keeps: the package holds
     no assert statement and raises no AssertionError."""
@@ -544,7 +630,7 @@ def test_no_run_imports_numpy(tmp_path):
     ]
     runs = [[*argv, "--out", str(tmp_path / f"{n}.out")] for n, argv in enumerate(runs)]
     script = ("import json, sys\n"
-              "from ftors.cli import build_parser, main\n"
+              "from ftors.cli import main\n"
               "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
               "print(json.dumps([codes, 'numpy' in sys.modules, 'numpy.random' in sys.modules]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -554,21 +640,37 @@ def test_no_run_imports_numpy(tmp_path):
     assert json.loads(proc.stdout) == [[0] * len(runs), False, False]
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """The records are plain classes, so start-up stays off dataclasses and
-    the inspect, ast and dis modules it imports: compared with a bare
-    interpreter, a fresh import of ftors.cli adds neither to sys.modules."""
+def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """Start-up stays off the modules that cost a fresh interpreter most.
+    The records are plain classes, so no dataclasses (with inspect, ast and
+    dis); the command line is parsed from the command table, so no argparse
+    (with gettext, which loads locale only when arguments are parsed); exact
+    rational work is done in integers, so no fractions (with decimal and
+    numbers).  Compared with a bare interpreter, neither a fresh import of
+    ftors.cli nor a run of run tors after it, in the same process, adds any
+    of them to sys.modules."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["run", "tors", A3, "--format", "json", "--out", str(tmp_path / "a3.json")]
 
-    def loaded(code: str) -> set[str]:
-        proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
-                              capture_output=True, text=True, env=env, timeout=120)
+    def loaded(code: str) -> list[set[str]]:
+        script = ("import json, sys\n"
+                  "seen = []\n"
+                  f"{code}\n"
+                  "print(json.dumps(seen + [sorted(sys.modules)]))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
+        return [set(names) for names in json.loads(proc.stdout)]
 
-    added = loaded("import ftors.cli") - loaded("pass")
-    assert "ftors.cli" in added
-    assert not {"dataclasses", "inspect"} & added
+    [bare] = loaded("pass")
+    imported, ran = loaded("import ftors.cli\n"
+                           "seen.append(sorted(sys.modules))\n"
+                           f"assert ftors.cli.main({argv!r}) == 0")
+    assert "ftors.cli" in imported - bare and "ftors.tors" in ran - bare
+    heavy = {"dataclasses", "inspect", "argparse", "gettext", "locale",
+             "fractions", "decimal", "numbers"}
+    assert not heavy & (imported - bare)
+    assert not heavy & (ran - bare)
 
 
 def test_no_numpy_in_the_package():
