@@ -13,9 +13,9 @@ equal <x, y>; the others are the zero spaces the theory says they are.
 
 Irreducible-map multiplicities are computed honestly as dim rad / rad^2
 of the solved Hom spaces, not read off mesh shapes: the composites through
-each intermediate module are reduced into a growing echelon basis of
-rad^2.  The mesh dimension identity is checked at every non-projective
-vertex.
+each intermediate module k are reduced into a growing echelon basis of
+rad^2, and each basis of Hom(i, k) is transposed at most once per source
+i.  The mesh dimension identity is checked at every non-projective vertex.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .modules import (
     Representation,
     ar_translate_inverse,
     hom_basis,
-    injective,
+    paths_from,
     projective,
     require,
 )
@@ -101,14 +101,11 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
         by_dims[dims] = idx
         return idx
 
-    projectives: list[int] = []
-    frontier: list[int] = []
-    for v in order:
-        idx = add(projective(q, p, v))
-        projectives.append(idx)
-        frontier.append(idx)
+    projectives = [add(projective(q, p, v)) for v in order]
+    frontier = list(projectives)
 
-    injective_dims = {injective(q, p, v).dims: v for v in range(q.n)}
+    # I(v) at u is spanned by the paths u -> v, as modules.injective builds it
+    injective_dims = {tuple(len(paths_from(q, u)[v]) for u in range(q.n)): v for v in range(q.n)}
     injectives_found: dict[int, int] = {}
 
     while frontier:
@@ -157,6 +154,7 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
     arrows: dict[tuple[int, int], int] = {}
     after = [[k for k, e in enumerate(row) if e > 0] for row in euler]
     for i, succ in enumerate(after):
+        fts: dict[int, list] = {}      # k -> the basis of Hom(i, k), transposed when first used
         for j in succ:
             if i == j:
                 continue
@@ -166,10 +164,11 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
             for k in succ:
                 if k == i or k == j or euler[k][j] <= 0:
                     continue
-                fts = [[transpose(m) for m in f] for f in homs[(i, k)].basis]
+                if k not in fts:
+                    fts[k] = [[transpose(m) for m in f] for f in homs[(i, k)].basis]
                 comps = [[sum(map(mul, row, col)) % p for gv, ftv in zip(g, ft)
                           for row in gv for col in ftv]
-                         for g in homs[(k, j)].basis for ft in fts]
+                         for g in homs[(k, j)].basis for ft in fts[k]]
                 r2 = grow_rank(echelon, comps, p)
                 if r2 >= h.dim:
                     break

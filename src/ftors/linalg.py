@@ -58,6 +58,7 @@ def matrix(rows, p: int, cols: int = 0) -> Matrix:
     return m
 
 
+@cache       # a Matrix is never changed, so one per shape serves every caller
 def zeros(rows: int, cols: int) -> Matrix:
     return from_rows(((0,) * cols,) * rows, cols)
 

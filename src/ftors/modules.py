@@ -7,7 +7,7 @@ the hereditary identity, trace submodules and generation tests, Fitting
 decomposition that splits or proves locality from the basis of End(M) and
 otherwise says it is inconclusive, an isomorphism test and normalization on
 top of it, reflection functors, the translates DTr and TrD as Coxeter
-functors twisted by the sign automorphism that negates every arrow,
+functors twisted by negating every arrow, reflected raw and validated once,
 universal extensions by simples, and extension middle terms, one per line of
 P(Ext).  Only random_rep draws random numbers, from the generator it is
 passed.  Both extension constructions read Ext off the standard
@@ -283,7 +283,7 @@ def _intertwiner_rows(X: Representation, Y: Representation) -> tuple[list[list[i
     -Y_k[i, j] at unknown f_s[j, a].  Its kernel is Hom(X, Y) and its
     cokernel Ext(X, Y) (the standard resolution).
     """
-    if X.quiver != Y.quiver or X.p != Y.p:
+    if (X.quiver is not Y.quiver and X.quiver != Y.quiver) or X.p != Y.p:
         raise ValueError("modules live over different quivers or moduli")
     q, p = X.quiver, X.p
     offs = [0]
@@ -294,6 +294,8 @@ def _intertwiner_rows(X: Representation, Y: Representation) -> tuple[list[list[i
     for k, ar in enumerate(q.arrows):
         s, t = ar.source, ar.target
         xs, xt, ys = X.dims[s], X.dims[t], Y.dims[s]
+        if not xs:
+            continue
         xk, yk = X.mats[k], Y.mats[k]
         for i in range(Y.dims[t]):
             ft = offs[t] + i * xt
@@ -315,8 +317,6 @@ def hom_basis(X: Representation, Y: Representation) -> HomSpace:
     """
     rows, offs = _intertwiner_rows(X, Y)
     p, cols = X.p, offs[-1]
-    if not cols:
-        return HomSpace(X, Y, ())
     pivots = la._eliminate(rows, cols, p)
     if len(pivots) == cols:
         return HomSpace(X, Y, ())
@@ -347,11 +347,12 @@ def morphism_flat(f: tuple[Matrix, ...]) -> tuple[int, ...]:
 
 def _unflatten(flat, shapes) -> tuple[Matrix, ...]:
     """The morphism whose entries morphism_flat lists, one matrix per shape."""
-    out, off = [], 0
+    flat, out, off = tuple(flat), [], 0
     for rows, cols in shapes:
-        out.append(la.from_rows([tuple(flat[off + r * cols:off + (r + 1) * cols])
-                                 for r in range(rows)], cols))
-        off += rows * cols
+        end = off + rows * cols
+        out.append(la.from_rows([flat[r:r + cols] for r in range(off, end, cols)], cols)
+                   if end > off else la.zeros(rows, cols))
+        off = end
     return tuple(out)
 
 
@@ -677,43 +678,48 @@ def normalize(M: Representation) -> Representation:
 # ---------------------------------------------------------------------------
 # reflection functors
 
-def reflection_functor_apply(M: Representation, v: int) -> Representation:
-    """BGP reflection at a sink (kernel of the assembled map into v) or a
-    source (cokernel of the diagonal map out of v).  Copies of S(v) are
-    annihilated; everything else transports equivalently.  Any other vertex
-    raises QuiverError."""
-    q, p = M.quiver, M.p
+def _reflect(q: ValuedQuiver, p: int, dims, mats, v: int):
+    """One BGP reflection at v on raw (quiver, dims, mats), returned as such;
+    every block stays a Matrix, so empty ones keep their shapes."""
     rq, perm = reflect_with_perm(q, v)
-    new_dims = list(M.dims)
+    new_dims = list(dims)
     new_mats: list = [None] * q.m
+    for k, m in enumerate(mats):        # arrows away from v carry over
+        new_mats[perm[k]] = m
     if is_sink(q, v):
         ins = arrows_in(q, v)
-        blocks = [M.mats[k] for k, _ in ins]
-        assembled = la.hstack(blocks) if blocks else la.zeros(M.dims[v], 0)
+        blocks = [mats[k] for k, _ in ins]
+        assembled = la.hstack(blocks) if blocks else la.zeros(dims[v], 0)
         ker = la.kernel_basis(assembled, p)
-        new_dims[v] = ker.shape[1]
+        new_dims[v] = width = ker.shape[1]
         off = 0
         for k, ar in ins:
-            d = M.dims[ar.source]
-            new_mats[perm[k]] = ker[off:off + d]
+            d = dims[ar.source]
+            new_mats[perm[k]] = la.from_rows(ker[off:off + d], width)
             off += d
     else:
         outs = arrows_out(q, v)
-        blocks = [M.mats[k] for k, _ in outs]
-        assembled = la.vstack(blocks) if blocks else la.zeros(0, M.dims[v])
+        blocks = [mats[k] for k, _ in outs]
+        assembled = la.vstack(blocks) if blocks else la.zeros(0, dims[v])
         # the reduced echelon basis of the left null space: the projection
         # _complement would build, from fewer and narrower eliminations
         proj = la.rref(la.transpose(la.kernel_basis(la.transpose(assembled), p)), p)[0]
         new_dims[v] = len(proj)
         off = 0
         for k, ar in outs:
-            d = M.dims[ar.target]
-            new_mats[perm[k]] = [row[off:off + d] for row in proj]
+            d = dims[ar.target]
+            new_mats[perm[k]] = la.from_rows([row[off:off + d] for row in proj], d)
             off += d
-    for k in range(q.m):
-        if new_mats[perm[k]] is None:
-            new_mats[perm[k]] = M.mats[k]
-    return make_rep(rq, p, new_dims, new_mats)
+    return rq, new_dims, new_mats
+
+
+def reflection_functor_apply(M: Representation, v: int) -> Representation:
+    """BGP reflection at a sink (kernel of the assembled map into v) or a
+    source (cokernel of the diagonal map out of v).  Copies of S(v) are
+    annihilated; everything else transports equivalently.  Any other vertex
+    raises QuiverError."""
+    rq, dims, mats = _reflect(M.quiver, M.p, M.dims, M.mats, v)
+    return make_rep(rq, M.p, dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -725,13 +731,17 @@ def _twisted_coxeter(M: Representation, order, undefined: str) -> Representation
     Over an acyclic quiver the Coxeter functors agree with DTr and TrD up to
     the automorphism that negates every arrow (Bernstein-Gelfand-Ponomarev);
     without the negation a homogeneous module M_t of the triangle would go
-    to M_-t.  A zero result raises ValueError(undefined).
+    to M_-t.  A zero result raises ValueError(undefined).  The reflections
+    run on raw data through _reflect; one at every vertex brings back the
+    quiver of M, so the result is validated once, on M's own quiver object.
     """
+    q, dims, mats = M.quiver, M.dims, M.mats
     for v in order:
-        M = reflection_functor_apply(M, v)
-    if M.total == 0:
+        q, dims, mats = _reflect(q, M.p, dims, mats, v)
+    require(q == M.quiver, "the reflections did not bring back the quiver")
+    if not any(dims):
         raise ValueError(undefined)
-    return make_rep(M.quiver, M.p, M.dims, [[[-x for x in row] for row in m] for m in M.mats])
+    return make_rep(M.quiver, M.p, dims, [[[-x for x in row] for row in m] for m in mats])
 
 
 def ar_translate(M: Representation) -> Representation:

@@ -5,17 +5,21 @@ import pytest
 
 from ftors.ar_quiver import ar_quiver_dot, knit_ar_quiver
 from ftors.linalg import rank
+from ftors import modules
 from ftors.modules import (
     ar_translate,
+    ar_translate_inverse,
     compose,
     ext_dim,
     hom_basis,
     hom_dim,
     is_isomorphic,
+    make_rep,
     morphism_flat,
     projective,
+    reflection_functor_apply,
 )
-from ftors.quiver import parse_quiver
+from ftors.quiver import parse_quiver, topological_order
 from ftors.roots import euler_form, positive_roots
 from test_tors import count_homs, member_pairs
 
@@ -141,6 +145,45 @@ def test_knit_solves_exactly_the_pairs_with_positive_euler_form(q, monkeypatch):
     assert 0 < len(solved) < len(mods) ** 2
     assert sum(counts.values()) == len(solved)
     assert member_pairs(counts, mods) == solved
+
+
+def _reflected_and_negated(M, order):
+    """The public reflections at each vertex of order, then every arrow negated."""
+    for v in order:
+        M = reflection_functor_apply(M, v)
+    return make_rep(M.quiver, M.p, M.dims, [[[-x for x in row] for row in m] for m in M.mats])
+
+
+@KNIT_CASES
+def test_translates_match_the_public_reflections(q, monkeypatch):
+    """Both translates of every knitted module they are defined on equal,
+    matrix for matrix, the public reflection functors followed by the sign
+    twist, and each translate builds exactly one Representation."""
+    ar = knit_ar_quiver(q, 5)
+    order = topological_order(q)
+    cases = [(ar_translate_inverse, order, ar.injectives),
+             (ar_translate, order[::-1], ar.projectives)]
+    expected = [[(node.module, _reflected_and_negated(node.module, vertices))
+                 for node in ar.nodes if node.index not in skip]
+                for _, vertices, skip in cases]
+    built = []
+    real = modules.make_rep
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "make_rep", counted)
+    for (translate, _, _), pairs in zip(cases, expected):
+        assert pairs
+        for M, want in pairs:
+            built.clear()
+            got = translate(M)
+            assert len(built) == 1
+            assert got.quiver is M.quiver and got.quiver == want.quiver
+            assert got.dims == want.dims
+            assert [m.shape for m in got.mats] == [m.shape for m in want.mats]
+            assert got.mats == want.mats
 
 
 def test_knitting_e7():

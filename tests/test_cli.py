@@ -91,6 +91,21 @@ def test_knit_formats(capsys):
     assert out.count("->") == 3
 
 
+@pytest.mark.parametrize("name", ["d4", "e6"])
+def test_knit_report_does_not_depend_on_the_prime(capsys, name):
+    """The knitted modules, maps and translates come out the same over every
+    prime field: only the prime key of the report tells them apart."""
+    reports = []
+    for prime in ("2", "5", "65537"):
+        code, out, _ = run(capsys, "run", "knit", str(QDIR / f"{name}.txt"),
+                           "--prime", prime, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop("prime") == int(prime)
+        reports.append(data)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_knit_rejects_infinite(capsys):
     code, _, err = run(capsys, "run", "knit", KRONECKER)
     assert code == 2
