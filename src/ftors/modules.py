@@ -251,25 +251,23 @@ def restrict_module(M: Representation, sub: Subquiver) -> Representation:
 # Hom and Ext
 
 class HomSpace:
-    __slots__ = ("source", "target", "basis", "__weakref__")
+    """Hom(source, target) as flat vectors in morphism_flat order; basis cuts
+    them into per-vertex matrices when first read, and dim never does."""
+    __slots__ = ("source", "target", "vectors", "_basis", "__weakref__")
 
-    def __init__(self, source: Representation, target: Representation,
-                 basis: tuple[tuple[Matrix, ...], ...]):
-        self.source, self.target, self.basis = source, target, basis
+    def __init__(self, source: Representation, target: Representation, vectors):
+        self.source, self.target, self.vectors, self._basis = source, target, vectors, None
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
-    def element(self, coeffs) -> tuple[Matrix, ...]:
-        """The combination of the basis maps with the given coefficients; only
-        the tests call it (the pushout reference, the brute-force isomorphism)."""
-        X, Y, p = self.source, self.target, self.source.p
-        flat = [0] * sum(x * y for x, y in zip(X.dims, Y.dims))
-        for c, f in zip(coeffs, self.basis):
-            for i, x in enumerate(morphism_flat(f)):
-                flat[i] += int(c) * x
-        return _unflatten([x % p for x in flat], list(zip(Y.dims, X.dims)))
+    @property
+    def basis(self) -> tuple[tuple[Matrix, ...], ...]:
+        if self._basis is None:
+            shapes = list(zip(self.target.dims, self.source.dims))
+            self._basis = tuple(_unflatten(vec, shapes) for vec in self.vectors)
+        return self._basis
 
 
 def _intertwiner_rows(X: Representation, Y: Representation) -> tuple[list[list[int]], list[int]]:
@@ -313,16 +311,11 @@ def hom_basis(X: Representation, Y: Representation) -> HomSpace:
     """Canonical echelonized basis of the intertwiner space Hom(X, Y).
 
     The system of _intertwiner_rows is eliminated by linalg._eliminate in
-    place, and each null vector is cut into the per-vertex matrices.
+    place, and its null vectors are kept for HomSpace to cut.
     """
     rows, offs = _intertwiner_rows(X, Y)
-    p, cols = X.p, offs[-1]
-    pivots = la._eliminate(rows, cols, p)
-    if len(pivots) == cols:
-        return HomSpace(X, Y, ())
-    shapes = list(zip(Y.dims, X.dims))
-    return HomSpace(X, Y, tuple(_unflatten(vec, shapes)
-                                for vec in la._null_vectors(rows, pivots, cols, p)))
+    cols = offs[-1]
+    return HomSpace(X, Y, la._null_vectors(rows, la._eliminate(rows, cols, X.p), cols, X.p))
 
 
 def hom_dim(X, Y) -> int:
@@ -473,10 +466,13 @@ def trace_submodule(gens, M: Representation, hom=None) -> TraceResult:
         gens = [gens]
     if hom is None:
         hom = hom_basis
-    maps = [f for G in gens for f in hom(G, M).basis]
-    bases = tuple(la.column_space_basis(la.hstack([f[v] for f in maps]), M.p) if maps
-                  else la.zeros(M.dims[v], 0) for v in range(M.quiver.n))
-    return TraceResult(M, bases)
+    return TraceResult(M, image_bases(M, [f for G in gens for f in hom(G, M).basis]))
+
+
+def image_bases(M: Representation, maps) -> tuple[Matrix, ...]:
+    """The span of the images of maps into M at each vertex, as canonical column bases."""
+    return tuple(la.column_space_basis(la.hstack([f[v] for f in maps]), M.p) if maps
+                 else la.zeros(M.dims[v], 0) for v in range(M.quiver.n))
 
 
 def generates(gens, M: Representation, hom=None) -> bool:

@@ -19,11 +19,10 @@ table, so peeled_closure peels there, bounded by monotonicity: K ⊆ G gives
 T(K) ⊆ T(G), and each cached peeled closure is exactly T(K) ∩ U.  The
 filtration evidence tests generation module by module.
 
-Each ModuleUniverse keeps a table of the Hom spaces between its members,
-filled on first use (a finite universe starts with the table its knitting
-built, where the Euler form decides the zero spaces), so the generation
-tests and the first peeling step compute each member pair at most once;
-only peeled quotients and outside modules reach hom_basis again.
+Each ModuleUniverse caches the Hom spaces between its members (a finite
+universe starts with the table its knitting built) and the per-pair facts
+read from them, so only peeled quotients and outside modules reach
+hom_basis again.
 
 Extension cycles, from a tube mouth or a double-extension pair, have one
 check (validate_ext_cycle) and one builder of serial objects (serial_object).
@@ -31,7 +30,10 @@ check (validate_ext_cycle) and one builder of serial objects (serial_object).
 
 from __future__ import annotations
 
+import itertools
 import random
+from functools import cached_property, reduce
+from operator import or_
 
 from .modules import (
     DecompositionInconclusive,
@@ -47,6 +49,7 @@ from .modules import (
     generates,
     hom_basis,
     hom_dim,
+    image_bases,
     injective,
     middle_terms,
     projective,
@@ -80,9 +83,22 @@ def in_torsion_closure(gens: list[Representation], N: Representation, hom=None) 
     return in_torsion_closure(gens, tr.carved.quot, hom)
 
 
-def in_gen_closure(gens: list[Representation], N: Representation, hom=None) -> bool:
-    """Is N a quotient of a finite sum of the generators?"""
-    return generates(gens, N, hom)
+def in_gen_closure(gens: list[Representation], N: Representation, hom=None,
+                   images=None) -> bool:
+    """Is N a quotient of a finite sum of the generators?
+
+    images(G, N), when given, supplies Im Hom(G, N) at each vertex; their
+    span, the trace, is full where one image is or where the stacked images
+    have full rank.  Otherwise hom supplies the Hom spaces of a trace.
+    """
+    if images is None:
+        return generates(gens, N, hom)
+    ims = [images(G, N) for G in gens]
+    for v, d in enumerate(N.dims):
+        bases = [im[v] for im in ims]
+        if d not in [b.shape[1] for b in bases] and la.rank(la.hstack(bases), N.p) < d:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +107,21 @@ def in_gen_closure(gens: list[Representation], N: Representation, hom=None) -> b
 class ModuleUniverse:
     """A finite list of pairwise nonisomorphic indecomposables with caches.
 
-    The caches live and die with the universe; the Hom table holds the Hom
-    space of each ordered pair of members once it has been asked for or
-    handed over at construction.  A finite universe also holds hom_rows,
-    the table as bitmasks (bit j of row i is set when Hom(i, j) != 0), and
-    tau, each member's translate (None at a projective).
+    Each cache is filled on first use and lives with the universe: _homs
+    holds the Hom space of each ordered pair of members (a finite universe
+    is handed its table), _images its image at each vertex, _middles the
+    summands of the pair's middle terms, _middle_masks those as one bitmask
+    per pair with Ext != 0 (all pairs at once), _covers each certified
+    class's cover, and _gen and _peeled a sampled universe's tests.  A
+    finite universe also holds hom_rows, the table as bitmasks (bit j of
+    row i is set when Hom(i, j) != 0), and tau, each member's translate
+    (None at a projective).
     """
 
     def __init__(self, quiver: ValuedQuiver, p: int, modules: tuple[Representation, ...]):
         self.quiver, self.p, self.modules = quiver, p, modules
-        self._middles, self._covers, self._gen, self._peeled, self._homs = {}, {}, {}, {}, {}
+        self._middles, self._covers, self._gen, self._peeled = {}, {}, {}, {}
+        self._homs, self._images = {}, {}
         self.hom_rows, self.tau = [], []
         self._index = {id(M): i for i, M in enumerate(self.modules)}
         self._members = frozenset(range(len(self.modules)))
@@ -125,6 +146,14 @@ class ModuleUniverse:
             raise KeyError(f"module with dims {M.dims} is not in the universe")
         return idx
 
+    def image(self, X: Representation, Y: Representation) -> tuple:
+        """Im Hom(X, Y) of two members at each vertex, the bases that
+        trace_submodule([X], Y) spans, computed once per pair."""
+        key = (self._index[id(X)], self._index[id(Y)])
+        if key not in self._images:
+            self._images[key] = image_bases(Y, self.hom(X, Y).basis)
+        return self._images[key]
+
     def middle_summands(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
         """Universe indices of the summands of each middle term of
         the nonsplit extensions of module i by module j, one entry per line
@@ -138,9 +167,25 @@ class ModuleUniverse:
                 for E in middle_terms(self.modules[i], self.modules[j], hom=self.hom))
         return self._middles[(i, j)]
 
+    @cached_property
+    def _middle_masks(self) -> list[tuple[int, int, int]]:
+        """(i, j, mask) for each pair of members with a nonsplit middle of i
+        by j (Ext(i, j) != 0, as middle_terms decides it), bit s of mask set
+        for each summand s that middle_summands(i, j) lists."""
+        return [(i, j, mask) for i, j in itertools.product(range(len(self)), repeat=2)
+                if (mask := sum({1 << s for parts in self.middle_summands(i, j) for s in parts}))]
+
+    def extension_summands(self, members) -> set[int]:
+        """The summands of the nonsplit middles of pairs of the given
+        members, from the OR of their pairs' masks."""
+        inside = sum(1 << m for m in members)
+        found = reduce(or_, (mask for i, j, mask in self._middle_masks
+                             if inside >> i & inside >> j & 1), 0)
+        return {s for s in range(len(self)) if found >> s & 1}
+
     def generated(self, gens: frozenset, member: int) -> bool:
-        """in_gen_closure on members, memoized for _prune, which asks most
-        pairs again; the finite certificate asks each pair once."""
+        """in_gen_closure on members through their Hom spaces, memoized for
+        _prune, which asks most pairs again."""
         key = (gens, member)
         if key not in self._gen:
             self._gen[key] = in_gen_closure(
@@ -211,9 +256,7 @@ def hom_closure(rows: list, gens) -> frozenset:
     """⊥(G^⊥) for the Galois connection "Hom(i, j) = 0", from the bitmask
     rows of the Hom table: the members m with Hom(m, y) = 0 for every y that
     no generator maps to nonzero."""
-    reached = 0
-    for g in gens:
-        reached |= rows[g]
+    reached = reduce(or_, (rows[g] for g in gens), 0)
     return frozenset(m for m, row in enumerate(rows) if not row & ~reached)
 
 
@@ -232,21 +275,23 @@ def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
     an irredundant generator of T are its split projectives, which lie in
     P, generate T and are exactly K.
 
-    Peeling puts K - gens inside T(gens), so Gen K ⊆ T(gens); the generation
-    tests show Gen K ∩ U = T, so T is closed under quotients; and T holds
-    every summand of every middle term of two members.  So T is exactly
-    T(gens) ∩ U.  For later generators it is a torsion class holding them;
-    that it holds no more rests on the Hom table, whose nonzero spaces the
-    knitting checked against the Euler form.
+    Module tests: peeling puts K - gens inside T(gens), so Gen K ⊆ T(gens),
+    and a generation test from the cached images puts each member of T
+    outside K in Gen K.  Read off the rows: no other member m is in Gen K,
+    as some y has Hom(m, y) != 0 = Hom(K, y), which no quotient of a sum of
+    copies of K allows.  So Gen K ∩ U = T and T is closed under quotients;
+    the OR of the universe's middle masks over pairs of members shows that
+    T holds every summand of every middle term of two members.  So T is
+    exactly T(gens) ∩ U.  For later generators it is a torsion class holding
+    them; that it holds no more rests on the Hom table, whose nonzero spaces
+    the knitting checked against the Euler form.
     """
     gens = frozenset(gens)
     result = hom_closure(u.hom_rows, gens)
     require(gens <= result, f"the closure of {sorted(gens)} misses generators "
                             f"{sorted(gens - result)}")
     if result not in u._covers:
-        reached = 0
-        for m in result:
-            reached |= u.hom_rows[m]
+        reached = reduce(or_, (u.hom_rows[m] for m in result), 0)
         ext_projective = {x for x in result if u.tau[x] is None or not reached >> u.tau[x] & 1}
         cover = frozenset(x for x in ext_projective
                           if x not in hom_closure(u.hom_rows, ext_projective - {x}))
@@ -257,14 +302,13 @@ def torsion_closure(u: ModuleUniverse, gens) -> frozenset:
                                f"{unreached} that its generators do not reach")
         members = sorted(result)
         clist = [u.modules[k] for k in sorted(cover)]
-        generated = {m for m in range(len(u))
-                     if m not in cover and in_gen_closure(clist, u.modules[m], u.hom)}
-        missed = sorted(result - cover - generated)
+        missed = [m for m in members if m not in cover
+                  and not in_gen_closure(clist, u.modules[m], images=u.image)]
         require(not missed, f"the cover of class {members} misses members {missed}")
-        require(generated <= result, f"the closure {members} generates members "
-                                     f"{sorted(generated - result)}")
-        missing = {part for i in members for j in members
-                   for parts in u.middle_summands(i, j) for part in parts} - result
+        below = reduce(or_, (u.hom_rows[k] for k in cover), 0)
+        generated = [m for m, row in enumerate(u.hom_rows) if m not in result and not row & ~below]
+        require(not generated, f"the closure {members} generates members {generated}")
+        missing = u.extension_summands(result) - result
         require(not missing, f"the closure {members} misses the extension summands "
                              f"{sorted(missing)}")
         u._covers[result] = cover

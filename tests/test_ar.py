@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ftors import linalg as la
 from ftors.ar_quiver import ar_quiver_dot, knit_ar_quiver
 from ftors.linalg import rank
 from ftors import modules
@@ -133,6 +134,26 @@ def test_hom_table_equals_hom_basis_on_every_pair(q):
         assert len(h.basis) == len(fresh.basis) == max(euler_form(q, x.dims, y.dims), 0)
         for f, g in zip(h.basis, fresh.basis):
             assert all(np.array_equal(a, b) for a, b in zip(f, g))
+
+
+@pytest.mark.parametrize("q", [D4, E6], ids=["D4", "E6"])
+def test_hom_bases_are_cut_when_first_read(q):
+    """A Hom space cuts its basis into matrices only when the basis is
+    read: reading dim cuts nothing, and after the knit only the pairs its
+    rad^2 scan read are cut.  Every solved pair's basis is the eager cut
+    (_unflatten) of the null vectors of its intertwiner system."""
+    ar = knit_ar_quiver(q, 5)
+    solved = {key: h for key, h in ar.homs.items() if h.dim}
+    cut = {key for key, h in solved.items() if h._basis is not None}
+    assert cut and cut < set(solved) and all(i != j for i, j in cut)
+    for h in solved.values():
+        X, Y = h.source, h.target
+        fresh = hom_basis(X, Y)
+        assert fresh.dim == h.dim and fresh._basis is None
+        rows, offs = modules._intertwiner_rows(X, Y)
+        vectors = la._null_vectors(rows, la._eliminate(rows, offs[-1], X.p), offs[-1], X.p)
+        assert h.basis == tuple(modules._unflatten(v, list(zip(Y.dims, X.dims)))
+                                for v in vectors)
 
 
 @KNIT_CASES

@@ -568,7 +568,7 @@ def test_euler_hom_check_survives_python_O():
     first solved pair misses its Euler-form dimension and run knit exits 5."""
     patch = ("from ftors.modules import HomSpace\n"
              "real = ar_quiver.hom_basis\n"
-             "ar_quiver.hom_basis = lambda X, Y: HomSpace(X, Y, real(X, Y).basis[:-1])")
+             "ar_quiver.hom_basis = lambda X, Y: HomSpace(X, Y, real(X, Y).vectors[:-1])")
     proc = run_optimized(patch, "run", "knit", str(QDIR / "d4.txt"))
     assert_verification_failure(proc, "Hom from node 0 to node 0 has dimension 0, "
                                       "not the Euler form 1")

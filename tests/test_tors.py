@@ -6,6 +6,7 @@ classes breadth-first the way the library does.
 """
 
 import gc
+import hashlib
 import inspect
 import itertools
 import json
@@ -570,6 +571,15 @@ def test_finite_tors_report_meets_the_theory(tmp_path, capsys, kind, text, catal
         assert len(summands) == lower[k], members
 
 
+def test_e6_tors_report_is_pinned(capsys):
+    """The E6 run tors report keeps its SHA-256, as criterion 9 keeps the
+    A3, D4 and D5 reports: a change to the finite certificate must leave it
+    byte for byte."""
+    assert main(["run", "tors", str(QDIR / "e6.txt"), "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "0bbba6f7ff175669cd479a5521a41eef2d09daf57422a20273fed4b2d9888b60"
+
+
 # ---------------------------------------------------------------------------
 # audit of the monotone bounds of peeled_closure and of the bounded covers
 
@@ -750,6 +760,28 @@ def test_middle_summands_match_decomposed_middle_terms(q):
     assert nonsplit > 0
 
 
+MASK_CASES = pytest.mark.parametrize(
+    "q", [A3_LINE, A3_OUT, A3_IN, load_quiver(QDIR / "d4.txt"), load_quiver(QDIR / "d5.txt")],
+    ids=["a3-line", "a3-out", "a3-in", "d4", "d5"])
+
+
+@MASK_CASES
+def test_extension_masks_match_the_pairwise_middles(q):
+    """For every class the per-pair masks give the members² union of
+    middle_summands, and middle_terms is empty on exactly the pairs that
+    have no mask."""
+    u = universe(q)
+    classes, _ = enumerate_torsion_classes(u)
+    for t in classes:
+        assert u.extension_summands(t) == {s for i in t for j in t
+                                           for parts in u.middle_summands(i, j)
+                                           for s in parts}, sorted(t)
+    masked = {(i, j) for i, j, _ in u._middle_masks}
+    assert masked == {(i, j) for i in range(len(u)) for j in range(len(u))
+                      if middle_terms(u.modules[i], u.modules[j])}
+    assert masked
+
+
 @FINITE_CASES
 def test_closures_carve_only_proper_traces(monkeypatch, q):
     """Generation tests and full or zero traces are decided from ranks; only
@@ -825,18 +857,26 @@ COVER_CASES = pytest.mark.parametrize(
 
 @COVER_CASES
 def test_covers_are_read_off_tau_and_tested_once(monkeypatch, q):
-    """Each certificate tests each member outside its cover once, with the
-    cover as the generators, and no other generation test is made, nor
-    memoized in the universe; find_cover makes none at all; and the cover is
-    what one pass of _drop_generated keeps over the members of the class."""
-    tested = []
-    real = tors.in_gen_closure
+    """Each certificate tests each member of its class outside its cover
+    once, with the cover as the generators and through the cached images,
+    and no other generation test is made, nor memoized in the universe; each
+    image pair (cover member, class member outside the cover) is computed
+    once; find_cover makes no test at all; and the cover is what one pass
+    of _drop_generated keeps over the members of the class."""
+    tested, imaged = [], []
+    real, real_images = tors.in_gen_closure, tors.image_bases
 
-    def spy(gens, N, hom=None):
+    def spy(gens, N, hom=None, images=None):
+        assert hom is None and images is not None
         tested.append((gens, N))
-        return real(gens, N, hom)
+        return real(gens, N, hom, images)
+
+    def images_spy(M, maps):
+        imaged.append(M)
+        return real_images(M, maps)
 
     monkeypatch.setattr(tors, "in_gen_closure", spy)
+    monkeypatch.setattr(tors, "image_bases", images_spy)
     u = universe(q)
     classes, _ = enumerate_torsion_classes(u)
     torsion_closure(u, frozenset())     # the one class no enumeration step asks for
@@ -844,7 +884,10 @@ def test_covers_are_read_off_tau_and_tested_once(monkeypatch, q):
     assert set(covers) == set(classes)
     assert Counter((frozenset(u._index[id(g)] for g in gens), u._index[id(N)])
                    for gens, N in tested) == Counter(
-        (covers[t], m) for t in classes for m in range(len(u)) if m not in covers[t])
+        (covers[t], m) for t in classes for m in t if m not in covers[t])
+    assert set(u._images) == {(k, m) for t in classes for k in covers[t]
+                              for m in t if m not in covers[t]}
+    assert len(imaged) == len(u._images)
     assert u._gen == {}
 
     def refuse(*args):
@@ -860,6 +903,29 @@ def test_covers_are_read_off_tau_and_tested_once(monkeypatch, q):
         assert sorted(covers[t]) == kept, members
         assert cover.dims == tuple(sum(u.modules[k].dims[v] for k in kept) for v in range(q.n))
     assert tested == []
+
+
+ORACLE_CASES = pytest.mark.parametrize(
+    "q", [A1, A2, A3_LINE, A3_OUT, A3_IN, D4, D5],
+    ids=["a1", "a2", "a3-line", "a3-out", "a3-in", "d4", "d5"])
+
+
+@ORACLE_CASES
+def test_covers_generate_no_non_member(q):
+    """The certificate rules non-members out off the Hom rows; on modules,
+    the cover of every class generates none of them.  And each cached image
+    is the trace of its one generator, as trace_submodule computes it."""
+    u = universe(q)
+    classes, _ = enumerate_torsion_classes(u)
+    torsion_closure(u, frozenset())
+    for t in classes:
+        cover = [u.modules[k] for k in sorted(u._covers[t])]
+        for x in range(len(u)):
+            if x not in t:
+                assert not generates(cover, u.modules[x]), (sorted(t), x)
+    assert u._images or len(u) == 1
+    for (k, m), bases in u._images.items():
+        assert bases == modules.trace_submodule([u.modules[k]], u.modules[m]).bases, (k, m)
 
 
 @COVER_CASES
