@@ -66,11 +66,12 @@ MIDDLE_CAP = 3125
 # representation type and constructors
 
 class Representation:
-    __slots__ = ("quiver", "p", "dims", "mats", "__weakref__")
+    __slots__ = ("quiver", "p", "dims", "mats", "_parts", "__weakref__")
 
     def __init__(self, quiver: ValuedQuiver, p: int, dims: tuple[int, ...],
                  mats: tuple[Matrix, ...]):
         self.quiver, self.p, self.dims, self.mats = quiver, p, dims, mats
+        self._parts = None
 
     @property
     def total(self) -> int:
@@ -529,8 +530,7 @@ def _nilpotent_algebra(gens, p: int) -> bool:
 def _fitting_split(M: Representation, g) -> tuple[Representation, Representation] | None:
     """Split M along ker g^N + im g^N; None when g is nilpotent or invertible."""
     p = M.p
-    n = M.total
-    gn = _endo_power(g, max(n, 1), p)
+    gn = _endo_power(g, max(M.dims), p)   # a d x d block is stable by exponent d
     ker_spaces = [la.kernel_basis(gn[v], p) for v in range(M.quiver.n)]
     kdim = sum(b.shape[1] for b in ker_spaces)
     if kdim == 0 or kdim == M.total:
@@ -553,8 +553,14 @@ def decompose(M: Representation) -> list[Representation]:
     one, so End(M) is local and M is indecomposable.  This proof applies
     exactly when End(M)/rad = F_p.  Otherwise DecompositionInconclusive names
     the cause: a basis element with no eigenvalue in F_p, or shifts that
-    generate no nilpotent algebra.
+    generate no nilpotent algebra.  M never changes, so it keeps its summands.
     """
+    if M._parts is None:
+        M._parts = tuple(_split_fully(M))
+    return list(M._parts)
+
+
+def _split_fully(M: Representation) -> list[Representation]:
     if M.total == 0:
         return []
     if M.total == 1:
@@ -630,6 +636,18 @@ def _iso_index(M: Representation, candidates) -> int | None:
         if cand.dims == M.dims and is_isomorphic(M, cand):
             return idx
     return None
+
+
+def _rank_invariants(M: Representation) -> tuple[int, ...]:
+    """Ranks that a change of basis at each vertex keeps: of each arrow, each
+    composite of two arrows and each pencil a + lam b of two parallel arrows."""
+    p, mats, arrows = M.p, M.mats, list(enumerate(M.quiver.arrows))
+    more = [la.matmul(mats[l], mats[k], p) for k, a in arrows for l, b in arrows
+            if b.source == a.target]
+    more += [la.Matrix(tuple((x + lam * y) % p for x, y in zip(*r)) for r in zip(mats[k], mats[l]))
+             for k, a in arrows for l, b in arrows[k + 1:]
+             if (a.source, a.target) == (b.source, b.target) for lam in range(1, p)]
+    return tuple(la.rank(m, p) for m in (*mats, *more))
 
 
 def _drop_generated(mods: list[Representation]) -> list[int]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import or_
 
 from .modules import (
@@ -40,6 +40,7 @@ from .modules import (
     HomSpace,
     Representation,
     _iso_index,
+    _rank_invariants,
     ar_translate,
     ar_translate_inverse,
     carve,
@@ -51,6 +52,7 @@ from .modules import (
     hom_dim,
     image_bases,
     injective,
+    is_isomorphic,
     middle_terms,
     projective,
     random_rep,
@@ -538,27 +540,25 @@ class NoCoverEvidence:
         return self.monotone_ok and all(not gen for _, _, gen in self.witnesses)
 
 
-def _relative_radical(M: Representation, cycle):
-    maps = [f for X in cycle for f in hom_basis(M, X).basis]
-    return carve(M, [la.kernel_basis(la.vstack([f[v] for f in maps]), M.p) if maps
-                     else la.identity(M.dims[v]) for v in range(M.quiver.n)])
-
-
 def relative_loewy_length(M: Representation, cycle) -> int:
-    """Steps of the relative radical series, with each layer certified to be
-    a sum of cycle members."""
+    """Steps of the relative radical series of M along a cycle that
+    validate_ext_cycle accepts, each layer certified to be a sum of members:
+    the layer M/rad embeds in the sum of the X^h_X, h_X = dim Hom(M, X), and
+    for pairwise orthogonal bricks it is a sum of members exactly when it
+    fills it, dim M - dim rad = sum h_X dim X at every vertex."""
     steps = 0
-    current = M
-    while current.total > 0:
-        carved = _relative_radical(current, cycle)
-        layer = carved.quot
-        require(carved.sub.total < current.total,
+    while M.total > 0:
+        homs = [hom_basis(M, X) for X in cycle]
+        maps = [f for h in homs for f in h.basis]
+        rad = carve(M, [la.kernel_basis(la.vstack([f[v] for f in maps]), M.p) if maps
+                        else la.identity(d) for v, d in enumerate(M.dims)]).sub
+        require(rad.total < M.total,
                 "relative radical failed to shrink; module is not filtered by the cycle")
-        if layer.total:
-            for part in decompose(layer):
-                require(_iso_index(part, cycle) is not None,
-                        f"layer summand {part.dims} is not a cycle member")
-        current = carved.sub
+        layer = tuple(d - r for d, r in zip(M.dims, rad.dims))
+        require(layer == tuple(sum(h.dim * X.dims[v] for h, X in zip(homs, cycle))
+                               for v in range(len(layer))),
+                f"layer {layer} is not a sum of cycle members")
+        M = rad
         steps += 1
     return steps
 
@@ -598,7 +598,9 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
     E -> E' sends A into the kernel of E' -> B, because Hom(A, B) = 0, so it
     is a morphism of extensions whose ends are nonzero scalars on the bricks
     A and B, and its two classes lie on one line.  Self-extensions and
-    longer filtrations are scanned against everything found so far.
+    longer filtrations are tested with is_isomorphic only against the
+    objects found so far that share their dimension vector and, computed
+    once such an object exists, their _rank_invariants.
 
     The first two levels have known relative Loewy length.  A member has
     radical 0 (the identity is a map to the cycle).  For E as above, a map
@@ -610,7 +612,10 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
     cycle = tuple(cycle)
     validate_ext_cycle(cycle)
     levels: list[list[Representation]] = [[], list(cycle)]
-    found: list[tuple[Representation, int]] = [(X, 1) for X in cycle]
+    by_dims: dict[tuple, list[Representation]] = {}
+    for X in cycle:
+        by_dims.setdefault(X.dims, []).append(X)
+    invariants = cache(_rank_invariants)   # computed once a dims vector repeats
     for total in range(2, bound + 1):
         fresh: list[Representation] = []
         for a in range(1, total):
@@ -619,19 +624,19 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
                 for B in levels[b]:
                     distinct_members = total == 2 and A is not B
                     for E in middle_terms(B, A):
-                        parts = decompose(E)
-                        if len(parts) != 1:
+                        if len(decompose(E)) != 1:
                             continue
-                        if distinct_members or _iso_index(
-                                E, [N for N, _ in found] + fresh) is None:
+                        same = by_dims.setdefault(E.dims, [])
+                        if distinct_members or not any(
+                                invariants(E) == invariants(N) and is_isomorphic(E, N) for N in same):
                             fresh.append(E)
+                            same.append(E)
         levels.append(fresh)
-        found.extend((M, total) for M in fresh)
 
     objects = [
         FiltrationObject(M, length,
                          length if length <= 2 else relative_loewy_length(M, cycle))
-        for M, length in found
+        for length, level in enumerate(levels) for M in level
     ]
     objects.sort(key=lambda o: (o.module.total, o.module.dims))
     return FiltrationUniverse(cycle, objects)
@@ -640,8 +645,9 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
 def serial_object(cycle, top_index: int, length: int) -> Representation:
     """The serial object with layers cycle[top_index], cycle[top_index + 1],
     ... from the top, built upward by picking at each step the first nonsplit
-    middle that stays serial.  On a tube mouth these are the regular
-    uniserials (Ringel, LNM 1099, 3.1)."""
+    middle that stays serial.  The cycle must be one that validate_ext_cycle
+    accepts, as relative_loewy_length needs.  On a tube mouth these are the
+    regular uniserials (Ringel, LNM 1099, 3.1)."""
     if length < 1:
         raise ValueError("a serial object has at least one layer")
     r = len(cycle)

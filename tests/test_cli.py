@@ -472,11 +472,15 @@ def assert_verification_failure(proc, prefix: str) -> None:
 
 
 def test_nocover_checks_survive_python_O():
-    """With the cycle-member test of the Loewy layers broken, the nocover
-    certificate fails its layer check and exits 5, also under python -O."""
-    proc = run_optimized("tors._iso_index = lambda *args, **kwargs: None",
-                         "run", "nocover", A2TILDE)
-    assert_verification_failure(proc, "layer summand ")
+    """With every Hom space of the Loewy layers listing its basis twice, the
+    radical stays the same but each layer falls short of the sum of members
+    the Hom dimensions promise, so the nocover certificate fails its layer
+    identity and exits 5, also under python -O."""
+    patch = ("real = tors.hom_basis\n"
+             "tors.hom_basis = lambda X, Y: tors.HomSpace(X, Y, real(X, Y).vectors * 2)")
+    proc = run_optimized(patch, "run", "nocover", A2TILDE)
+    assert_verification_failure(proc, "layer ")
+    assert "is not a sum of cycle members" in proc.stderr
 
 
 def test_extension_class_count_survives_python_O():

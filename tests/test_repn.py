@@ -532,12 +532,14 @@ def test_nilpotent_algebra_needs_products():
 def local_endomorphism_rings():
     """Indecomposables whose endomorphism ring is local but not a field:
     the Kronecker module (k^2, k^2; I, J_2(2)) and the regular uniserials
-    of the a2tilde tube of rank 2 that filtration_universe finds."""
+    of the a2tilde tube of rank 2 that filtration_universe finds, rebuilt so
+    that none keeps the summands filtration_universe's decompose stored."""
     kron = make_rep(KRONECKER, 5, (2, 2), [la.identity(2), [[2, 1], [0, 2]]])
     rng = random.Random(0)
     tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5, rng)[0]
-    uniserials = [o.module for o in filtration_universe(tube.simples, 4).objects
-                  if o.module.dims in ((1, 2, 1), (2, 1, 2), (2, 2, 2))]
+    uniserials = [make_rep(M.quiver, M.p, M.dims, M.mats)
+                  for M in (o.module for o in filtration_universe(tube.simples, 4).objects)
+                  if M.dims in ((1, 2, 1), (2, 1, 2), (2, 2, 2))]
     assert sorted(M.dims for M in uniserials) == [(1, 2, 1), (2, 1, 2), (2, 2, 2), (2, 2, 2)]
     return [kron] + uniserials
 
@@ -560,7 +562,7 @@ def test_decompose_proves_locality_from_a_basis_of_end(monkeypatch):
         splits.clear()
         parts = decompose(M)
         assert len(parts) == 1 and parts[0] is M
-        assert len(splits) <= d
+        assert 0 < len(splits) <= d
 
 
 def decompose_outcome(fn, M):
@@ -610,6 +612,47 @@ def test_decompose_agrees_with_the_sampling_reference_on_kronecker_squares():
                 assert got == decompose_outcome(lambda N: reference_decompose(N, ref), M), (p, k)
                 outcomes.add(got is None)
     assert outcomes == {False, True}
+
+
+def fitting_split_at_total(M, g):
+    """_fitting_split as it was, with g raised to the total dimension."""
+    gn = modules._endo_power(g, M.total, M.p)
+    ker = [la.kernel_basis(m, M.p) for m in gn]
+    if sum(b.shape[1] for b in ker) in (0, M.total):
+        return None
+    return carve(M, ker).sub, carve(M, gn).sub
+
+
+def test_fitting_split_at_the_largest_vertex_dimension(monkeypatch):
+    """g raised to max(M.dims), where each d x d block's kernel and image are
+    stable, splits every module of the decomposition cases above exactly as
+    g raised to M.total did, part for part, and finds no split where it
+    found none."""
+    real, outcomes = modules._fitting_split, []
+
+    def compared(M, g):
+        got, want = real(M, g), fitting_split_at_total(M, g)
+        assert (got is None) is (want is None)
+        if got is not None:
+            assert [(P.dims, P.mats) for P in got] == [(P.dims, P.mats) for P in want]
+        outcomes.append(got is None)
+        return got
+
+    monkeypatch.setattr(modules, "_fitting_split", compared)
+    S2, P1 = simple(A2, 5, 1), projective(A2, 5, 0)
+    cases = [direct_sum([P1, P1, S2])] + local_endomorphism_rings()
+    rng = random.Random(59)
+    cases += [random_rep(q, 5, random_dims(rng, q.n, 3), rng) for q in (A3, D4) for _ in range(8)]
+    gen = random.Random(73)
+    for name in ("kronecker", "a2tilde", "twothree"):
+        q = load_quiver(QDIR / f"{name}.txt")
+        for p in (3, 5):
+            for _ in range(10):
+                A = random_rep(q, p, random_dims(gen, q.n, 3), gen)
+                cases += [glued(A, A, gen), random_rep(q, p, random_dims(gen, q.n, 4), gen)]
+    for M in cases:
+        decompose_outcome(decompose, M)
+    assert set(outcomes) == {False, True}
 
 
 def test_complement_is_one_elimination(monkeypatch):

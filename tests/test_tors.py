@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from ftors import ar_quiver, modules, tors
+from ftors import linalg as la
 from ftors.cli import main
 from ftors.ext_pairs import find_ext_pair
 from ftors.modules import (
@@ -57,6 +58,7 @@ from ftors.tors import (
     validate_ext_cycle,
 )
 from ftors.tubes import find_regular_simples, tube_mouth_pair
+from test_repn import base_changed
 
 A1 = parse_quiver("vertices 1\n")
 A2 = parse_quiver("vertices 2\narrow 1 2\n")
@@ -436,6 +438,123 @@ def test_filtration_level_two_is_pairwise_nonisomorphic():
                                     if A is not B)
         assert len(fu.objects) == expected
         assert pairwise_nonisomorphic([o.module for o in fu.objects])
+
+
+def decompose_and_match_loewy_length(M, cycle):
+    """The layer check relative_loewy_length made before it read the layers
+    off dimension vectors, kept as the reference: build each layer's
+    quotient, decompose it and match every summand against the cycle.  None
+    when the radical does not shrink or a summand is no member."""
+    steps = 0
+    while M.total > 0:
+        maps = [f for X in cycle for f in hom_basis(M, X).basis]
+        carved = modules.carve(M, [la.kernel_basis(la.vstack([f[v] for f in maps]), M.p)
+                                   if maps else la.identity(d) for v, d in enumerate(M.dims)])
+        if carved.sub.total == M.total or any(modules._iso_index(part, cycle) is None
+                                              for part in modules.decompose(carved.quot)):
+            return None
+        M = carved.sub
+        steps += 1
+    return steps
+
+
+def test_layer_identity_agrees_with_decompose_and_match():
+    """On every filtration object of the audited cycles (three levels) and
+    on the serial objects, the dimension identity gives the length the
+    decompose-and-match reference gives; a simple at a sink, which embeds in
+    a member but is no sum of members, fails both."""
+    for p, cycle in audited_cycles():
+        objects = [o.module for o in filtration_universe(cycle, 3).objects]
+        objects += [serial_object(cycle, top, 3) for top in range(len(cycle))]
+        assert len(objects) > len(cycle) + 2
+        for M in objects:
+            assert relative_loewy_length(M, cycle) == decompose_and_match_loewy_length(M, cycle)
+        q = cycle[0].quiver
+        [sink] = [v for v in range(q.n) if not any(a.source == v for a in q.arrows)]
+        S = simple(q, p, sink)
+        assert any(hom_dim(S, X) for X in cycle)
+        assert decompose_and_match_loewy_length(S, cycle) is None
+        with pytest.raises(VerificationError, match=r"layer \(.*\) is not a sum of cycle members"):
+            relative_loewy_length(S, cycle)
+
+
+def nocover_cycle(name: str, p: int):
+    """The cycle run nocover uses at seed 0: the first tube's mouth on a
+    Euclidean quiver, else the double-extension pair."""
+    q = load_quiver(QDIR / f"{name}.txt")
+    rng = random.Random(0)
+    if name.endswith("tilde"):
+        return find_regular_simples(q, p, rng)[0].simples
+    cert = find_ext_pair(q, p, rng)
+    return cert.X, cert.Y
+
+
+def pairwise_filtration(cycle, bound: int):
+    """filtration_universe's enumeration with the pairwise scan it made
+    before it bucketed by invariants: each self-extension and longer
+    indecomposable middle against everything found so far, by _iso_index.
+    The modules with their levels, in the order found."""
+    levels, found = [[], list(cycle)], [(X, 1) for X in cycle]
+    for total in range(2, bound + 1):
+        fresh = []
+        for a in range(1, total):
+            for A in levels[a]:
+                for B in levels[total - a]:
+                    for E in middle_terms(B, A):
+                        if len(modules.decompose(E)) == 1 and (
+                                total == 2 and A is not B
+                                or modules._iso_index(E, [N for N, _ in found] + fresh) is None):
+                            fresh.append(E)
+        levels.append(fresh)
+        found.extend((M, total) for M in fresh)
+    return found
+
+
+# run nocover --format json at seed 0, SHA-256 of the report at the commit
+# before the bucketed scan and the layer identity, which keep every byte
+NOCOVER_DIGESTS = {
+    ("a2tilde", 5, 6): "da82367fdf97e73296e6f9a7e82b43337a2571b5c19810833c8f9586ca2f6770",
+    ("d4tilde", 5, 4): "f4b1a76bc4e5e3eb6fe7bfb2996619a422bd11278d7a675b93d4c375dfc6646b",
+    ("twothree", 3, 2): "1022284f3ce4f008215153f5cd0a3736aa50bf98a04e5e6f8d1838ad08f1f0d8",
+    ("twothree", 5, 2): "e8e74a7bfef6490749e935f29a44cbe5f527276d52c05341180186420f319c6f",
+    ("twoone", 5, 2): "40b299e6045afc51dac3e3390d52289e5eea144ff3bb1172b5b5569e83ac8bb4",
+}
+
+
+@pytest.mark.parametrize("name, p, bound", list(NOCOVER_DIGESTS))
+def test_bucketed_scan_finds_the_pairwise_objects(capsys, name, p, bound):
+    """The scan that tests isomorphism only within a bucket of equal dims
+    and rank invariants keeps the object list of the pairwise scan, module
+    for module, and the report keeps its digest."""
+    cycle = nocover_cycle(name, p)
+    want = sorted(pairwise_filtration(cycle, bound), key=lambda f: (f[0].total, f[0].dims))
+    got = filtration_universe(cycle, bound).objects
+    assert [(o.module.dims, o.module.mats, o.length) for o in got] == [
+        (M.dims, M.mats, length) for M, length in want]
+    capsys.readouterr()
+    assert main(["run", "nocover", str(QDIR / f"{name}.txt"), "--prime", str(p),
+                 "--loewy-bound", str(bound), "--format", "json"]) == 0
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == NOCOVER_DIGESTS[name, p, bound]
+
+
+def test_rank_invariants_survive_a_change_of_basis():
+    """Arrow, composite and pencil ranks are the same on a random base
+    change at each vertex, on the filtration objects of two cycles with
+    parallel arrows and on random modules of quivers with and without them;
+    they separate some modules of equal dims."""
+    rng = random.Random(113)
+    mods = [o.module for name, p in (("twothree", 3), ("twoone", 5))
+            for o in filtration_universe(nocover_cycle(name, p), 2).objects]
+    for q in (KRONECKER, CYCLE3, load_quiver(QDIR / "twothree.txt")):
+        mods += [modules.random_rep(q, 3, [rng.randrange(4) for _ in range(q.n)], rng)
+                 for _ in range(10)]
+    keys = {}
+    for M in mods:
+        key = modules._rank_invariants(M)
+        assert modules._rank_invariants(base_changed(M, rng)) == key
+        keys.setdefault(M.dims, set()).add(key)
+    assert any(len(k) > 1 for k in keys.values())
 
 
 def test_middle_terms_lists_every_line_and_matches_no_isomorphism(monkeypatch):
