@@ -44,6 +44,7 @@ from .quiver import (
 )
 from .modules import DecompositionInconclusive, ExtensionCapError, rep_to_json
 from .ext_pairs import ExtPairInconclusive, find_ext_pair
+from .tubes import SamplingInconclusive
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -530,7 +531,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ExtPairInconclusive, DecompositionInconclusive, ExtensionCapError) as exc:
+    except (ExtPairInconclusive, DecompositionInconclusive, ExtensionCapError,
+            SamplingInconclusive) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (QuiverError, ValueError) as exc:

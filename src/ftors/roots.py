@@ -2,10 +2,10 @@
 
 Everything here is exact integer work on the Euler form: the bilinear form
 itself, the Coxeter transform that tracks the translate on dimension vectors,
-the simple reflections, the positive roots of finite type (the simple roots
-closed under height-raising reflections, each checked to have Tits form 1),
-and the radical/defect data of tame type.  No representations are built in
-this module.
+the simple reflections, the positive roots of finite type and the real
+roots below a bound (the simple roots closed under height-raising
+reflections, each checked to have Tits form 1), and the radical/defect
+data of tame type.  No representations are built in this module.
 """
 
 from __future__ import annotations
@@ -96,26 +96,29 @@ def reflection_transform(q: ValuedQuiver, x, v: int) -> DimVector:
     return tuple(x)
 
 
-def positive_roots(q: ValuedQuiver) -> list[DimVector]:
-    """All positive roots of a representation-finite quiver.
+def positive_roots(q: ValuedQuiver, below=None) -> list[DimVector]:
+    """All positive roots of a representation-finite quiver or, given a
+    vector `below`, the positive real roots x <= below of any path algebra.
 
     The simple roots closed under the simple reflections that raise the
-    height (Bernstein-Gelfand-Ponomarev): s_v x = x - (x, e_v) e_v in the
-    symmetrized form, taken whenever (x, e_v) < 0.  Every positive root
-    other than a simple one is reached this way from a root of smaller
-    height, so no coordinate bound is needed; every generated vector must
-    have Tits form 1.
+    height (Bernstein-Gelfand-Ponomarev) and stay below the bound: s_v x =
+    x - (x, e_v) e_v in the symmetrized form, taken whenever (x, e_v) < 0.
+    A non-simple positive real root x has (x, x) = sum x_v (x, e_v) = 2, so
+    (x, e_v) > 0 for some v in its support, and s_v x < x is a positive real
+    root: every root is reached through roots below it, so no coordinate
+    bound is needed.  Every generated vector must have Tits form 1, so an
+    imaginary bound such as a radical vector is never generated.
     """
-    t = classify_type(q)
-    if not t.representation_finite:
+    if below is None and not classify_type(q).representation_finite:
         raise QuiverError("positive roots are enumerated for Dynkin quivers only")
     if not q.is_path_algebra():
         raise QuiverError("root enumeration supports path algebras only")
-    roots = [tuple(int(v == i) for i in range(q.n)) for v in range(q.n)]
+    roots = [tuple(int(v == i) for i in range(q.n)) for v in range(q.n)
+             if below is None or below[v] > 0]
     for x in roots:     # the list grows while it is read
         for v in range(q.n):
             y = reflection_transform(q, x, v)
-            if y[v] > x[v] and y not in roots:
+            if y[v] > x[v] and (below is None or y[v] <= below[v]) and y not in roots:
                 form = quadratic_form(q, y)
                 require(form == 1, f"reflected vector {y} has Tits form {form}, not 1")
                 roots.append(y)

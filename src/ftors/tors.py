@@ -673,16 +673,15 @@ def no_cover_evidence(cycle, bound: int) -> NoCoverEvidence:
     not to be generated by the objects of relative Loewy length at most r,
     and generation is shown to preserve the Loewy bound across the whole
     universe, so no single enlargement of the r-th class reaches the next.
+    Levels are nested and Gen is monotone, so an object of length l > 1
+    escapes every lower level exactly when it escapes level l - 1.
     """
     fu = filtration_universe(cycle, bound)
+    lower = {r: [o.module for o in fu.objects if o.loewy <= r] for r in range(1, bound)}
     witnesses = []
-    monotone_ok = True
     for r in range(1, bound):
-        lower = [o.module for o in fu.objects if o.loewy <= r]
         serial = serial_object(fu.cycle, 0, r + 1)
-        gen = generates(lower, serial)
-        witnesses.append((r, serial.dims, bool(gen)))
-        for o in fu.objects:
-            if o.loewy > r and generates(lower, o.module):
-                monotone_ok = False
+        witnesses.append((r, serial.dims, bool(generates(lower[r], serial))))
+    monotone_ok = not any(generates(lower[o.loewy - 1], o.module)
+                          for o in fu.objects if o.loewy > 1)
     return NoCoverEvidence(bound, len(fu.objects), tuple(witnesses), monotone_ok)

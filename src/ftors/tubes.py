@@ -1,19 +1,21 @@
 """Non-homogeneous tubes of tame path algebras.
 
-The regular simples sitting in tubes of rank at least two are located by an
-exact root-theoretic scan: their dimension vectors are the positive real
-roots of defect zero lying strictly inside the radical vector.  Modules are
+The regular simples of the tubes of rank at least two come from root
+combinatorics (Ringel, LNM 1099, section 3; Dlab-Ringel, Mem. AMS 173): the
+defect-zero real roots below the radical vector, from one root enumeration,
+that are no sum of two such roots.  Only their modules are built, each
 certified by the brick test (a brick whose dimension vector is a real root
-is the unique indecomposable for that root): the thin zero/one module
-first, random samples only where it is no brick.  Translate orbits of the
-found simples are the tubes; rank and dimension sums are checked, and each
-mouth is an extension cycle, checked and built on by tors
-(validate_ext_cycle, serial_object).
+is the unique indecomposable for that root): the thin zero/one module first,
+random samples only where it is no brick.  Translate orbits of the simples
+are the tubes; rank and dimension sums are checked, and each mouth is an
+extension cycle, checked and built on by tors (validate_ext_cycle,
+serial_object).
 """
 
 from __future__ import annotations
 
 import random
+from operator import sub
 
 from .modules import (
     Representation,
@@ -26,6 +28,7 @@ from .quiver import ValuedQuiver, classify_type
 from .roots import (
     coxeter_transform,
     defect,
+    positive_roots,
     quadratic_form,
     radical_vector,
 )
@@ -33,6 +36,10 @@ from .tors import serial_object, validate_ext_cycle
 from . import linalg as la
 
 GENERIC_TRIES = 20
+
+
+class SamplingInconclusive(RuntimeError):
+    """No sample with a real-root dimension vector was a brick."""
 
 
 class Tube:
@@ -51,27 +58,6 @@ class Tube:
     @property
     def dims(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s.dims for s in self.simples)
-
-
-def _real_regular_roots_inside_delta(q: ValuedQuiver) -> list[tuple[int, ...]]:
-    """Positive real roots of defect zero strictly below the radical vector."""
-    delta = radical_vector(q)
-    ranges = [range(d + 1) for d in delta]
-    out = []
-
-    def scan(prefix: list[int]) -> None:
-        if len(prefix) == q.n:
-            x = tuple(prefix)
-            if not any(x) or x == delta:
-                return
-            if quadratic_form(q, x) == 1 and defect(q, x) == 0:
-                out.append(x)
-            return
-        for c in ranges[len(prefix)]:
-            scan(prefix + [c])
-
-    scan([])
-    return sorted(out, key=lambda x: (sum(x), x))
 
 
 def _thin_module(q: ValuedQuiver, p: int, x) -> Representation | None:
@@ -97,32 +83,35 @@ def module_for_real_root(q: ValuedQuiver, p: int, x,
         cand = random_rep(q, p, x, rng)
         if hom_dim(cand, cand) == 1:
             return cand
-    raise RuntimeError(f"failed to realize the indecomposable for root {x}")
+    raise SamplingInconclusive(
+        f"no brick among {GENERIC_TRIES} samples for root {x} over F_{p}")
 
 
 def find_regular_simples(q: ValuedQuiver, p: int,
                          rng: random.Random) -> list[Tube]:
-    """All tubes of rank at least two, each as a translate-ordered orbit."""
-    qt = classify_type(q)
-    if qt.family != "euclidean":
+    """All tubes of rank at least two, each as a translate-ordered orbit.
+
+    The candidates, the defect-zero roots of positive_roots(q, below=delta),
+    are the dims of the regular indecomposables of quasi-length l below their
+    tube's rank r.  With e_0, ..., e_{r-1} the dims of a tube's simples E_i,
+    a candidate x is a regular simple exactly when x - y is no candidate for
+    every candidate y.  For l >= 2, x = e_i + (e_{i+1} + ... + e_{i+l-1}).
+    And e_i = y + z fails: if y, z lie in different tubes, q(y + z) = 2; if
+    both lie in another tube, <e_i, y + z> = 0 != <e_i, e_i>; if both lie in
+    E_i's tube, y + z has coefficient sum at least 2 in the e_j, which are
+    independent (their Euler matrix I - P, P the cyclic shift, turns a
+    relation sum c_j e_j = 0 into c_j = c_{j+1}, and c delta != 0 for c != 0).
+    Modules are built, in candidate order, for the regular simples only.
+    """
+    if classify_type(q).family != "euclidean":
         raise ValueError("tubes are computed for tame quivers only")
     delta = radical_vector(q)
 
-    candidates = _real_regular_roots_inside_delta(q)
-    # keep only roots with no smaller candidate mapping nonzero into them:
-    # a regular module with no maps from smaller regulars is regular simple
-    modules = {x: module_for_real_root(q, p, x, rng) for x in candidates}
-    simple_roots = []
-    for x in candidates:
-        receives = False
-        for y in candidates:
-            if y == x or sum(y) >= sum(x):
-                continue
-            if hom_dim(modules[y], modules[x]) > 0:
-                receives = True
-                break
-        if not receives:
-            simple_roots.append(x)
+    candidates = [x for x in positive_roots(q, below=delta) if defect(q, x) == 0]
+    known = set(candidates)
+    simple_roots = [x for x in candidates
+                    if not any(tuple(map(sub, x, y)) in known for y in candidates)]
+    modules = {x: module_for_real_root(q, p, x, rng) for x in simple_roots}
 
     tubes: list[Tube] = []
     used: set[tuple[int, ...]] = set()
@@ -132,8 +121,7 @@ def find_regular_simples(q: ValuedQuiver, p: int,
         orbit = [x]
         y = coxeter_transform(q, x)
         while y != x:
-            require(y in modules and y in simple_roots,
-                    f"translate orbit of {x} leaves the regular simples at {y}")
+            require(y in modules, f"translate orbit of {x} leaves the regular simples at {y}")
             orbit.append(y)
             y = coxeter_transform(q, y)
         used.update(orbit)

@@ -1,17 +1,19 @@
 """Tubes of tame quivers: regular simples, serial modules, mouth pairs."""
 
+import itertools
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ftors.cli import main
 from ftors.ext_pairs import verify_ext_pair
-from ftors.modules import ar_translate, ext_dim, hom_dim, is_isomorphic, middle_terms
+from ftors.modules import ar_translate, ext_dim, hom_dim, is_isomorphic, make_rep, middle_terms
 from ftors.quiver import load_quiver, parse_quiver, radical_vector, require
-from ftors.roots import defect
+from ftors.roots import defect, positive_roots, quadratic_form
 from ftors.tors import serial_object
-from ftors.tubes import find_regular_simples, tube_mouth_pair
+from ftors.tubes import find_regular_simples, module_for_real_root, tube_mouth_pair
 
 CYCLE3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\narrow 1 3\n")
 D4TILDE = parse_quiver("vertices 5\narrow 2 1\narrow 3 1\narrow 4 1\narrow 5 1\n")
@@ -19,6 +21,22 @@ KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\n")
 QDIR = Path(__file__).resolve().parent.parent / "quivers"
 A2TILDE = load_quiver(QDIR / "a2tilde.txt")
 A5CYCLE = load_quiver(QDIR / "a5cycle.txt")     # tubes of rank 2 and 3
+
+
+def arrows(n, *pairs):
+    return parse_quiver(f"vertices {n}\n" + "".join(f"arrow {s} {t}\n" for s, t in pairs))
+
+
+A22 = arrows(4, (1, 2), (2, 4), (1, 3), (3, 4))
+D4TILDE_MIXED = arrows(5, (2, 1), (3, 1), (1, 4), (1, 5))
+D5TILDE = arrows(6, (1, 3), (2, 3), (3, 4), (4, 5), (4, 6))
+D6TILDE = arrows(7, (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7))
+# center 3, arms 2-1, 4-5, 6-7; (1,1,2,1,1,1,1) is a regular simple, not thin
+E6TILDE = arrows(7, (1, 2), (2, 3), (4, 3), (5, 4), (3, 6), (6, 7))
+E7TILDE = arrows(8, (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (8, 4))
+E8TILDE = arrows(9, *((i, i + 1) for i in range(1, 7)), (8, 7), (9, 3))
+TAME = [CYCLE3, A22, A5CYCLE, D4TILDE, D4TILDE_MIXED, D5TILDE, D6TILDE, E6TILDE, E7TILDE]
+TAME_IDS = ["A(2,1)", "A(2,2)", "A(3,2)", "D4~", "D4~mixed", "D5~", "D6~", "E6~", "E7~"]
 
 
 def test_cycle3_single_rank2_tube():
@@ -149,3 +167,63 @@ def test_tube_mouth_pair_verifies():
         assert report.ok, report.failures
         total = tuple(a + b for a, b in zip(x.dims, y.dims))
         assert total == radical_vector(q)
+
+
+def coordinate_scan(q):
+    """The box scan the tubes used to run: every vector between 0 and the
+    radical vector, other than those two, with Tits form 1 and defect 0."""
+    delta = radical_vector(q)
+    out = [x for x in itertools.product(*(range(d + 1) for d in delta))
+           if any(x) and x != delta and quadratic_form(q, x) == 1 and defect(q, x) == 0]
+    return sorted(out, key=lambda x: (sum(x), x))
+
+
+@pytest.mark.parametrize("q", TAME, ids=TAME_IDS)
+def test_bounded_enumeration_matches_the_coordinate_scan(q):
+    """Reflections below the radical vector reach every real root of defect
+    zero that the box scan finds, in the same order."""
+    delta = radical_vector(q)
+    got = [x for x in positive_roots(q, below=delta) if defect(q, x) == 0]
+    assert got == coordinate_scan(q)
+
+
+@pytest.mark.parametrize("q", TAME, ids=TAME_IDS)
+def test_sum_test_picks_the_simples_of_the_hom_criterion(q):
+    """A candidate is a regular simple when no smaller candidate maps into
+    it: over F_7, that criterion on sampled modules selects exactly the dims
+    of the tubes' simples."""
+    rng = random.Random(7)
+    candidates = coordinate_scan(q)
+    modules = {x: module_for_real_root(q, 7, x, rng) for x in candidates}
+    want = {x for x in candidates
+            if not any(sum(y) < sum(x) and hom_dim(modules[y], modules[x])
+                       for y in candidates)}
+    got = {d for t in find_regular_simples(q, 7, random.Random(0)) for d in t.dims}
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_e8tilde_tubes_at_p5(seed):
+    """Ranks 2, 3 and 5, each orbit summing to the radical vector; sampling
+    every candidate for its Hom scan used to exhaust its tries here."""
+    tubes = find_regular_simples(E8TILDE, 5, random.Random(seed))
+    assert [t.rank for t in tubes] == [2, 3, 5]
+    for t in tubes:
+        assert tuple(map(sum, zip(*t.dims))) == radical_vector(E8TILDE)
+
+
+def test_exhausted_sampling_is_inconclusive(tmp_path, capsys, monkeypatch):
+    """When no sample for a non-thin regular simple is a brick, nocover exits
+    3 (inconclusive) naming the root, not 5 (internal error)."""
+    def zero_rep(q, p, x, rng):
+        return make_rep(q, p, x, [[[0] * x[ar.source] for _ in range(x[ar.target])]
+                                  for ar in q.arrows])
+
+    monkeypatch.setattr("ftors.tubes.random_rep", zero_rep)
+    path = tmp_path / "e6tilde.txt"
+    path.write_text("vertices 7\n" + "".join(
+        f"arrow {ar.source + 1} {ar.target + 1}\n" for ar in E6TILDE.arrows))
+    code = main(["run", "nocover", str(path), "--loewy-bound", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("inconclusive:") and "(1, 1, 2, 1, 1, 1, 1)" in err
