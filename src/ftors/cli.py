@@ -22,8 +22,15 @@ line and an error and exits 2 before any quiver is loaded; a --prime,
 
 Exit codes: 0 verified, 1 verification failed, 2 bad input, 3 inconclusive,
 4 input/output error, 5 internal error (a bug, such as a failed self-check).
-Reports are byte deterministic for a fixed seed: JSON is emitted with sorted
-keys and no timestamps.
+A run is inconclusive when run tors gets a quiver of infinite type on more
+than two vertices or a wild two-vertex quiver, when the case analysis of
+extpair does not cover the shape (ExtPairInconclusive), when a module's
+decomposition is not decided (DecompositionInconclusive), or when a pair
+has more lines of Ext than MIDDLE_CAP (ExtensionCapError).
+Reports are byte deterministic: JSON is emitted with sorted keys and no
+timestamps.  Only the sampled modules of run tors on two-vertex tame
+quivers read --seed; every other report, extpair and nocover included, is
+the same at every seed.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from .quiver import (
 )
 from .modules import DecompositionInconclusive, ExtensionCapError, rep_to_json
 from .ext_pairs import ExtPairInconclusive, find_ext_pair
-from .tubes import SamplingInconclusive
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -290,8 +296,7 @@ def cmd_extpair(args) -> int:
             EXIT_BAD_INPUT,
             "double-extension pairs need a representation-infinite quiver "
             "on at least three vertices (none exist otherwise)")
-    rng = random.Random(args.seed)
-    cert = find_ext_pair(q, args.prime, rng)
+    cert = find_ext_pair(q, args.prime)
     data = {
         "type": qt.display(),
         "pair_exists": True,
@@ -329,7 +334,6 @@ def cmd_nocover(args) -> int:
 
     q = _load(args.quiver)
     qt = classify_type(q)
-    rng = random.Random(args.seed)
     if qt.representation_finite or q.n <= 2:
         raise CliError(
             EXIT_BAD_INPUT,
@@ -337,11 +341,11 @@ def cmd_nocover(args) -> int:
             "this evidence needs a representation-infinite quiver on at "
             "least three vertices")
     if qt.family == "euclidean":
-        tubes = find_regular_simples(q, args.prime, rng)
+        tubes = find_regular_simples(q, args.prime)
         cycle = tubes[0].simples
         source = f"tube of rank {tubes[0].rank}"
     else:
-        cert = find_ext_pair(q, args.prime, rng)
+        cert = find_ext_pair(q, args.prime)
         cycle = (cert.X, cert.Y)
         source = f"double-extension pair (case {cert.case})"
     evidence = no_cover_evidence(cycle, args.loewy_bound)
@@ -378,7 +382,7 @@ def cmd_nocover(args) -> int:
 # from it.  Each flag takes an integer: (default, help).
 FLAGS = {
     "--prime": (5, "field size, a prime below 2^31"),
-    "--seed": (0, "seed of the sampled modules"),
+    "--seed": (0, "seed of the sampled regular modules of run tors on two-vertex tame quivers"),
     "--dim-bound": (12, "total dimension bound for bounded checks, at least 1"),
     "--loewy-bound": (4, "layer bound for no-cover evidence, at least 2"),
 }
@@ -386,8 +390,9 @@ TEXT_JSON = ("text", "json")
 WITH_DOT = ("text", "json", "dot")
 
 # command path: (handler, help, formats, flags).  Each handler reads exactly
-# its flags, except that knit never reads --seed; it keeps it because the
-# benchmark appends --seed to every command it runs.
+# its flags, except that knit, extpair and nocover never read --seed (they
+# draw nothing); they keep it because the benchmark appends --seed to every
+# command it runs.
 COMMANDS = {
     "classify": (cmd_classify, "exact representation type", TEXT_JSON, ()),
     "run knit": (cmd_knit, "knit the AR quiver", WITH_DOT, ("--prime", "--seed")),
@@ -531,8 +536,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ExtPairInconclusive, DecompositionInconclusive, ExtensionCapError,
-            SamplingInconclusive) as exc:
+    except (ExtPairInconclusive, DecompositionInconclusive, ExtensionCapError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (QuiverError, ValueError) as exc:

@@ -24,7 +24,6 @@ from the construction itself.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 
 from .modules import (
@@ -334,7 +333,7 @@ def _tame_subtree(q: ValuedQuiver) -> list[int] | None:
     return None
 
 
-def construct_case1(q: ValuedQuiver, p: int, rng: random.Random):
+def construct_case1(q: ValuedQuiver, p: int):
     vs = _tame_subtree(q)
     if vs is None:
         raise ExtPairInconclusive("no tame induced subtree found")
@@ -343,7 +342,7 @@ def construct_case1(q: ValuedQuiver, p: int, rng: random.Random):
     require(qt.family == "euclidean", f"subtree classified as {qt.display()}")
     from .tubes import find_regular_simples, tube_mouth_pair
 
-    tubes = find_regular_simples(sub.quiver, p, rng)
+    tubes = find_regular_simples(sub.quiver, p)
     require(tubes, "a tame tree algebra must have exceptional tubes")
     x_local, y_local = tube_mouth_pair(tubes[0])
     X = extend_by_zero(x_local, sub)
@@ -393,15 +392,14 @@ def _parallel_pair(q: ValuedQuiver, p: int, multi: list[tuple[int, int]]):
 # ---------------------------------------------------------------------------
 # the driver
 
-def find_ext_pair(q: ValuedQuiver, p: int,
-                  rng: random.Random) -> ExtPairCertificate:
+def find_ext_pair(q: ValuedQuiver, p: int) -> ExtPairCertificate:
     """A verified double-extension pair for a representation-infinite path
     algebra on at least three vertices.
 
     Raises ValueError on representation-finite input or fewer than three
     vertices (no such pair can exist there), and ExtPairInconclusive when
-    the case analysis does not cover the shape.  rng reaches only case 1,
-    for a real-root module whose thin module is no brick.
+    the case analysis does not cover the shape.  Every case is an exact
+    construction, so nothing is drawn at random.
     """
     if not q.is_path_algebra():
         raise ValueError("double-extension pairs are searched on path algebras only")
@@ -420,7 +418,7 @@ def find_ext_pair(q: ValuedQuiver, p: int,
     elif multi:
         case, X, Y, detail = _parallel_pair(q, p, multi)
     else:
-        case, (X, Y, detail) = 1, construct_case1(q, p, rng)
+        case, (X, Y, detail) = 1, construct_case1(q, p)
     report = verify_ext_pair(X, Y)
     require(report.ok, f"case {case} verification failed: {report.failures}")
     return ExtPairCertificate(case, X, Y, report, detail)

@@ -3,43 +3,24 @@
 The regular simples of the tubes of rank at least two come from root
 combinatorics (Ringel, LNM 1099, section 3; Dlab-Ringel, Mem. AMS 173): the
 defect-zero real roots below the radical vector, from one root enumeration,
-that are no sum of two such roots.  Only their modules are built, each
-certified by the brick test (a brick whose dimension vector is a real root
-is the unique indecomposable for that root): the thin zero/one module first,
-random samples only where it is no brick.  Translate orbits of the simples
-are the tubes; rank and dimension sums are checked, and each mouth is an
-extension cycle, checked and built on by tors (validate_ext_cycle,
-serial_object).
+that are no sum of two such roots.  Their modules are built exactly, with
+no random draw: each simple that misses a vertex from its Dynkin support,
+each sincere one as the translate of the simple before it in its orbit
+(find_regular_simples and module_for_real_root prove that this covers
+every tube).  Translate orbits of the simples are the tubes; rank and
+dimension sums are checked, and each mouth is an extension cycle, checked
+and built on by tors (validate_ext_cycle, serial_object).
 """
 
 from __future__ import annotations
 
-import random
 from operator import sub
 
-from .modules import (
-    Representation,
-    hom_dim,
-    make_rep,
-    random_rep,
-    require,
-)
-from .quiver import ValuedQuiver, classify_type
-from .roots import (
-    coxeter_transform,
-    defect,
-    positive_roots,
-    quadratic_form,
-    radical_vector,
-)
+from .modules import (Representation, ar_translate, ar_translate_inverse, extend_by_zero,
+                      projective, require)
+from .quiver import ValuedQuiver, classify_type, projective_dimvec, subquiver_restrict
+from .roots import coxeter_transform, defect, positive_roots, quadratic_form, radical_vector
 from .tors import serial_object, validate_ext_cycle
-from . import linalg as la
-
-GENERIC_TRIES = 20
-
-
-class SamplingInconclusive(RuntimeError):
-    """No sample with a real-root dimension vector was a brick."""
 
 
 class Tube:
@@ -60,35 +41,35 @@ class Tube:
         return tuple(s.dims for s in self.simples)
 
 
-def _thin_module(q: ValuedQuiver, p: int, x) -> Representation | None:
-    if any(c > 1 for c in x):
-        return None
-    return make_rep(q, p, x, [[[1]] if x[ar.source] and x[ar.target]
-                              else la.zeros(x[ar.target], x[ar.source]) for ar in q.arrows])
+def module_for_real_root(q: ValuedQuiver, p: int, x) -> Representation:
+    """The unique indecomposable with a real root x that misses a vertex of
+    the Euclidean quiver q.
 
-
-def module_for_real_root(q: ValuedQuiver, p: int, x,
-                         rng: random.Random) -> Representation:
-    """The unique indecomposable with real-root dimension vector x.
-
-    A brick with these dimensions is that indecomposable, so neither
-    candidate needs a genericity argument, only the brick test: the thin
-    module first, which draws nothing, then random samples.
+    Its support S is connected (x is a root) and proper, and a proper
+    connected full subquiver of a Euclidean quiver is Dynkin.  There every
+    indecomposable is preprojective, tau^-k P_S(w), and is fixed by its
+    dims, so the Coxeter transform of S carries x|S through positive roots
+    to the dims of P_S(w) after k steps (Phi has no fixed vector in Dynkin
+    type, so no orbit of positive roots is periodic).  The module is
+    TrD^k P_S(w), extended by zero.  A sincere x raises VerificationError.
     """
     require(quadratic_form(q, x) == 1, f"{x} is not a real root")
-    thin = _thin_module(q, p, x)
-    if thin is not None and hom_dim(thin, thin) == 1:
-        return thin
-    for _ in range(GENERIC_TRIES):
-        cand = random_rep(q, p, x, rng)
-        if hom_dim(cand, cand) == 1:
-            return cand
-    raise SamplingInconclusive(
-        f"no brick among {GENERIC_TRIES} samples for root {x} over F_{p}")
+    require(0 in x, f"{x} is sincere")
+    s = subquiver_restrict(q, [v for v, c in enumerate(x) if c])
+    y = tuple(x[s.old_vertex(w)] for w in range(s.quiver.n))
+    tops = {projective_dimvec(s.quiver, w): w for w in range(s.quiver.n)}
+    steps = 0
+    while y not in tops:
+        y = coxeter_transform(s.quiver, y)
+        require(min(y) >= 0 and any(y), f"the Coxeter orbit of {x} leaves the positive roots")
+        steps += 1
+    module = projective(s.quiver, p, tops[y])
+    for _ in range(steps):
+        module = ar_translate_inverse(module)
+    return extend_by_zero(module, s)
 
 
-def find_regular_simples(q: ValuedQuiver, p: int,
-                         rng: random.Random) -> list[Tube]:
+def find_regular_simples(q: ValuedQuiver, p: int) -> list[Tube]:
     """All tubes of rank at least two, each as a translate-ordered orbit.
 
     The candidates, the defect-zero roots of positive_roots(q, below=delta),
@@ -101,7 +82,12 @@ def find_regular_simples(q: ValuedQuiver, p: int,
     E_i's tube, y + z has coefficient sum at least 2 in the e_j, which are
     independent (their Euler matrix I - P, P the cyclic shift, turns a
     relation sum c_j e_j = 0 into c_j = c_{j+1}, and c delta != 0 for c != 0).
-    Modules are built, in candidate order, for the regular simples only.
+
+    Every Euclidean quiver has a vertex v with delta_v = 1.  An orbit sums
+    to delta and has at least two members, so at most one of them is
+    nonzero at v.  Walking the orbit from a member that misses v, each
+    sincere member is the translate of the member before it: tau permutes
+    the simples of a tube, and the Coxeter transform gives their dims.
     """
     if classify_type(q).family != "euclidean":
         raise ValueError("tubes are computed for tame quivers only")
@@ -111,7 +97,6 @@ def find_regular_simples(q: ValuedQuiver, p: int,
     known = set(candidates)
     simple_roots = [x for x in candidates
                     if not any(tuple(map(sub, x, y)) in known for y in candidates)]
-    modules = {x: module_for_real_root(q, p, x, rng) for x in simple_roots}
 
     tubes: list[Tube] = []
     used: set[tuple[int, ...]] = set()
@@ -121,14 +106,20 @@ def find_regular_simples(q: ValuedQuiver, p: int,
         orbit = [x]
         y = coxeter_transform(q, x)
         while y != x:
-            require(y in modules, f"translate orbit of {x} leaves the regular simples at {y}")
+            require(y in simple_roots, f"translate orbit of {x} leaves the regular simples at {y}")
             orbit.append(y)
             y = coxeter_transform(q, y)
         used.update(orbit)
         require(len(orbit) >= 2, f"orbit of {x} is a fixed point below the radical vector")
         total = tuple(map(sum, zip(*orbit)))
         require(total == delta, f"tube through {x} sums to {total}, not {delta}")
-        tube = Tube(tuple(modules[d] for d in orbit))
+        misses = [i for i, y in enumerate(orbit) if 0 in y]
+        require(misses, f"every simple in the orbit of {x} is sincere")
+        walk, built = orbit[misses[0]:] + orbit[:misses[0]], []
+        for y in walk:
+            built.append(module_for_real_root(q, p, y) if 0 in y else ar_translate(built[-1]))
+            require(built[-1].dims == y, f"the translate before {y} has other dims")
+        tube = Tube(tuple(built[-misses[0]:] + built[:-misses[0]]))
         validate_ext_cycle(tube.simples)
         tubes.append(tube)
 

@@ -189,7 +189,7 @@ def test_criterion_5_ext_pair_certificates():
     start = time.monotonic()
     expect = ((A2TILDE, 2), (TWO_TWO, 3), (TWO_ONE, 4), (D4TILDE, 1))
     for q, case in expect:
-        cert = find_ext_pair(q, 5, random.Random(0))
+        cert = find_ext_pair(q, 5)
         assert cert.case == case
         fresh = verify_ext_pair(cert.X, cert.Y)
         assert fresh.ok, (case, fresh.failures)
@@ -215,7 +215,7 @@ def test_criterion_6_finite_type_negative_control():
 
 
 def test_criterion_7_filtration_no_cover_evidence():
-    cert = find_ext_pair(A2TILDE, 5, random.Random(0))
+    cert = find_ext_pair(A2TILDE, 5)
     assert cert.case == 2
     ev = no_cover_evidence((cert.X, cert.Y), 3)
     assert [w[0] for w in ev.witnesses] == [1, 2]
@@ -277,7 +277,7 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         "d91383e18dda72a0abd90b614bdcb35237e6071cd7d815285691f005f3c48246",
         "4f0d7c20f8ca2bc4453094c607b62da3557163aefdf60f8136e13b7025a5a651",
         "754c36db623d999f3fbc1d05d33a3ff5a5dcb4b17bf94378f181a0f18863bf5a",
-        "590b09032cb838797283fab4c5d229bcec3171753727186b4d30853292213327",
+        "2bc89b52cae76d221da56982f24cc170d8b51c65097f962d33f5edb8633a3303",
         "b40264a1750e42db0fb8894959d8fb0f8d93d3a0dc759a3a7f8aa353d211159d",
     ]
     assert len(digests) == len(runs)

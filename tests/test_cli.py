@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from ftors.cli import COMMANDS, FLAGS, main
-from ftors.modules import rep_from_json
-from ftors.ext_pairs import verify_ext_pair
+from ftors.modules import DecompositionInconclusive, ExtensionCapError, rep_from_json
+from ftors.ext_pairs import ExtPairInconclusive, verify_ext_pair
 from ftors.quiver import load_quiver
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,14 +191,16 @@ def args_read(func) -> set:
 
 def test_each_subcommand_declares_exactly_the_flags_it_reads():
     """A declared flag that the handler never reads would be accepted and
-    ignored.  The one exception is --seed of run knit, which the benchmark
-    appends to every command."""
+    ignored.  The one exception is --seed of run knit, run extpair and run
+    nocover, which draw nothing: the benchmark appends --seed to every
+    command."""
     options = formats = 0
     for name, handler, choices, flags in subcommands():
         dests = {flag[2:].replace("-", "_") for flag in flags} | {"format", "out"}
         reads = args_read(handler)
         assert "quiver" in reads and reads - {"quiver"} <= dests, name
-        assert dests - reads == ({"seed"} if name == "run knit" else set()), name
+        unread = {"seed"} if name in ("run knit", "run extpair", "run nocover") else set()
+        assert dests - reads == unread, name
         options += len(dests)
         formats += len(choices)
     assert (options, formats) == (20, 12)
@@ -449,6 +451,19 @@ def test_internal_failure_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err == "internal error: AssertionError: hereditary identity violated\n"
+
+
+@pytest.mark.parametrize("exc", [ExtPairInconclusive, DecompositionInconclusive,
+                                 ExtensionCapError], ids=lambda exc: exc.__name__)
+def test_each_cause_of_inconclusive_exits_3(capsys, monkeypatch, exc):
+    def undecided(*args, **kwargs):
+        raise exc("undecided")
+
+    monkeypatch.setattr("ftors.cli.find_ext_pair", undecided)
+    code, out, err = run(capsys, "run", "extpair", A2TILDE)
+    assert code == 3
+    assert out == ""
+    assert err == "inconclusive: undecided\n"
 
 
 def run_optimized(patch: str, *argv) -> subprocess.CompletedProcess:
@@ -765,8 +780,7 @@ def test_no_unread_parameter():
 
 
 # the samplers and the functions that pass a generator on to them
-RNG_TAKERS = {"random_matrix", "random_rep", "module_for_real_root", "find_regular_simples",
-              "construct_case1", "find_ext_pair", "_kronecker_universe", "two_vertex_check"}
+RNG_TAKERS = {"random_matrix", "random_rep", "_kronecker_universe", "two_vertex_check"}
 
 
 def test_rng_parameter_only_on_samplers():

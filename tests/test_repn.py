@@ -535,8 +535,7 @@ def local_endomorphism_rings():
     of the a2tilde tube of rank 2 that filtration_universe finds, rebuilt so
     that none keeps the summands filtration_universe's decompose stored."""
     kron = make_rep(KRONECKER, 5, (2, 2), [la.identity(2), [[2, 1], [0, 2]]])
-    rng = random.Random(0)
-    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5, rng)[0]
+    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5)[0]
     uniserials = [make_rep(M.quiver, M.p, M.dims, M.mats)
                   for M in (o.module for o in filtration_universe(tube.simples, 4).objects)
                   if M.dims in ((1, 2, 1), (2, 1, 2), (2, 2, 2))]

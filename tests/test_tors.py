@@ -241,14 +241,12 @@ def test_validate_ext_cycle_rejections():
         validate_ext_cycle([S1, S2])                   # ext one way only
     with pytest.raises(VerificationError):
         validate_ext_cycle([projective(A2, 5, 0), S1])  # hom not orthogonal
-    rng = random.Random(0)
-    x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5, rng)[0])
+    x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5)[0])
     validate_ext_cycle([x, y])                         # the real thing passes
 
 
 def test_filtration_universe_and_loewy():
-    rng = random.Random(0)
-    x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5, rng)[0])
+    x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5)[0])
     fu = filtration_universe((x, y), 3)
     assert all(1 <= o.loewy <= 3 for o in fu.objects)
     assert {o.module.dims for o in fu.objects if o.length == 1} == {x.dims, y.dims}
@@ -266,8 +264,7 @@ def test_filtration_universe_and_loewy():
 
 
 def test_no_cover_evidence_cycle3():
-    rng = random.Random(0)
-    x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5, rng)[0])
+    x, y = tube_mouth_pair(find_regular_simples(CYCLE3, 5)[0])
     ev = no_cover_evidence((x, y), 3)
     assert ev.ok
     assert ev.monotone_ok
@@ -411,10 +408,9 @@ def pairwise_nonisomorphic(mods) -> bool:
 
 def audited_cycles():
     """The twothree ext pair over F_3 and the a2tilde tube simples over F_5."""
-    rng = random.Random(0)
-    cert = find_ext_pair(load_quiver(QDIR / "twothree.txt"), 3, rng)
+    cert = find_ext_pair(load_quiver(QDIR / "twothree.txt"), 3)
     assert (cert.report.numbers["ext_xy"], cert.report.numbers["ext_yx"]) == (3, 3)
-    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5, rng)[0]
+    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5)[0]
     return [(3, (cert.X, cert.Y)), (5, tube.simples)]
 
 
@@ -479,13 +475,12 @@ def test_layer_identity_agrees_with_decompose_and_match():
 
 
 def nocover_cycle(name: str, p: int):
-    """The cycle run nocover uses at seed 0: the first tube's mouth on a
+    """The cycle run nocover uses: the first tube's mouth on a
     Euclidean quiver, else the double-extension pair."""
     q = load_quiver(QDIR / f"{name}.txt")
-    rng = random.Random(0)
     if name.endswith("tilde"):
-        return find_regular_simples(q, p, rng)[0].simples
-    cert = find_ext_pair(q, p, rng)
+        return find_regular_simples(q, p)[0].simples
+    cert = find_ext_pair(q, p)
     return cert.X, cert.Y
 
 
