@@ -12,6 +12,7 @@ from .quiver import (
     ValuedQuiver,
     VerificationError,
     classify_type,
+    euler_matrix,
     load_quiver,
     parse_quiver,
     parse_quiver_json,
@@ -24,7 +25,6 @@ from .roots import (
     coxeter_transform,
     defect,
     euler_form,
-    euler_matrix,
     positive_roots,
     quadratic_form,
 )

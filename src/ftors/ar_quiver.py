@@ -32,8 +32,8 @@ from .modules import (
     projective,
     require,
 )
-from .quiver import ValuedQuiver, classify_type, topological_order
-from .roots import euler_matrix, positive_roots
+from .quiver import ValuedQuiver, classify_type, euler_matrix, topological_order
+from .roots import positive_roots
 
 
 class ARNode:
@@ -80,9 +80,8 @@ def knit_ar_quiver(q: ValuedQuiver, p: int) -> ARQuiver:
     there are roots, and each is a brick (End is the field, so the module
     is indecomposable), which is the solved diagonal check <x, x> = 1.
     """
-    qt = classify_type(q)
-    if not qt.representation_finite:
-        raise ValueError("knitting requires a representation-finite quiver")
+    if not classify_type(q).representation_finite or not q.is_path_algebra():
+        raise ValueError("knitting requires a representation-finite path algebra")
 
     roots = positive_roots(q)
     root_set = set(roots)

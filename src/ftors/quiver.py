@@ -10,12 +10,14 @@ Path algebras are the quivers whose arrows all carry valuation (1, 1); parallel
 arrows are allowed and meaningful.  Valued arrows participate only in
 numerical (Euler-form level) computations.
 
-Each exact routine exists once: one fraction-free elimination over the
-integers (`gauss_jordan`, also used by the integer inverse in `roots`), one
-topological sort (`_kahn`, which also detects oriented cycles), and one
-graph walk over one adjacency (`_spanning_tree` on `neighbors`, which checks
-connectivity and propagates the symmetrizer; `_arms` walks the arms of a
-tree for the type letters and the tame subtrees of `ext_pairs`).
+Each exact routine exists once: one bilinear form (`euler_matrix`, valued
+arrows included; `classify_type`, `radical_vector` and every dimension-vector
+map of `roots` derive from it), one fraction-free elimination over the
+integers (`gauss_jordan`, for the radical), one topological sort (`_kahn`,
+which also detects oriented cycles), and one graph walk over one adjacency
+(`_spanning_tree` on `neighbors`, which checks connectivity and propagates
+the symmetrizer; `_arms` walks the arms of a tree for the type letters and
+the tame subtrees of `ext_pairs`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 from functools import cache
 from heapq import heappop, heappush
 from math import gcd, lcm
+from operator import add
 
 
 class QuiverError(ValueError):
@@ -422,13 +425,14 @@ def _primitive(ints) -> list[int]:
     return [x // g for x in ints]
 
 
-def _symmetrized(q: ValuedQuiver) -> list[list[int]]:
-    """Symmetrization d_i * a_ij of the generalized Cartan data.
+@cache
+def euler_matrix(q: ValuedQuiver) -> tuple[tuple[int, ...], ...]:
+    """E of the Euler form <x, y> = x^T E y = sum f_i x_i y_i - sum_{i -> j}
+    f_i a x_i y_j (Dlab-Ringel, Mem. AMS 173), f the primitive symmetrizer.
 
-    The positive symmetrizers are propagated along a spanning tree and must
-    stay consistent across every edge; valuations that admit none do not
-    come from an algebra and are rejected.
-    """
+    f is propagated along a spanning tree and must satisfy f_i a = f_j b on
+    every edge i -> j; valuations that admit none are rejected.  f = 1 on a
+    path algebra."""
     n = q.n
     aij = [[0] * n for _ in range(n)]
     for ar in q.arrows:
@@ -441,28 +445,30 @@ def _symmetrized(q: ValuedQuiver) -> list[list[int]]:
         g = gcd(num, den)
         d = [x * (den // g) for x in d]
         d[j] = num // g
-    for i in range(n):
-        for j in range(n):
-            if aij[i][j] and d[i] * aij[i][j] != d[j] * aij[j][i]:
-                raise QuiverError("arrow valuations admit no symmetrizer")
-    ints = _primitive(d)
-    c = [[0] * n for _ in range(n)]
-    for v in range(n):
-        c[v][v] = 2 * ints[v]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                c[i][j] = -ints[i] * aij[i][j]
-    return c
+    f = _primitive(d)
+    if any(f[i] * aij[i][j] != f[j] * aij[j][i] for i in range(n) for j in range(n)):
+        raise QuiverError("arrow valuations admit no symmetrizer")
+    e = [[f[i] * (i == j) for j in range(n)] for i in range(n)]
+    for ar in q.arrows:
+        e[ar.source][ar.target] -= f[ar.source] * ar.a
+    return tuple(map(tuple, e))
 
 
-def _positive_definite(c: list[list[int]]) -> bool:
+@cache
+def _symmetrized(q: ValuedQuiver) -> tuple[tuple[int, ...], ...]:
+    """The symmetrization (x, y) = <x, y> + <y, x>: E + E^T, the generalized
+    Cartan matrix scaled by the symmetrizer."""
+    e = euler_matrix(q)
+    return tuple(tuple(map(add, row, col)) for row, col in zip(e, zip(*e)))
+
+
+def _positive_definite(c) -> bool:
     """Sylvester's criterion in one fraction-free (Bareiss) pass.
 
     Without row swaps the k-th pivot is the k-th leading principal minor, so
     the test stops at the first pivot that is not positive.
     """
-    m = [row[:] for row in c]
+    m = [list(row) for row in c]
     n = len(m)
     prev = 1
     for k in range(n):

@@ -1,11 +1,13 @@
-"""Dimension-vector arithmetic attached to a quiver.
+"""Dimension-vector arithmetic attached to a valued quiver.
 
-Everything here is exact integer work on the Euler form: the bilinear form
-itself, the Coxeter transform that tracks the translate on dimension vectors,
-the simple reflections, the positive roots of finite type and the real
-roots below a bound (the simple roots closed under height-raising
-reflections, each checked to have Tits form 1), and the radical/defect
-data of tame type.  No representations are built in this module.
+Everything here is exact integer work on one bilinear form, the Euler form
+<x, y> = x^T E y of quiver.euler_matrix, valued arrows included: the simple
+reflections of its symmetrization (x, y) = <x, y> + <y, x>, the Coxeter
+transform as their product (it tracks the translate on dimension vectors),
+the positive roots of finite type and the real roots below a bound (the
+simple roots closed under height-raising reflections, each checked to keep
+the form of the simple root it came from), and the radical/defect data of
+tame type.  No representations are built in this module.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from operator import mul
 from .quiver import (
     QuiverError,
     ValuedQuiver,
+    _symmetrized,
     classify_type,
-    gauss_jordan,
+    euler_matrix,
     projective_dimvec,
     radical_vector,
     require,
+    topological_order,
 )
 
 DimVector = tuple[int, ...]
@@ -43,15 +47,6 @@ def _apply(m: IntMatrix, x) -> DimVector:
     return tuple(_dot(row, x) for row in m)
 
 
-@cache
-def euler_matrix(q: ValuedQuiver) -> IntMatrix:
-    """E with E[i][i] = 1 and E[i][j] = -sum of first valuation components."""
-    e = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
-    for ar in q.arrows:
-        e[ar.source][ar.target] -= ar.a
-    return tuple(map(tuple, e))
-
-
 def euler_form(q: ValuedQuiver, x, y) -> int:
     x, y = _vector(q, x), _vector(q, y)
     return _dot(x, _apply(euler_matrix(q), y))
@@ -61,22 +56,16 @@ def quadratic_form(q: ValuedQuiver, x) -> int:
     return euler_form(q, x, x)
 
 
-def _int_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix that is unimodular over Z."""
-    n = len(m)
-    rows, pivots = gauss_jordan([[*row, *(int(i == j) for j in range(n))]
-                                 for i, row in enumerate(m)])
-    if pivots != list(range(n)) or any(x % row[k] for k, row in enumerate(rows)
-                                       for x in row[n:]):
-        raise ValueError("matrix is not unimodular over the integers")
-    return tuple(tuple(x // row[k] for x in row[n:]) for k, row in enumerate(rows))
-
-
 @cache
 def coxeter_matrix(q: ValuedQuiver) -> IntMatrix:
-    """Phi with <y, Phi x> = -<x, y>; dim tau M = Phi (dim M) off projectives."""
-    e = euler_matrix(q)
-    return tuple(tuple(-_dot(row, col) for col in e) for row in _int_inverse(e))
+    """Phi = -E^-1 E^T, so <y, Phi x> = -<x, y>; dim tau M = Phi (dim M) off
+    projectives.  Phi is the product of the simple reflections at the sinks
+    first (reverse topological order), the order in which ar_translate
+    applies the reflection functors."""
+    cols = [tuple(int(i == j) for i in range(q.n)) for j in range(q.n)]
+    for v in reversed(topological_order(q)):
+        cols = [reflection_transform(q, x, v) for x in cols]
+    return tuple(zip(*cols))
 
 
 def coxeter_transform(q: ValuedQuiver, x) -> DimVector:
@@ -84,43 +73,44 @@ def coxeter_transform(q: ValuedQuiver, x) -> DimVector:
 
 
 def reflection_transform(q: ValuedQuiver, x, v: int) -> DimVector:
-    """Simple reflection s_v of a dimension vector in the symmetrized form."""
-    c = [0] * q.n
-    for ar in q.arrows:
-        if ar.source == v:
-            c[ar.target] += ar.a
-        if ar.target == v:
-            c[ar.source] += ar.a
+    """Simple reflection s_v x = x - (2 (x, e_v) / (e_v, e_v)) e_v in the
+    symmetrized form; (e_v, e_v) = 2 f_v, and f_v divides row v of E + E^T."""
+    c = _symmetrized(q)[v]
     x = [int(t) for t in x]
-    x[v] = -x[v] + _dot(c, x)
+    x[v] -= _dot(c, x) // (c[v] // 2)
     return tuple(x)
 
 
 def positive_roots(q: ValuedQuiver, below=None) -> list[DimVector]:
     """All positive roots of a representation-finite quiver or, given a
-    vector `below`, the positive real roots x <= below of any path algebra.
+    vector `below`, the positive real roots x <= below of any quiver, valued
+    arrows included.
 
     The simple roots closed under the simple reflections that raise the
-    height (Bernstein-Gelfand-Ponomarev) and stay below the bound: s_v x =
-    x - (x, e_v) e_v in the symmetrized form, taken whenever (x, e_v) < 0.
-    A non-simple positive real root x has (x, x) = sum x_v (x, e_v) = 2, so
-    (x, e_v) > 0 for some v in its support, and s_v x < x is a positive real
-    root: every root is reached through roots below it, so no coordinate
-    bound is needed.  Every generated vector must have Tits form 1, so an
-    imaginary bound such as a radical vector is never generated.
+    height (Bernstein-Gelfand-Ponomarev; Dlab-Ringel for valued quivers)
+    and stay below the bound: s_v x = x - ((x, e_v) / f_v) e_v in the
+    symmetrized form, taken whenever (x, e_v) < 0.  A non-simple positive
+    real root x has (x, x) = sum x_v (x, e_v) = 2q(x) > 0, so (x, e_v) > 0
+    for some v in its support, and s_v x < x is a positive real root: every
+    root is reached through roots below it, so no coordinate bound is
+    needed.  Reflections keep the form, so every generated vector must have
+    the form f_v = E[v][v] of the simple root e_v it descends from; an
+    imaginary bound such as a radical vector (form 0) is never generated.
     """
     if below is None and not classify_type(q).representation_finite:
         raise QuiverError("positive roots are enumerated for Dynkin quivers only")
-    if not q.is_path_algebra():
-        raise QuiverError("root enumeration supports path algebras only")
-    roots = [tuple(int(v == i) for i in range(q.n)) for v in range(q.n)
-             if below is None or below[v] > 0]
+    e = euler_matrix(q)
+    forms = {tuple(int(v == i) for i in range(q.n)): e[v][v] for v in range(q.n)
+             if below is None or below[v] > 0}
+    roots = list(forms)
     for x in roots:     # the list grows while it is read
         for v in range(q.n):
             y = reflection_transform(q, x, v)
-            if y[v] > x[v] and (below is None or y[v] <= below[v]) and y not in roots:
+            if y[v] > x[v] and (below is None or y[v] <= below[v]) and y not in forms:
                 form = quadratic_form(q, y)
-                require(form == 1, f"reflected vector {y} has Tits form {form}, not 1")
+                require(form == forms[x], f"reflected vector {y} has form {form}, "
+                                          f"not {forms[x]} as the root it came from")
+                forms[y] = form
                 roots.append(y)
     return sorted(roots, key=lambda r: (sum(r), r))
 

@@ -89,8 +89,8 @@ def find_regular_simples(q: ValuedQuiver, p: int) -> list[Tube]:
     sincere member is the translate of the member before it: tau permutes
     the simples of a tube, and the Coxeter transform gives their dims.
     """
-    if classify_type(q).family != "euclidean":
-        raise ValueError("tubes are computed for tame quivers only")
+    if classify_type(q).family != "euclidean" or not q.is_path_algebra():
+        raise ValueError("tubes are computed for tame path algebras only")
     delta = radical_vector(q)
 
     candidates = [x for x in positive_roots(q, below=delta) if defect(q, x) == 0]

@@ -436,6 +436,29 @@ def test_bad_quiver_file(tmp_path, capsys):
     assert "bad quiver file" in err
 
 
+B3_VALUED = "vertices 3\narrow 1 2\narrow 2 3 1 2\n"
+C2TILDE_VALUED = "vertices 3\narrow 1 2 1 2\narrow 2 3 2 1\n"
+
+
+@pytest.mark.parametrize("text, command, flags", [
+    (B3_VALUED, "knit", ()),
+    (B3_VALUED, "tors", ()),
+    (C2TILDE_VALUED, "nocover", ("--loewy-bound", "2")),
+    (C2TILDE_VALUED, "extpair", ()),
+    # its tube walk would reach a VerificationError (exit 5) unrefused
+    ("vertices 3\narrow 1 2 2 1\narrow 2 3 1 2\n", "nocover", ("--loewy-bound", "2")),
+], ids=["knit-B3", "tors-B3", "nocover-C~2", "extpair-C~2", "nocover-21-12"])
+def test_valued_input_stops_at_the_module_layer(tmp_path, capsys, text, command, flags):
+    """The root layer serves valued quivers, but modules are built over path
+    algebras only: each module command refuses valued input as bad input
+    (exit 2, nothing on stdout) and names path algebras."""
+    path = tmp_path / "valued.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "run", command, str(path), *flags)
+    assert (code, out) == (2, "")
+    assert "path algebra" in err
+
+
 def test_bad_prime(capsys):
     code, _, err = run(capsys, "run", "knit", A2, "--prime", "1")
     assert code == 2

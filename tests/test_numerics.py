@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from test_quiver import DYNKIN, SEEDS, _relabeled
+from test_quiver import DYNKIN, SEEDS, _check_coxeter_inverse, _fraction_inverse, _path, _relabeled
 
 from ftors.quiver import QuiverError, classify_type, parse_quiver, radical_vector
 from ftors.roots import (
-    _int_inverse,
     coxeter_matrix,
     coxeter_transform,
     defect,
@@ -21,6 +20,17 @@ A3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\n")
 D4 = parse_quiver("vertices 4\narrow 1 2\narrow 1 3\narrow 1 4\n")
 KRONECKER = parse_quiver("vertices 2\narrow 1 2\narrow 1 2\n")
 CYCLE3 = parse_quiver("vertices 3\narrow 1 2\narrow 2 3\narrow 1 3\n")
+B2 = parse_quiver("vertices 2\narrow 1 2 1 2\n")
+G2 = parse_quiver("vertices 2\narrow 1 2 1 3\n")
+C2TILDE = parse_quiver("vertices 3\narrow 1 2 1 2\narrow 2 3 2 1\n")
+# valued Euclidean quivers, named by the valuations of their arrows
+VALUED_EUCLIDEAN = {"12-21": C2TILDE} | {name: parse_quiver(text) for name, text in (
+    ("14", "vertices 2\narrow 1 2 1 4\n"),
+    ("22", "vertices 2\narrow 1 2 2 2\n"),
+    ("11-13", "vertices 3\narrow 1 2\narrow 2 3 1 3\n"),
+    ("21-12", "vertices 3\narrow 1 2 2 1\narrow 2 3 1 2\n"),
+    ("12-11-21", "vertices 4\narrow 1 2 1 2\narrow 2 3\narrow 3 4 2 1\n"),
+)}
 
 
 def euler_oracle(q, x, y):
@@ -33,6 +43,14 @@ def euler_oracle(q, x, y):
 
 def test_euler_matrix_a2():
     assert np.array_equal(euler_matrix(A2), np.array([[1, -1], [0, 1]]))
+
+
+def test_euler_matrix_valued():
+    """f_i on the diagonal and -f_i a at each arrow i -> j of valuation
+    (a, b), with the primitive symmetrizer f_i a = f_j b: f = (2, 1) on B2
+    and (3, 1) on G2."""
+    assert euler_matrix(B2) == ((2, -2), (0, 1))
+    assert euler_matrix(G2) == ((3, -3), (0, 1))
 
 
 def test_euler_form_matches_direct_formula():
@@ -128,12 +146,82 @@ def test_coxeter_transform_adjoint_identity():
 
 
 def test_coxeter_transform_inverse_roundtrip():
+    """Phi inverted over the rationals is an integer matrix that undoes
+    the transform, on path and valued quivers."""
     rng = np.random.default_rng(31)
-    for q in (A3, D4, CYCLE3):
-        inverse = np.array(_int_inverse(coxeter_matrix(q)))
+    for q in (A3, D4, CYCLE3, B2, G2, C2TILDE):
+        inverse = _fraction_inverse(coxeter_matrix(q))
+        assert all(x.denominator == 1 for row in inverse for x in row)
         for _ in range(10):
             x = tuple(int(v) for v in rng.integers(-4, 5, q.n))
-            assert tuple(int(v) for v in inverse @ coxeter_transform(q, x)) == x
+            cx = coxeter_transform(q, x)
+            assert tuple(sum(a * b for a, b in zip(row, cx)) for row in inverse) == x
+
+
+def _valued_dynkin():
+    """(name, n, edges, number of positive roots) of the valued Dynkin
+    quivers B_n and C_n for n = 2..6 (the two directions of the valuation
+    on the last edge of a path), F4 and G2, each valuation in both
+    directions.  The counts are n h / 2 with h the Coxeter number of the
+    Weyl group: 2n for B_n and C_n, 12 for F4, 6 for G2."""
+    cases = []
+    for a, b in ((1, 2), (2, 1)):
+        cases += [(f"BC{n}-{a}{b}", n, _path(n - 1) + [(n - 2, n - 1, a, b)], n * n)
+                  for n in range(2, 7)]
+        cases.append((f"F4-{a}{b}", 4, [(0, 1), (1, 2, a, b), (2, 3)], 24))
+    return cases + [(f"G2-{a}{b}", 2, [(0, 1, a, b)], 6) for a, b in ((1, 3), (3, 1))]
+
+
+VALUED_DYNKIN = _valued_dynkin()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name, n, edges, count", VALUED_DYNKIN,
+                         ids=[c[0] for c in VALUED_DYNKIN])
+def test_valued_dynkin_roots_count_the_weyl_group(name, n, edges, count, seed):
+    """Every orientation of a valued Dynkin quiver has n h / 2 positive
+    roots, each with the form f_v of some simple root, and its Coxeter
+    matrix matches -E^-1 E^T over the rationals."""
+    q, _ = _relabeled(n, edges, seed)
+    assert classify_type(q).representation_finite
+    roots = positive_roots(q)
+    assert len(roots) == len(set(roots)) == count
+    diagonal = {euler_matrix(q)[v][v] for v in range(n)}
+    assert all(quadratic_form(q, r) in diagonal for r in roots)
+    _check_coxeter_inverse(q)
+
+
+@pytest.mark.parametrize("q", [_relabeled(n, edges, 1)[0] for _, n, edges, _ in VALUED_DYNKIN]
+                         + list(VALUED_EUCLIDEAN.values()),
+                         ids=[c[0] for c in VALUED_DYNKIN] + list(VALUED_EUCLIDEAN))
+def test_valued_coxeter_transform_identities(q):
+    """<y, Phi x> = -<x, y> and <Phi x, Phi y> = <x, y> on valued input."""
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        x = tuple(int(v) for v in rng.integers(-3, 4, q.n))
+        y = tuple(int(v) for v in rng.integers(-3, 4, q.n))
+        cx, cy = coxeter_transform(q, x), coxeter_transform(q, y)
+        assert euler_form(q, y, cx) == -euler_form(q, x, y)
+        assert euler_form(q, cx, cy) == euler_form(q, x, y)
+
+
+@pytest.mark.parametrize("q", VALUED_EUCLIDEAN.values(), ids=VALUED_EUCLIDEAN)
+def test_valued_euclidean_radical_and_defect(q):
+    """On a valued Euclidean quiver delta is isotropic with defect 0, the
+    defect is Phi-invariant, the real roots below delta keep the forms f_v,
+    and Phi matches its rational oracle."""
+    assert classify_type(q).tame
+    delta = radical_vector(q)
+    assert quadratic_form(q, delta) == 0 and defect(q, delta) == 0
+    rng = np.random.default_rng(47)
+    for _ in range(15):
+        x = tuple(int(v) for v in rng.integers(-3, 4, q.n))
+        assert defect(q, coxeter_transform(q, x)) == defect(q, x)
+    diagonal = {euler_matrix(q)[v][v] for v in range(q.n)}
+    roots = positive_roots(q, below=delta)
+    assert delta not in roots
+    assert all(quadratic_form(q, r) in diagonal for r in roots)
+    _check_coxeter_inverse(q)
 
 
 def test_defect_vanishes_on_radical_and_is_coxeter_invariant():

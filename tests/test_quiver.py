@@ -1,6 +1,7 @@
 """Quiver parsing, validation, classification, reflections."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ftors.quiver import (
     underlying_edges,
     valuation_v,
 )
-from ftors.roots import _int_inverse, coxeter_matrix, positive_roots, quadratic_form
+from ftors.roots import coxeter_matrix, euler_matrix, positive_roots, quadratic_form
 
 A2 = "vertices 2\narrow 1 2\n"
 A3 = "vertices 3\narrow 1 2\narrow 2 3\n"
@@ -272,21 +273,42 @@ SEEDS = (1, 2)
 def _relabeled(n, edges, seed, valuation=(1, 1)):
     """The graph under a seeded vertex relabeling, each edge oriented along a
     seeded linear order (so never an oriented cycle); returns the quiver and
-    the relabeling old -> new."""
+    the relabeling old -> new.  An edge (u, v, a, b) carries its own
+    valuation."""
     rng = np.random.default_rng(seed)
     label = [int(x) for x in rng.permutation(n)]
     rank = [int(x) for x in rng.permutation(n)]
     arrows = []
-    for u, v in edges:
-        ar = Arrow(label[u], label[v], *valuation)
+    for u, v, *own in edges:
+        ar = Arrow(label[u], label[v], *(own or valuation))
         arrows.append(ar if rank[u] < rank[v] else ar.reversed())
     return ValuedQuiver(n, tuple(arrows)), label
 
 
+def _fraction_inverse(m):
+    """Gauss-Jordan inverse of a square integer matrix over the rationals."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
 def _check_coxeter_inverse(q):
-    """Phi is unimodular: _int_inverse raises otherwise."""
-    prod = np.array(coxeter_matrix(q)) @ np.array(_int_inverse(coxeter_matrix(q)))
-    assert (prod == np.eye(q.n, dtype=np.int64)).all()
+    """Phi equals -E^-1 E^T, with E inverted over the rationals, and Phi is
+    unimodular: its rational inverse has integer entries."""
+    e = euler_matrix(q)
+    e_inv = _fraction_inverse(e)
+    want = [[-sum(e_inv[i][k] * e[j][k] for k in range(q.n)) for j in range(q.n)]
+            for i in range(q.n)]
+    assert [list(row) for row in coxeter_matrix(q)] == want
+    assert all(x.denominator == 1 for row in _fraction_inverse(coxeter_matrix(q)) for x in row)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
