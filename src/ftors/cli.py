@@ -359,7 +359,6 @@ def cmd_nocover(args) -> int:
             {"level": r, "serial_dim": list(dims), "generated_below": gen}
             for r, dims, gen in evidence.witnesses
         ],
-        "generation_preserves_level": evidence.monotone_ok,
         "verified": evidence.ok,
     }
     if args.format == "json":
@@ -371,7 +370,6 @@ def cmd_nocover(args) -> int:
         for r, dims, gen in evidence.witnesses:
             lines.append(f"level {r}: serial ({','.join(map(str, dims))}) "
                          f"generated below: {gen}")
-        lines.append(f"generation preserves level: {evidence.monotone_ok}")
         _emit("\n".join(lines) + "\n", "text", args.out)
     return EXIT_OK if evidence.ok else EXIT_FAILED
 

@@ -192,23 +192,19 @@ def column_space_basis(a: Matrix, p: int) -> Matrix:
 def solve(a: Matrix, b: Matrix, p: int):
     """Solve a @ x = b exactly for a Matrix b of stacked right-hand sides.
 
-    Returns (particular, kernel) where particular is None when the system is
-    inconsistent; kernel columns span the homogeneous solution space.  One
-    elimination of [a | b] gives both: its left block is the reduced echelon
-    form of a.
+    Returns one particular solution, free unknowns set to zero, read off one
+    elimination of [a | b]; None when the system is inconsistent.
     """
     if len(a) != len(b):
         raise ValueError("incompatible shapes in solve")
     ncols, nrhs = a.shape[1], b.shape[1]
-    r, rk, pivots = rref(hstack([a, b]), p)
-    head = [c for c in pivots if c < ncols]
-    kernel = transpose(from_rows(_null_vectors(r, head, ncols, p), ncols))
-    if len(head) < rk:
-        return None, kernel
+    r, _, pivots = rref(hstack([a, b]), p)
+    if pivots and pivots[-1] >= ncols:
+        return None
     x = [(0,) * nrhs] * ncols
     for row, c in zip(r, pivots):
         x[c] = row[ncols:]
-    return from_rows(x, nrhs), kernel
+    return from_rows(x, nrhs)
 
 
 def complement_indices(basis: Matrix, p: int) -> list[int]:

@@ -425,7 +425,7 @@ def carve(M: Representation, spaces) -> Subquotient:
     for k, ar in enumerate(q.arrows):
         s, t = ar.source, ar.target
         pushed = la.matmul(M.mats[k], bases[s], p)
-        x, _ = la.solve(bases[t], pushed, p)
+        x = la.solve(bases[t], pushed, p)
         if x is None:
             raise ValueError("vertex spaces are not arrow-invariant")
         sub_mats.append(x)

@@ -17,7 +17,7 @@ its cover.  The classes grow along the Hasse edges the enumeration records.
 A sampled universe (the bounded two-vertex check) has no complete Hom
 table, so peeled_closure peels there, bounded by monotonicity: K ⊆ G gives
 T(K) ⊆ T(G), and each cached peeled closure is exactly T(K) ∩ U.  The
-filtration evidence tests generation module by module.
+filtration evidence tests generation once per level (no_cover_evidence).
 
 Each ModuleUniverse caches the Hom spaces between its members (a finite
 universe starts with the table its knitting built) and the per-pair facts
@@ -528,16 +528,15 @@ class FiltrationUniverse:
 
 
 class NoCoverEvidence:
-    __slots__ = ("bound", "universe_size", "witnesses", "monotone_ok")
+    __slots__ = ("bound", "universe_size", "witnesses")
 
-    def __init__(self, bound: int, universe_size: int, witnesses: tuple, monotone_ok: bool):
+    def __init__(self, bound: int, universe_size: int, witnesses: tuple):
         self.bound, self.universe_size = bound, universe_size
         self.witnesses = witnesses      # (r, serial dims, generated?) per step
-        self.monotone_ok = monotone_ok
 
     @property
     def ok(self) -> bool:
-        return self.monotone_ok and all(not gen for _, _, gen in self.witnesses)
+        return all(not gen for _, _, gen in self.witnesses)
 
 
 def relative_loewy_length(M: Representation, cycle) -> int:
@@ -667,21 +666,26 @@ def serial_object(cycle, top_index: int, length: int) -> Representation:
 
 
 def no_cover_evidence(cycle, bound: int) -> NoCoverEvidence:
-    """Evidence that the filtration chain admits no covering step.
+    """Evidence that the filtration chain admits no covering step: for each
+    r below the bound, the serial object with r + 1 layers is not generated
+    by the objects of relative Loewy length at most r, so no single
+    enlargement of the r-th class reaches the next.
 
-    For each r below the bound, the serial object with r + 1 layers is shown
-    not to be generated by the objects of relative Loewy length at most r,
-    and generation is shown to preserve the Loewy bound across the whole
-    universe, so no single enlargement of the r-th class reaches the next.
-    Levels are nested and Gen is monotone, so an object of length l > 1
-    escapes every lower level exactly when it escapes level l - 1.
+    No other object needs a test.  The cycle is a set of pairwise
+    Hom-orthogonal bricks, so the category W it filters is exact abelian and
+    closed under extensions, with the members as its simples (Ringel,
+    J. Algebra 41, 1976).  An epimorphism in mod Λ between objects of W is
+    one in W and maps the relative radical onto the relative radical, so
+    quotients and finite sums never raise the relative Loewy length: no
+    object of length l is generated by level l - 1.  The lengths are
+    certified, levels 1 and 2 by the proof in filtration_universe and 3 and
+    up by relative_loewy_length's layer identity.  The argument covers the
+    witnesses too; their test stays as the one module test per level.
     """
     fu = filtration_universe(cycle, bound)
-    lower = {r: [o.module for o in fu.objects if o.loewy <= r] for r in range(1, bound)}
     witnesses = []
     for r in range(1, bound):
+        lower = [o.module for o in fu.objects if o.loewy <= r]
         serial = serial_object(fu.cycle, 0, r + 1)
-        witnesses.append((r, serial.dims, bool(generates(lower[r], serial))))
-    monotone_ok = not any(generates(lower[o.loewy - 1], o.module)
-                          for o in fu.objects if o.loewy > 1)
-    return NoCoverEvidence(bound, len(fu.objects), tuple(witnesses), monotone_ok)
+        witnesses.append((r, serial.dims, bool(generates(lower, serial))))
+    return NoCoverEvidence(bound, len(fu.objects), tuple(witnesses))

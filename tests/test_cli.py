@@ -397,7 +397,6 @@ def test_nocover_json(capsys):
     assert data["verified"] is True
     assert [w["level"] for w in data["witnesses"]] == [1, 2]
     assert all(w["generated_below"] is False for w in data["witnesses"])
-    assert data["generation_preserves_level"] is True
 
 
 def test_nocover_twoone_level_two(capsys):
