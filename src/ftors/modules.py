@@ -15,7 +15,7 @@ resolution: the Hom system's map from the vertex blocks to the arrow
 blocks has kernel Hom and cokernel Ext, so a class is a cocycle on the
 arrow blocks, and its middle term is glued from block upper-triangular
 arrow matrices with no projective presentation.  Isomorphism classes are
-matched only where a caller asks (is_isomorphic, normalize).
+matched only where a caller asks, by one dedup (_iso_index).
 
 Only valuation-(1, 1) quivers (path algebras, parallel arrows allowed) are
 accepted here; valued arrows live purely at the numerical level.
@@ -66,12 +66,12 @@ MIDDLE_CAP = 3125
 # representation type and constructors
 
 class Representation:
-    __slots__ = ("quiver", "p", "dims", "mats", "_parts", "__weakref__")
+    __slots__ = ("quiver", "p", "dims", "mats", "_parts", "_ranks", "__weakref__")
 
     def __init__(self, quiver: ValuedQuiver, p: int, dims: tuple[int, ...],
                  mats: tuple[Matrix, ...]):
         self.quiver, self.p, self.dims, self.mats = quiver, p, dims, mats
-        self._parts = None
+        self._parts = self._ranks = None
 
     @property
     def total(self) -> int:
@@ -614,40 +614,44 @@ def is_isomorphic(X: Representation, Y: Representation) -> bool:
         return True
     if h.dim <= 1 or len(px := decompose(X)) == 1:
         return False
-    py = decompose(Y)
+    py = decompose(Y)   # a fresh list, matched summands are popped
     if len(px) != len(py):
         return False
-    remaining = list(py)
     for part in px:
-        idx = _iso_index(part, remaining)
+        idx = _iso_index(part, py)
         if idx is None:
             return False
-        remaining.pop(idx)
+        py.pop(idx)
     return True
 
 
 def _iso_index(M: Representation, candidates) -> int | None:
-    """Position of the first candidate isomorphic to M, or None.
-
-    Candidates are tried in list order, and only those with the dimension
-    vector of M reach the isomorphism test, which always gets M first.
+    """Position of the first candidate isomorphic to M, or None: the one
+    isomorphism dedup.  Candidates are tried in list order; those with the
+    dims and then the _rank_invariants of M reach is_isomorphic, which always
+    gets M first, so invariants are computed only on a dims match.
     """
     for idx, cand in enumerate(candidates):
-        if cand.dims == M.dims and is_isomorphic(M, cand):
+        if (cand.dims == M.dims and _rank_invariants(cand) == _rank_invariants(M)
+                and is_isomorphic(M, cand)):
             return idx
     return None
 
 
 def _rank_invariants(M: Representation) -> tuple[int, ...]:
     """Ranks that a change of basis at each vertex keeps: of each arrow, each
-    composite of two arrows and each pencil a + lam b of two parallel arrows."""
+    composite of two arrows and each pencil a + lam b of two parallel arrows.
+    M never changes, so it keeps them, as it keeps its summands."""
+    if M._ranks is not None:
+        return M._ranks
     p, mats, arrows = M.p, M.mats, list(enumerate(M.quiver.arrows))
     more = [la.matmul(mats[l], mats[k], p) for k, a in arrows for l, b in arrows
             if b.source == a.target]
     more += [la.Matrix(tuple((x + lam * y) % p for x, y in zip(*r)) for r in zip(mats[k], mats[l]))
              for k, a in arrows for l, b in arrows[k + 1:]
              if (a.source, a.target) == (b.source, b.target) for lam in range(1, p)]
-    return tuple(la.rank(m, p) for m in (*mats, *more))
+    M._ranks = tuple(la.rank(m, p) for m in (*mats, *more))
+    return M._ranks
 
 
 def _drop_generated(mods: list[Representation]) -> list[int]:

@@ -180,13 +180,15 @@ def parse_quiver_json(data) -> ValuedQuiver:
     if not isinstance(data, dict) or "vertices" not in data or "arrows" not in data:
         raise QuiverError("quiver JSON needs `vertices` and `arrows` keys")
     n = data["vertices"]
-    if not isinstance(n, int):
+    if type(n) is not int:   # JSON true and false are ints to isinstance
         raise QuiverError("`vertices` must be an integer")
+    if not isinstance(data["arrows"], (list, tuple)):
+        raise QuiverError("`arrows` must be a list")
     arrows = []
     for entry in data["arrows"]:
         if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 4):
             raise QuiverError(f"arrow entry {entry!r} must be [i, j] or [i, j, a, b]")
-        if not all(isinstance(x, int) for x in entry):
+        if not all(type(x) is int for x in entry):
             raise QuiverError(f"arrow entry {entry!r} must contain integers")
         i, j = entry[0], entry[1]
         if not (1 <= i <= n and 1 <= j <= n):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .modules import (
@@ -40,7 +40,6 @@ from .modules import (
     HomSpace,
     Representation,
     _iso_index,
-    _rank_invariants,
     ar_translate,
     ar_translate_inverse,
     carve,
@@ -52,7 +51,6 @@ from .modules import (
     hom_dim,
     image_bases,
     injective,
-    is_isomorphic,
     middle_terms,
     projective,
     random_rep,
@@ -587,19 +585,23 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
     """Indecomposable iterated extensions of the cycle members, up to the
     given number of factors.
 
+    Objects are matched within their level only.  The cycle's pairwise
+    Hom-orthogonal bricks filter an exact abelian, extension-closed category
+    W with the members as its simples (Ringel, J. Algebra 41, 1976), and an
+    isomorphism in mod Λ between objects of W is one in W.  A level-L object
+    has composition length L in W (Jordan-Hölder), so levels never match.
+
     Two factors from distinct members A and B need no isomorphism scan.  A
     middle E of 0 -> A -> E -> B -> 0 has Hom(A, E) != 0 and Hom(E, B) != 0.
-    The members are Hom-orthogonal bricks, so every member and every other
-    object of level 2 fails one of the two, except the middles with the same
-    ends and those with sub B and quotient A, where a nonzero map
-    A -> E -> A would split the extension.  The middles with the same ends
-    are pairwise nonisomorphic, one per line of P(Ext(B, A)): an isomorphism
-    E -> E' sends A into the kernel of E' -> B, because Hom(A, B) = 0, so it
-    is a morphism of extensions whose ends are nonzero scalars on the bricks
-    A and B, and its two classes lie on one line.  Self-extensions and
-    longer filtrations are tested with is_isomorphic only against the
-    objects found so far that share their dimension vector and, computed
-    once such an object exists, their _rank_invariants.
+    The members are Hom-orthogonal bricks, so every other object of level 2
+    fails one of the two, except the middles with the same ends and those
+    with sub B and quotient A, where a nonzero map A -> E -> A would split
+    the extension.  The middles with the same ends are pairwise
+    nonisomorphic, one per line of P(Ext(B, A)): an isomorphism E -> E'
+    sends A into the kernel of E' -> B, because Hom(A, B) = 0, so it is a
+    morphism of extensions whose ends are nonzero scalars on the bricks A
+    and B, and its two classes lie on one line.  Any other object goes
+    through _iso_index against its level's objects of its dimension vector.
 
     The first two levels have known relative Loewy length.  A member has
     radical 0 (the identity is a map to the cycle).  For E as above, a map
@@ -611,23 +613,18 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
     cycle = tuple(cycle)
     validate_ext_cycle(cycle)
     levels: list[list[Representation]] = [[], list(cycle)]
-    by_dims: dict[tuple, list[Representation]] = {}
-    for X in cycle:
-        by_dims.setdefault(X.dims, []).append(X)
-    invariants = cache(_rank_invariants)   # computed once a dims vector repeats
     for total in range(2, bound + 1):
         fresh: list[Representation] = []
+        by_dims: dict[tuple, list[Representation]] = {}
         for a in range(1, total):
-            b = total - a
             for A in levels[a]:
-                for B in levels[b]:
+                for B in levels[total - a]:
                     distinct_members = total == 2 and A is not B
                     for E in middle_terms(B, A):
                         if len(decompose(E)) != 1:
                             continue
                         same = by_dims.setdefault(E.dims, [])
-                        if distinct_members or not any(
-                                invariants(E) == invariants(N) and is_isomorphic(E, N) for N in same):
+                        if distinct_members or _iso_index(E, same) is None:
                             fresh.append(E)
                             same.append(E)
         levels.append(fresh)
@@ -646,22 +643,20 @@ def serial_object(cycle, top_index: int, length: int) -> Representation:
     ... from the top, built upward by picking at each step the first nonsplit
     middle that stays serial.  The cycle must be one that validate_ext_cycle
     accepts, as relative_loewy_length needs.  On a tube mouth these are the
-    regular uniserials (Ringel, LNM 1099, 3.1)."""
+    regular uniserials (Ringel, LNM 1099, 3.1).  No middle is decomposed: a
+    middle E of a step to m layers lies in W (filtration_universe) with
+    composition length m, which bounds its relative Loewy length, with
+    equality exactly when E is uniserial; a sum E1 + E2 has Loewy length
+    max(LL(E1), LL(E2)) < len(E1) + len(E2).  The layer identity holds on
+    all of W, so the Loewy test rejects a decomposable E without raising."""
     if length < 1:
         raise ValueError("a serial object has at least one layer")
     r = len(cycle)
     current = cycle[(top_index + length - 1) % r]
     for k in range(length - 2, -1, -1):
-        top = cycle[(top_index + k) % r]
-        pick = None
-        for E in middle_terms(top, current):
-            if len(decompose(E)) != 1:
-                continue
-            if relative_loewy_length(E, cycle) == length - k:
-                pick = E
-                break
-        require(pick is not None, "no serial middle found")
-        current = pick
+        current = next((E for E in middle_terms(cycle[(top_index + k) % r], current)
+                        if relative_loewy_length(E, cycle) == length - k), None)
+        require(current is not None, "no serial middle found")
     return current
 
 
@@ -671,15 +666,13 @@ def no_cover_evidence(cycle, bound: int) -> NoCoverEvidence:
     by the objects of relative Loewy length at most r, so no single
     enlargement of the r-th class reaches the next.
 
-    No other object needs a test.  The cycle is a set of pairwise
-    Hom-orthogonal bricks, so the category W it filters is exact abelian and
-    closed under extensions, with the members as its simples (Ringel,
-    J. Algebra 41, 1976).  An epimorphism in mod Λ between objects of W is
-    one in W and maps the relative radical onto the relative radical, so
-    quotients and finite sums never raise the relative Loewy length: no
-    object of length l is generated by level l - 1.  The lengths are
-    certified, levels 1 and 2 by the proof in filtration_universe and 3 and
-    up by relative_loewy_length's layer identity.  The argument covers the
+    No other object needs a test.  An epimorphism in mod Λ between objects
+    of W, the category the cycle filters (filtration_universe), is one in W
+    and maps the relative radical onto the relative radical, so quotients
+    and finite sums never raise the relative Loewy length: no object of
+    length l is generated by level l - 1.  The lengths are certified, levels
+    1 and 2 by the proof in filtration_universe and 3 and up by
+    relative_loewy_length's layer identity.  The argument covers the
     witnesses too; their test stays as the one module test per level.
     """
     fu = filtration_universe(cycle, bound)

@@ -434,6 +434,17 @@ def test_bad_quiver_file(tmp_path, capsys):
     assert code == 2
     assert "bad quiver file" in err
 
+    # booleans for integers and a non-list `arrows`: bad input, not a
+    # report (exit 0) or an internal error (exit 5)
+    for text in ('{"vertices": true, "arrows": []}', '{"vertices": 2, "arrows": [[2, true]]}',
+                 '{"vertices": 2, "arrows": [[1, 2, 1, true]]}',
+                 '{"vertices": 3, "arrows": 5}', '{"vertices": 3, "arrows": null}'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "classify", str(bad), "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad quiver file {bad}")
+
 
 B3_VALUED = "vertices 3\narrow 1 2\narrow 2 3 1 2\n"
 C2TILDE_VALUED = "vertices 3\narrow 1 2 1 2\narrow 2 3 2 1\n"
@@ -799,6 +810,27 @@ def test_no_unread_parameter():
             unread += [f"{path.name}:{node.lineno} {name}({param})"
                        for param in params if param != "self" and param not in read]
     assert not unread, unread
+
+
+def test_no_unused_import():
+    """Every name imported at module level in the package, the package's
+    __init__ (which re-exports) excepted, is read in its module, so an import
+    that lost its last use is deleted with it."""
+    unused = []
+    for path in sorted((ROOT / "src" / "ftors").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert not unused, unused
 
 
 # the samplers and the functions that pass a generator on to them

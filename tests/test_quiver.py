@@ -132,6 +132,16 @@ def test_json_errors():
     with pytest.raises(QuiverError):
         parse_quiver_json({"vertices": 2, "arrows": [[1, 5]]})
 
+    # JSON true is an int to isinstance, and an `arrows` that is no list is
+    # refused before it is iterated
+    for data in ({"vertices": True, "arrows": []}, {"vertices": 2, "arrows": [[2, True]]},
+                 {"vertices": 2, "arrows": [[1, 2, True, 1]]},
+                 {"vertices": 2, "arrows": [[1, 2, 1, True]]}, {"vertices": 3, "arrows": 5},
+                 {"vertices": 3, "arrows": None}, {"vertices": 3, "arrows": "12"}):
+        for form in (data, json.dumps(data)):
+            with pytest.raises(QuiverError):
+                parse_quiver_json(form)
+
 
 def test_classify_finite_types():
     assert classify_type(parse_quiver("vertices 1\n")).display() == "A1"

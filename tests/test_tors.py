@@ -310,6 +310,46 @@ def test_no_cover_evidence_tests_one_module_per_level(monkeypatch):
             assert len(calls) == bound - 1
 
 
+def serial_by_decompose(cycle, top_index: int, length: int):
+    """serial_object's builder with the decompose filter it had before its
+    Loewy test: the first indecomposable middle of the right relative Loewy
+    length."""
+    r = len(cycle)
+    current = cycle[(top_index + length - 1) % r]
+    for k in range(length - 2, -1, -1):
+        current = next(E for E in middle_terms(cycle[(top_index + k) % r], current)
+                       if len(modules.decompose(E)) == 1
+                       and relative_loewy_length(E, cycle) == length - k)
+    return current
+
+
+def test_serial_object_decomposes_no_middle(monkeypatch):
+    """serial_object picks the middle the decompose filter picked, from
+    every top, on the CYCLE3 mouth pair at three layers and the a2tilde tube
+    over F_5 at four, with no decompose call.  A decomposable object of the
+    filtered category, a serial object of length 2 plus a member, has
+    relative Loewy length below its length, and the Loewy test says so
+    without raising."""
+    (_, tube), = audited_cycles()[1:]
+    cases = [(tube_mouth_pair(find_regular_simples(CYCLE3, 5)[0]), 3), (tube, 4)]
+    for cycle, _ in cases:
+        assert relative_loewy_length(direct_sum([serial_object(cycle, 0, 2), cycle[0]]),
+                                     cycle) == 2
+    cases = [(cycle, top, length) for cycle, length in cases for top in range(len(cycle))]
+    want = [serial_by_decompose(*case) for case in cases]
+    calls = []
+
+    def spy(M):
+        calls.append(M.dims)
+        return modules._split_fully(M)
+
+    monkeypatch.setattr(modules, "decompose", spy)
+    monkeypatch.setattr(tors, "decompose", spy)
+    got = [serial_object(*case) for case in cases]
+    assert calls == []
+    assert [(M.dims, M.mats) for M in got] == [(M.dims, M.mats) for M in want]
+
+
 def test_no_cover_evidence_rejects_bad_cycles():
     with pytest.raises(VerificationError):
         no_cover_evidence([simple(A2, 5, 0)], 3)
@@ -588,6 +628,37 @@ def test_rank_invariants_survive_a_change_of_basis():
         assert modules._rank_invariants(base_changed(M, rng)) == key
         keys.setdefault(M.dims, set()).add(key)
     assert any(len(k) > 1 for k in keys.values())
+
+
+def test_rank_invariants_are_computed_once_per_module(monkeypatch):
+    """A module keeps its rank invariants: asking twice ranks its matrices
+    only the first time."""
+    M = filtration_universe(nocover_cycle("twothree", 3), 2).objects[-1].module
+    ranked = []
+    real = la.rank
+    monkeypatch.setattr(la, "rank", lambda m, p: ranked.append(m) or real(m, p))
+    first = modules._rank_invariants(M)
+    assert len(ranked) == len(first) > 0
+    assert modules._rank_invariants(M) == first
+    assert len(ranked) == len(first)
+
+
+def test_iso_index_rejects_by_pencil_ranks_without_an_isomorphism_test(monkeypatch):
+    """Two Kronecker modules of dims (1, 1) with both arrows of rank 1 lie on
+    different points of P^1, which the pencil ranks tell apart: _iso_index
+    answers None with no is_isomorphic call, and still finds the module
+    itself among them."""
+    M = make_rep(KRONECKER, 5, (1, 1), [np.array([[1]]), np.array([[1]])])
+    N = make_rep(KRONECKER, 5, (1, 1), [np.array([[1]]), np.array([[2]])])
+    assert modules._rank_invariants(M)[:2] == modules._rank_invariants(N)[:2] == (1, 1)
+    assert modules._rank_invariants(M) != modules._rank_invariants(N)
+    tested = []
+    real = modules.is_isomorphic
+    monkeypatch.setattr(modules, "is_isomorphic", lambda X, Y: tested.append(Y) or real(X, Y))
+    assert modules._iso_index(M, [N]) is None
+    assert tested == []
+    assert modules._iso_index(M, [N, M]) == 1
+    assert tested == [M]
 
 
 def test_middle_terms_lists_every_line_and_matches_no_isomorphism(monkeypatch):
