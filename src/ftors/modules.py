@@ -796,24 +796,27 @@ def _ext_classes(B: Representation, A: Representation) -> Matrix:
     return la.from_rows([units[i] for i in la.complement_indices(image, B.p)], len(rows))
 
 
-def _glue(A: Representation, B: Representation, cocycles) -> Representation:
-    """The extension 0 -> A -> E -> B^m -> 0 along m cocycles of (B, A).
+def _glue(A: Representation, B: Representation, extensions) -> list[Representation]:
+    """The middles E of 0 -> A -> E -> B^m -> 0, one per entry of
+    extensions, each a sequence of m cocycles of (B, A).
 
     Arrow k: s -> t acts on E_s = A_s + B_s^m by [[A_k, eta_k], [0, B_k^m]],
     A first at each vertex, where eta_k holds the block of each cocycle at
-    arrow k, an A_t x B_s matrix read row by row, side by side.
+    arrow k, an A_t x B_s matrix read row by row, side by side.  The rows of
+    A_k, the zero-padded rows of B_k^m and the block offsets are laid out
+    once for all entries, so each middle costs one make_rep.
     """
-    q, p = A.quiver, A.p
-    Bm = direct_sum([B] * len(cocycles))
-    mats, off = [], 0
+    q, m, off, arrows = A.quiver, len(extensions[0]), 0, []
     for k, ar in enumerate(q.arrows):
-        s, t = ar.source, ar.target
-        size = A.dims[t] * B.dims[s]
-        etas = [_unflatten(c[off:off + size], [(A.dims[t], B.dims[s])])[0] for c in cocycles]
-        off += size
-        mats.append(la.vstack([la.hstack([A.mats[k], *etas]),
-                               la.hstack([la.zeros(Bm.dims[t], A.dims[s]), Bm.mats[k]])]))
-    return make_rep(q, p, [a + b for a, b in zip(A.dims, Bm.dims)], mats)
+        s, bs = ar.source, B.dims[ar.source]
+        heads = [(row, off + r * bs) for r, row in enumerate(A.mats[k])]
+        lower = [(0,) * (A.dims[s] + j * bs) + row + (0,) * ((m - 1 - j) * bs)
+                 for j in range(m) for row in B.mats[k]]
+        arrows.append((heads, bs, lower))
+        off += A.dims[ar.target] * bs
+    dims = [a + m * b for a, b in zip(A.dims, B.dims)]
+    return [make_rep(q, A.p, dims, [[row + sum((c[i:i + bs] for c in ext), ()) for row, i in heads]
+                                    + lower for heads, bs, lower in arrows]) for ext in extensions]
 
 
 def _universal_extension_above(M: Representation, i: int) -> Representation:
@@ -827,7 +830,7 @@ def _universal_extension_above(M: Representation, i: int) -> Representation:
     classes = _ext_classes(S, M)
     if not classes:
         return M
-    E = _glue(M, S, classes)
+    [E] = _glue(M, S, [classes])
     require(ext_dim(S, E) == 0, "universal extension above leaves an extension")
     return E
 
@@ -864,10 +867,10 @@ def middle_terms(B: Representation, A: Representation, *, hom=None) -> list[Repr
 
     Classes are enumerated up to scalar, as combinations of the basis
     cocycles of _ext_classes, in the order of _projective_class_lines, and
-    each middle term is glued from A and B along one.  Distinct lines may
-    give isomorphic middles; callers that need isomorphism classes match
-    them.  hom supplies the Hom spaces between A and B, as in
-    trace_submodule.
+    each middle term is glued from A and B along one, all in one _glue call
+    that lays out the pair's blocks once.  Distinct lines may give
+    isomorphic middles; callers that need isomorphism classes match them.
+    hom supplies the Hom spaces between A and B, as in trace_submodule.
     """
     p = B.p
     e = ext_dim(B, A, hom)
@@ -879,5 +882,5 @@ def middle_terms(B: Representation, A: Representation, *, hom=None) -> list[Repr
                                 f"exceed the cap {MIDDLE_CAP}")
     classes = _ext_classes(B, A)
     require(len(classes) == e, "extension classes do not match the Ext dimension")
-    return [_glue(A, B, la.matmul(la.Matrix([line]), classes, p))
-            for line in _projective_class_lines(p, e)]
+    cocycles = la.matmul(la.Matrix(_projective_class_lines(p, e)), classes, p)
+    return _glue(A, B, [(c,) for c in cocycles])

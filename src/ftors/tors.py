@@ -609,6 +609,12 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
     nonzero scalar A -> E -> A would split E.  So each map factors through
     E -> B, whose kernel is A: the radical of E is A and its length is 2.
     Only levels 3 and up run relative_loewy_length.
+
+    Only levels 4 and up run decompose.  Up to three factors a middle E of
+    0 -> A -> E -> B -> 0 has indecomposable ends, one a member, say B.  If
+    E = E1 + E2 in W, each Ei maps onto B, else Ei is a summand of A, so
+    Ei = A and E splits; Ei = B splits E too, so each Ei has length at
+    least 2 and E at least 4.  Dually if A is a member, it embeds in each Ei.
     """
     cycle = tuple(cycle)
     validate_ext_cycle(cycle)
@@ -621,7 +627,7 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
                 for B in levels[total - a]:
                     distinct_members = total == 2 and A is not B
                     for E in middle_terms(B, A):
-                        if len(decompose(E)) != 1:
+                        if total > 3 and len(decompose(E)) != 1:
                             continue
                         same = by_dims.setdefault(E.dims, [])
                         if distinct_members or _iso_index(E, same) is None:
@@ -674,11 +680,21 @@ def no_cover_evidence(cycle, bound: int) -> NoCoverEvidence:
     1 and 2 by the proof in filtration_universe and 3 and up by
     relative_loewy_length's layer identity.  The argument covers the
     witnesses too; their test stays as the one module test per level.
+
+    Each witness is read from the universe: the first object of Loewy length
+    and length r + 1, so uniserial, with the serial dims and a map onto its
+    top cycle[0].  Every such uniserial U is there, a middle of (cycle[0],
+    rad U) with rad U one level down.
     """
+    if bound < 2:
+        raise ValueError("no-cover evidence needs a bound of at least 2")
     fu = filtration_universe(cycle, bound)
-    witnesses = []
+    top, witnesses = fu.cycle[0], []
     for r in range(1, bound):
+        dims = tuple(map(sum, zip(*(fu.cycle[k % len(fu.cycle)].dims for k in range(r + 1)))))
+        serial = next((o.module for o in fu.objects if o.length == o.loewy == r + 1
+                       and o.module.dims == dims and hom_dim(o.module, top)), None)
+        require(serial is not None, f"the universe holds no serial object with {r + 1} layers")
         lower = [o.module for o in fu.objects if o.loewy <= r]
-        serial = serial_object(fu.cycle, 0, r + 1)
         witnesses.append((r, serial.dims, bool(generates(lower, serial))))
     return NoCoverEvidence(bound, len(fu.objects), tuple(witnesses))

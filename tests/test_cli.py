@@ -542,6 +542,20 @@ def test_extension_class_count_survives_python_O():
     assert_verification_failure(proc, "extension classes do not match the Ext dimension")
 
 
+def test_nocover_witness_check_survives_python_O():
+    """With the uniserials of length 2 stripped from the filtration
+    universe, no level-1 witness is found and run nocover exits 5, also
+    under python -O."""
+    patch = ("real = tors.filtration_universe\n"
+             "def stripped(cycle, bound):\n"
+             "    fu = real(cycle, bound)\n"
+             "    fu.objects = [o for o in fu.objects if not o.length == o.loewy == 2]\n"
+             "    return fu\n"
+             "tors.filtration_universe = stripped")
+    proc = run_optimized(patch, "run", "nocover", A2TILDE)
+    assert_verification_failure(proc, "the universe holds no serial object with 2 layers")
+
+
 def test_cover_check_survives_python_O():
     """With each member its own translate, no member is Ext-projective, so
     the cover of the first nonempty class misses its only member and run

@@ -886,6 +886,58 @@ def test_projective_cover_shapes():
     assert not is_projective_rep(S1)
 
 
+def per_line_glue(A, B, cocycles):
+    """The gluing middle_terms made per line before each pair's blocks were
+    laid out once, kept as the reference: the direct sum B^m, and at each
+    arrow the stacked blocks [[A_k, eta_k], [0, B_k^m]] of one extension."""
+    Bm = direct_sum([B] * len(cocycles))
+    mats, off = [], 0
+    for k, ar in enumerate(A.quiver.arrows):
+        s, t = ar.source, ar.target
+        size = A.dims[t] * B.dims[s]
+        etas = [modules._unflatten(c[off:off + size], [(A.dims[t], B.dims[s])])[0]
+                for c in cocycles]
+        off += size
+        mats.append(la.vstack([la.hstack([A.mats[k], *etas]),
+                               la.hstack([la.zeros(Bm.dims[t], A.dims[s]), Bm.mats[k]])]))
+    return make_rep(A.quiver, A.p, [a + b for a, b in zip(A.dims, Bm.dims)], mats)
+
+
+@pytest.mark.parametrize("q", [A3, KRONECKER, load_quiver(QDIR / "twothree.txt")],
+                         ids=["a3", "kronecker", "twothree"])
+def test_glue_matches_the_per_line_reference(q, monkeypatch):
+    """middle_terms gives the matrices of the per-line gluing, in its
+    order, with one make_rep per middle; the universal extension above a
+    vertex glues what the reference glues from all classes at once."""
+    rng = random.Random(101)
+    made = []
+    real = modules.make_rep
+    monkeypatch.setattr(modules, "make_rep", lambda *args: made.append(1) or real(*args))
+    glued = 0
+    for p in (2, 3, 5):
+        for _ in range(6):
+            A = random_rep(q, p, random_dims(rng, q.n, 3), rng)
+            B = random_rep(q, p, random_dims(rng, q.n, 3, 1), rng)
+            e = ext_dim(B, A)
+            if not 0 < p ** e <= 8 * (p - 1) + 1:
+                continue
+            classes = modules._ext_classes(B, A)
+            want = [per_line_glue(A, B, la.matmul(la.Matrix([line]), classes, p))
+                    for line in modules._projective_class_lines(p, e)]
+            made.clear()
+            got = middle_terms(B, A)
+            assert len(made) == len(got) == len(want)
+            assert [(E.dims, E.mats, [m.shape for m in E.mats]) for E in got] == [
+                (E.dims, E.mats, [m.shape for m in E.mats]) for E in want]
+            glued += len(got)
+            for i in range(q.n):
+                classes = modules._ext_classes(simple(q, p, i), A)
+                if classes:
+                    E = modules._universal_extension_above(A, i)
+                    assert E.mats == per_line_glue(A, simple(q, p, i), classes).mats
+    assert glued > 0
+
+
 def test_universal_extension_above_and_below():
     S2 = simple(A2, 5, 1)
     E = universal_extension(S2, 0, "above")

@@ -310,6 +310,95 @@ def test_no_cover_evidence_tests_one_module_per_level(monkeypatch):
             assert len(calls) == bound - 1
 
 
+def test_no_cover_evidence_refuses_a_bound_below_two():
+    """Below bound 2 there is no level to test, and a verdict with no
+    witness would be vacuous: ValueError, as for a serial object of no
+    layers."""
+    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5)[0].simples
+    for bound in (1, 0, -1):
+        with pytest.raises(ValueError, match="at least 2"):
+            no_cover_evidence(tube, bound)
+
+
+def witness_cases():
+    """The CYCLE3 mouth pair at three layers, the a2tilde tube over F_5 at
+    four and the twothree pair over F_3 at two, with the bound of each."""
+    (_, pair), (_, tube) = audited_cycles()
+    return [(tube_mouth_pair(find_regular_simples(CYCLE3, 5)[0]), 3), (tube, 4), (pair, 2)]
+
+
+def test_universe_decomposes_no_middle_up_to_three_factors(monkeypatch):
+    """filtration_universe decomposes no middle term at three factors on
+    the three witness cycles; at four on the a2tilde tube it still does."""
+    calls = []
+    monkeypatch.setattr(tors, "decompose", lambda M: calls.append(M.dims) or modules.decompose(M))
+    cases = witness_cases()
+    for cycle, _ in cases:
+        calls.clear()
+        assert any(o.length == 3 for o in filtration_universe(cycle, 3).objects)
+        assert calls == []
+    filtration_universe(cases[1][0], 4)
+    assert calls
+
+
+def test_middles_of_up_to_three_factors_are_indecomposable():
+    """The proof in filtration_universe on modules: every middle term that
+    middle_terms gives on two universe objects of three factors in all,
+    a member and a member or a level-2 object either way round, decomposes
+    into one summand."""
+    for cycle, _ in witness_cases():
+        level = {1: [], 2: []}
+        for o in filtration_universe(cycle, 2).objects:
+            level[o.length].append(o.module)
+        middles = [E for a, b in ((1, 1), (1, 2), (2, 1)) for A in level[a] for B in level[b]
+                   for E in middle_terms(B, A)]
+        assert any(E.total > 2 for E in middles)
+        assert all(len(modules.decompose(E)) == 1 for E in middles)
+
+
+def test_witnesses_are_read_from_the_universe(monkeypatch):
+    """no_cover_evidence builds no serial object.  The module it tests at
+    level r has relative Loewy length r + 1 and the dims of
+    serial_object(cycle, 0, r + 1); on the a2tilde tube, whose two
+    uniserials of length 2 share their dims, it is isomorphic to it."""
+    cases = witness_cases()
+    serials = [[serial_object(cycle, 0, r + 1) for r in range(1, bound)]
+               for cycle, bound in cases]
+    tube = cases[1][0]
+    assert len([o for o in filtration_universe(tube, 2).objects
+                if o.module.dims == serials[1][0].dims]) == 2
+    tested = []
+    monkeypatch.setattr(tors, "generates", lambda *args: tested.append(args[1]) or generates(*args))
+
+    def refuse(*args):
+        raise AssertionError("no_cover_evidence built a serial object")
+
+    monkeypatch.setattr(tors, "serial_object", refuse)
+    for (cycle, bound), want in zip(cases, serials):
+        tested.clear()
+        ev = no_cover_evidence(cycle, bound)
+        assert ev.ok and len(tested) == len(want) == bound - 1
+        for r, (M, S) in enumerate(zip(tested, want), 1):
+            assert relative_loewy_length(M, cycle) == r + 1
+            assert M.dims == S.dims
+            assert cycle is not tube or is_isomorphic(M, S)
+
+
+def test_a_universe_without_its_serial_objects_fails_the_check(monkeypatch):
+    """With the uniserials of length r + 1 stripped from the universe,
+    no_cover_evidence finds no level-r witness and raises through require;
+    test_cli runs the same under python -O."""
+    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5)[0].simples
+    fu = filtration_universe(tube, 4)
+    for r in (1, 2, 3):
+        kept = [o for o in fu.objects if not o.length == o.loewy == r + 1]
+        assert len(kept) < len(fu.objects)
+        monkeypatch.setattr(tors, "filtration_universe",
+                            lambda cycle, bound: tors.FiltrationUniverse(fu.cycle, kept))
+        with pytest.raises(VerificationError, match=f"no serial object with {r + 1} layers"):
+            no_cover_evidence(tube, 4)
+
+
 def serial_by_decompose(cycle, top_index: int, length: int):
     """serial_object's builder with the decompose filter it had before its
     Loewy test: the first indecomposable middle of the right relative Loewy
@@ -584,8 +673,10 @@ def pairwise_filtration(cycle, bound: int):
 
 # run nocover --format json at seed 0, SHA-256 of the report; the bucketed
 # scan and the layer identity kept every byte, and the report has since
-# dropped only its generation_preserves_level field
+# dropped only its generation_preserves_level field; the default-bound
+# a2tilde digest predates the witnesses read from the universe
 NOCOVER_DIGESTS = {
+    ("a2tilde", 5, 4): "8c775109c7492b21c2c18863d5f44bba7d29cfcf550902eb2e5679bd38f3520f",
     ("a2tilde", 5, 6): "e7611149bb317185e96a3b4f051446f38b3556b0cde3afc6fc409762ddbe44cf",
     ("d4tilde", 5, 4): "59039e754f4c3d05c1145af7aa717edfcbb688c4e349553da9905e7f52c6c8b7",
     ("twothree", 3, 2): "77c8a8179fafd59e547c0c4285d3d0ace9f2b0d11e5329754524ae2df7e4f3b5",
