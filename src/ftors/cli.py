@@ -334,12 +334,18 @@ def cmd_nocover(args) -> int:
 
     q = _load(args.quiver)
     qt = classify_type(q)
-    if qt.representation_finite or q.n <= 2:
+    if qt.representation_finite:
         raise CliError(
             EXIT_BAD_INPUT,
             "no extension cycles exist for a representation-finite algebra; "
             "this evidence needs a representation-infinite quiver on at "
             "least three vertices")
+    if q.n <= 2:
+        raise CliError(
+            EXIT_BAD_INPUT,
+            f"{qt.display()} has two simples, where the torsion classes with a "
+            "cover form a lattice; no-cover evidence needs a "
+            "representation-infinite quiver on at least three vertices")
     if qt.family == "euclidean":
         tubes = find_regular_simples(q, args.prime)
         cycle = tubes[0].simples

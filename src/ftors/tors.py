@@ -40,6 +40,7 @@ from .modules import (
     HomSpace,
     Representation,
     _iso_index,
+    _rank_invariants,
     ar_translate,
     ar_translate_inverse,
     carve,
@@ -581,15 +582,57 @@ def validate_ext_cycle(cycle) -> None:
         require(ext_dim(X, cycle[nxt]) > 0, f"cycle entry {i} has no extension by entry {nxt}")
 
 
+def _is_new(E: Representation, unkeyed: dict, keyed: dict) -> bool:
+    """File E in its level unless an earlier object there is isomorphic to
+    it; True when filed.  Objects wait in unkeyed, by dims, with no
+    invariants computed, until an object of their dims needs a test; then
+    they move to keyed, by dims and _rank_invariants, in the order filed,
+    so _iso_index meets only equal invariants.  The first object of its
+    dims is filed with no test."""
+    waiting = unkeyed.get(E.dims)
+    if waiting is None:
+        unkeyed[E.dims] = [E]
+        return True
+    for M in waiting:
+        keyed.setdefault((M.dims, _rank_invariants(M)), []).append(M)
+    waiting.clear()
+    same = keyed.setdefault((E.dims, _rank_invariants(E)), [])
+    if _iso_index(E, same) is not None:
+        return False
+    same.append(E)
+    return True
+
+
+def _loewy_on_top(E: Representation, A: FiltrationObject, B: FiltrationObject, cycle) -> int:
+    """Relative Loewy length of a kept middle E of 0 -> A -> E -> B -> 0:
+    A.loewy + 1 when B is a member and the maps from E to the members are
+    the multiples of E -> B (filtration_universe, (ii)), with the top layer
+    identity of relative_loewy_length checked on the Hom dimensions read;
+    otherwise relative_loewy_length."""
+    if B.length == 1:
+        h = [hom_basis(E, X).dim for X in cycle]
+        if sum(h) == 1:
+            layer = tuple(sum(k * X.dims[v] for k, X in zip(h, cycle)) for v in range(len(E.dims)))
+            require(tuple(e - a for e, a in zip(E.dims, A.module.dims)) == layer,
+                    f"layer {layer} of {E.dims} is not its quotient by {A.module.dims}")
+            return A.loewy + 1
+    return relative_loewy_length(E, cycle)
+
+
 def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
     """Indecomposable iterated extensions of the cycle members, up to the
-    given number of factors.
+    given number of factors, each with its relative Loewy length.
+
+    Level L holds the new indecomposable middles E of 0 -> A -> E -> B -> 0,
+    one per line of P(Ext(B, A)), over the objects A of level a and B of
+    level L - a, with the member as quotient first (a from L - 1 down to 1).
 
     Objects are matched within their level only.  The cycle's pairwise
     Hom-orthogonal bricks filter an exact abelian, extension-closed category
     W with the members as its simples (Ringel, J. Algebra 41, 1976), and an
     isomorphism in mod Λ between objects of W is one in W.  A level-L object
     has composition length L in W (Jordan-Hölder), so levels never match.
+    Within a level _is_new files the objects by dims and rank invariants.
 
     Two factors from distinct members A and B need no isomorphism scan.  A
     middle E of 0 -> A -> E -> B -> 0 has Hom(A, E) != 0 and Hom(E, B) != 0.
@@ -600,46 +643,66 @@ def filtration_universe(cycle, bound: int) -> FiltrationUniverse:
     nonisomorphic, one per line of P(Ext(B, A)): an isomorphism E -> E'
     sends A into the kernel of E' -> B, because Hom(A, B) = 0, so it is a
     morphism of extensions whose ends are nonzero scalars on the bricks A
-    and B, and its two classes lie on one line.  Any other object goes
-    through _iso_index against its level's objects of its dimension vector.
+    and B, and its two classes lie on one line.  So these middles are not
+    filed, and any other object goes through _iso_index against its
+    level's filed objects of its dims and ranks.
 
-    The first two levels have known relative Loewy length.  A member has
-    radical 0 (the identity is a map to the cycle).  For E as above, a map
-    E -> X to a member vanishes on A: Hom(A, X) = 0 for X != A, and a
-    nonzero scalar A -> E -> A would split E.  So each map factors through
-    E -> B, whose kernel is A: the radical of E is A and its length is 2.
-    Only levels 3 and up run relative_loewy_length.
-
-    Only levels 4 and up run decompose.  Up to three factors a middle E of
+    Indecomposability.  Up to three factors a middle E of
     0 -> A -> E -> B -> 0 has indecomposable ends, one a member, say B.  If
     E = E1 + E2 in W, each Ei maps onto B, else Ei is a summand of A, so
     Ei = A and E splits; Ei = B splits E too, so each Ei has length at
     least 2 and E at least 4.  Dually if A is a member, it embeds in each Ei.
+    So no middle of up to three factors is tested.  From four factors on:
+    (i) let E = E1 + E2 with both nonzero, and e1, e2 the idempotents of
+    End(E) onto them.  If pi: E -> B kills E1, then E1 lies in ker pi = A,
+    and by the modular law A = E1 + (A ∩ E2); A is indecomposable, so
+    E1 = A and the sequence splits.  So pi e1 and pi e2 are nonzero, and
+    independent, as each kills the other's summand: dim Hom(E, B) >= 2.
+    Dually (B indecomposable), if e1 kills A, then A lies in E2 and
+    B = E1 + E2/A, so E2 = A and the sequence splits; so e1 and e2 restrict
+    to independent maps A -> E: dim Hom(A, E) >= 2.  Either dimension being
+    1 proves E indecomposable, recorded as its one summand, and only a
+    middle with both at least 2 runs decompose.
+
+    Loewy length.  rad_W(E), the meet of the maximal subobjects of E in W,
+    is the common kernel of the maps from E to the members, the radical
+    relative_loewy_length peels: each nonzero such map is onto a simple of
+    W, and each maximal subobject is the kernel of one.  A member has
+    radical 0 (the identity is a map to the cycle).  On level 2, a map
+    E -> X to a member vanishes on A: Hom(A, X) = 0 for X != A, and a
+    nonzero scalar A -> E -> A would split E.  So each map factors through
+    E -> B, whose kernel is A: the radical of E is A and its length is 2.
+    (ii) From level 3 on, when B is a member and the maps from E to the
+    members are the multiples of pi, that is, dim Hom(E, X) summed over the
+    cycle is 1, their common kernel is ker pi = A.  Loewy length is
+    invariant under isomorphism, so E has the length of the object A plus
+    one; the top layer identity dims(E) - dims(A) = sum h_X dims(X) is
+    still checked (_loewy_on_top).  Every other object runs
+    relative_loewy_length.
     """
     cycle = tuple(cycle)
     validate_ext_cycle(cycle)
-    levels: list[list[Representation]] = [[], list(cycle)]
+    levels: list[list[FiltrationObject]] = [[], [FiltrationObject(X, 1, 1) for X in cycle]]
     for total in range(2, bound + 1):
-        fresh: list[Representation] = []
-        by_dims: dict[tuple, list[Representation]] = {}
-        for a in range(1, total):
+        fresh: list[FiltrationObject] = []
+        unkeyed: dict[tuple, list[Representation]] = {}
+        keyed: dict[tuple, list[Representation]] = {}
+        for a in range(total - 1, 0, -1):
             for A in levels[a]:
                 for B in levels[total - a]:
                     distinct_members = total == 2 and A is not B
-                    for E in middle_terms(B, A):
-                        if total > 3 and len(decompose(E)) != 1:
-                            continue
-                        same = by_dims.setdefault(E.dims, [])
-                        if distinct_members or _iso_index(E, same) is None:
-                            fresh.append(E)
-                            same.append(E)
+                    for E in middle_terms(B.module, A.module):
+                        if total > 3:
+                            if hom_basis(E, B.module).dim == 1 or hom_basis(A.module, E).dim == 1:
+                                E._parts = (E,)
+                            elif len(decompose(E)) != 1:
+                                continue
+                        if distinct_members or _is_new(E, unkeyed, keyed):
+                            fresh.append(FiltrationObject(
+                                E, total, total if total == 2 else _loewy_on_top(E, A, B, cycle)))
         levels.append(fresh)
 
-    objects = [
-        FiltrationObject(M, length,
-                         length if length <= 2 else relative_loewy_length(M, cycle))
-        for length, level in enumerate(levels) for M in level
-    ]
+    objects = [o for level in levels for o in level]
     objects.sort(key=lambda o: (o.module.total, o.module.dims))
     return FiltrationUniverse(cycle, objects)
 
@@ -677,9 +740,10 @@ def no_cover_evidence(cycle, bound: int) -> NoCoverEvidence:
     and maps the relative radical onto the relative radical, so quotients
     and finite sums never raise the relative Loewy length: no object of
     length l is generated by level l - 1.  The lengths are certified, levels
-    1 and 2 by the proof in filtration_universe and 3 and up by
-    relative_loewy_length's layer identity.  The argument covers the
-    witnesses too; their test stays as the one module test per level.
+    1 and 2 by the proof in filtration_universe, 3 and up by its induction
+    step or by relative_loewy_length, each with its layer identity checked.
+    The argument covers the witnesses too; their test stays as the one
+    module test per level.
 
     Each witness is read from the universe: the first object of Loewy length
     and length r + 1, so uniserial, with the serial dims and a map onto its

@@ -421,6 +421,19 @@ def test_nocover_gate(capsys):
     assert "representation-finite" in err
 
 
+def test_nocover_refuses_two_simples_by_name(capsys, tmp_path):
+    """The Kronecker quiver and a wild two-vertex quiver are refused for
+    having two simples, not as representation-finite, with exit 2 and no
+    report."""
+    wild = tmp_path / "wild2.txt"
+    wild.write_text("vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n")
+    for path, kind in ((KRONECKER, "A~1"), (str(wild), "wild")):
+        code, out, err = run(capsys, "run", "nocover", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {kind}") and "has two simples" in err
+        assert "representation-finite algebra" not in err
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/q.txt")
     assert code == 4

@@ -5,6 +5,7 @@ closure conditions directly, one subset at a time, instead of growing
 classes breadth-first the way the library does.
 """
 
+import functools
 import gc
 import hashlib
 import inspect
@@ -354,6 +355,130 @@ def test_middles_of_up_to_three_factors_are_indecomposable():
                    for E in middle_terms(B, A)]
         assert any(E.total > 2 for E in middles)
         assert all(len(modules.decompose(E)) == 1 for E in middles)
+
+
+def oracle_cases():
+    """The CYCLE3 mouth pair at five factors, the a2tilde tube over F_5 at
+    six, the d4tilde tube over F_5 at five and the twothree pair over F_3 at
+    three, with the bound of each."""
+    (_, pair), (_, tube) = audited_cycles()
+    d4 = find_regular_simples(load_quiver(QDIR / "d4tilde.txt"), 5)[0].simples
+    return [(tube_mouth_pair(find_regular_simples(CYCLE3, 5)[0]), 5), (tube, 6), (d4, 5), (pair, 3)]
+
+
+@functools.cache
+def recorded_universes():
+    """filtration_universe on each oracle case, built once with spies: per
+    case the cycle, the universe, the middles that reached the isomorphism
+    filing marked as one summand with no decompose call (with their ends A
+    and B), the decomposed middles (with their ends), each _iso_index
+    call's module and candidates, and each is_isomorphic answer."""
+    out = []
+    for cycle, bound in oracle_cases():
+        ends, decomposed, admitted, scans, answers = {}, [], [], [], []
+
+        def middles(B, A):
+            found = middle_terms(B, A)
+            ends.update((id(E), (E, A, B)) for E in found)
+            return found
+
+        def split(M):
+            decomposed.append(ends[id(M)])
+            return modules.decompose(M)
+
+        def filing(E, *rest, real=tors._is_new):
+            if E._parts is not None and ends[id(E)] not in decomposed:
+                admitted.append(ends[id(E)])
+            return real(E, *rest)
+
+        def scan(M, candidates, real=tors._iso_index):
+            scans.append((M, list(candidates)))
+            return real(M, candidates)
+
+        def iso(X, Y, real=modules.is_isomorphic):
+            answers.append(real(X, Y))
+            return answers[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name, spy in (("middle_terms", middles), ("decompose", split),
+                              ("_is_new", filing), ("_iso_index", scan)):
+                mp.setattr(tors, name, spy)
+            mp.setattr(modules, "is_isomorphic", iso)
+            fu = filtration_universe(cycle, bound)
+        out.append((cycle, fu, admitted, decomposed, scans, answers))
+    return out
+
+
+def copy_of(M):
+    """M rebuilt, without the summands M keeps."""
+    return make_rep(M.quiver, M.p, M.dims, M.mats)
+
+
+def test_one_hom_dimension_proves_a_long_middle_indecomposable():
+    """The lemma (i) in filtration_universe on modules: every middle of four
+    or more factors that dim Hom(E, B) = 1 or dim Hom(A, E) = 1 admits
+    without decompose has one summand under modules.decompose, and decompose
+    runs only where both dimensions exceed 1, on the four oracle cycles."""
+    tested = 0
+    for cycle, fu, admitted, decomposed, *_ in recorded_universes():
+        for E, A, B in admitted:
+            assert hom_dim(E, B) == 1 or hom_dim(A, E) == 1
+            assert len(modules.decompose(copy_of(E))) == 1
+        for E, A, B in decomposed:
+            assert hom_dim(E, B) > 1 and hom_dim(A, E) > 1
+        tested += len(admitted)
+        assert admitted or max(o.length for o in fu.objects) < 4
+    assert tested > 0
+
+
+def test_every_loewy_length_is_the_relative_radical_length():
+    """The lemma (ii) in filtration_universe on modules: each object's
+    Loewy length, by the induction step or by relative_loewy_length, is
+    the length of its relative radical series, on the four oracle cycles."""
+    for cycle, fu, *_ in recorded_universes():
+        assert any(o.loewy > 2 for o in fu.objects)
+        for o in fu.objects:
+            assert relative_loewy_length(o.module, cycle) == o.loewy
+
+
+def test_isomorphism_filing_meets_only_equal_invariants():
+    """Each _iso_index call of filtration_universe gets only candidates of
+    the module's dims and rank invariants.  On the twothree pair over F_3
+    at three factors the filing still makes the 1454 is_isomorphic calls,
+    960 of them False, of the scan over a whole dims bucket."""
+    recorded = recorded_universes()
+    for *_, scans, _ in recorded:
+        for M, candidates in scans:
+            key = (M.dims, modules._rank_invariants(M))
+            assert all((C.dims, modules._rank_invariants(C)) == key for C in candidates)
+    answers = recorded[3][-1]
+    assert (len(answers), answers.count(False)) == (1454, 960)
+
+
+def test_a2tilde_universe_reads_its_loewy_lengths_off_the_tops(monkeypatch):
+    """On the a2tilde tube over F_5 at four factors every object of level 3
+    or 4 takes its Loewy length from the induction step, so
+    relative_loewy_length gets no call, and decompose runs only on the
+    middles where dim Hom(E, B) and dim Hom(A, E) both exceed 1."""
+    tube = find_regular_simples(load_quiver(QDIR / "a2tilde.txt"), 5)[0].simples
+    ends, decomposed = {}, []
+
+    def middles(B, A):
+        found = middle_terms(B, A)
+        ends.update((id(E), (E, A, B)) for E in found)
+        return found
+
+    def refuse(*args):
+        raise AssertionError("relative_loewy_length was called")
+
+    monkeypatch.setattr(tors, "middle_terms", middles)
+    monkeypatch.setattr(tors, "decompose",
+                        lambda M: decomposed.append(ends[id(M)]) or modules.decompose(M))
+    monkeypatch.setattr(tors, "relative_loewy_length", refuse)
+    fu = filtration_universe(tube, 4)
+    assert {o.length for o in fu.objects} == {1, 2, 3, 4}
+    assert decomposed
+    assert all(hom_dim(E, B) > 1 and hom_dim(A, E) > 1 for E, A, B in decomposed)
 
 
 def test_witnesses_are_read_from_the_universe(monkeypatch):
